@@ -9,8 +9,8 @@
  *    construction, survivor vector, full score vector, topkSelect,
  *    sort + subsetAttention, all on fresh heap buffers; and
  *  - *fused*: MultiHeadLongSight::computeInto over reserved caches —
- *    scratch-arena buffers and the fused batchScoreSelect kernel,
- *    which never materializes survivor or score vectors.
+ *    scratch-arena buffers and the fused batchScoreSelectMultiSpans
+ *    driver, which never materializes survivor or score vectors.
  *
  * Both paths are verified element-identical before timing. With the
  * ls_alloc_hook library linked, the bench also reports heap
@@ -19,9 +19,10 @@
  * asserts exactly that).
  *
  * A final grouped-scan section isolates the scan stage for one KV
- * head's whole GQA query group at the current cache state: one
- * multi-query pass (batchScanMulti / batchScoreSelectMulti) against
- * the group-size single-query passes the pre-grouping decode issued.
+ * head's whole GQA query group at the current cache state: one grouped
+ * call of the span drivers (batchScanMultiSpans /
+ * batchScoreSelectMultiSpans) against group-size one-query calls, the
+ * passes the pre-grouping decode issued.
  * Per-query results must be bit-identical — any mismatch exits
  * nonzero (CI's bench-smoke gate) — and the measured speedups land in
  * BENCH_decode.json under "grouped_scan".
@@ -102,9 +103,14 @@ baselineStep(const BenchShape &sh, const Matrix &queries,
             std::vector<float> qf(sh.dim);
             cache.toFilterSpace(q, qf.data());
             const SignBits qs(qf.data(), sh.dim);
-            std::vector<uint32_t> survivors;
-            batchConcordanceScan(qs, cache.filterSignsAll(), sinks,
-                                 win_start, sh.threshold, survivors);
+            const ScanSpan region{sinks, win_start - sinks, sinks};
+            std::vector<uint32_t> survivors(region.count);
+            size_t count = 0;
+            batchScanMultiSpans(qs.words().data(), 1,
+                                cache.filterSignsAll(), &region, 1,
+                                sh.threshold, survivors.data(),
+                                survivors.size(), &count);
+            survivors.resize(count);
             const auto scores =
                 attentionScoresAt(q, cache.keys(), survivors, scale);
             const auto sel =
@@ -157,10 +163,10 @@ bestRate(size_t work, int reps, F &&fn)
 }
 
 /**
- * Scan-stage comparison on KV head 0's query group: one grouped
- * multi-query pass over the sparse region versus the `group`
- * single-query passes the ungrouped decode issued, for both the raw
- * concordance scan and the fused scan->score->select kernel.
+ * Scan-stage comparison on KV head 0's query group: one grouped call
+ * over the sparse region versus the `group` one-query calls the
+ * ungrouped decode issued, for both the raw concordance scan and the
+ * fused scan->score->select driver.
  */
 GroupedScanNumbers
 groupedScanComparison(const BenchShape &sh, const Matrix &queries,
@@ -180,41 +186,38 @@ groupedScanComparison(const BenchShape &sh, const Matrix &queries,
 
     const SignMatrix &signs = cache.filterSignsAll();
     const size_t wpr = signs.wordsPerRow();
+    const ScanSpan region{sinks, gn.keys, sinks};
     std::vector<float> qf(sh.dim);
     std::vector<uint64_t> qw(group * wpr);
-    std::vector<SignBits> qbits;
     for (uint32_t g = 0; g < group; ++g) {
         cache.toFilterSpace(queries.row(g), qf.data());
         packSigns(qf.data(), sh.dim, qw.data() + g * wpr);
-        qbits.emplace_back(qf.data(), sh.dim);
     }
     const size_t work = static_cast<size_t>(group) * gn.keys;
 
-    // Raw scan: group single passes vs one grouped pass.
-    std::vector<std::vector<uint32_t>> single(group);
-    for (auto &v : single)
-        v.reserve(gn.keys);
+    // Raw scan: group one-query calls vs one grouped call.
+    std::vector<uint32_t> single(work);
+    std::vector<size_t> single_counts(group);
     gn.scanUngrouped = bestRate(work, reps, [&] {
-        for (uint32_t g = 0; g < group; ++g) {
-            single[g].clear();
-            batchConcordanceScan(qbits[g], signs, sinks, win_start,
-                                 sh.threshold, single[g]);
-        }
+        for (uint32_t g = 0; g < group; ++g)
+            batchScanMultiSpans(qw.data() + g * wpr, 1, signs, &region, 1,
+                                sh.threshold, single.data() + g * gn.keys,
+                                gn.keys, &single_counts[g]);
     });
     std::vector<uint32_t> multi(work);
     std::vector<size_t> counts(group);
     gn.scanGrouped = bestRate(work, reps, [&] {
-        batchScanMulti(qw.data(), group, signs, sinks, win_start,
-                       sh.threshold, multi.data(), gn.keys,
-                       counts.data());
+        batchScanMultiSpans(qw.data(), group, signs, &region, 1,
+                            sh.threshold, multi.data(), gn.keys,
+                            counts.data());
     });
     for (uint32_t g = 0; g < group; ++g) {
-        bool same = counts[g] == single[g].size();
+        bool same = counts[g] == single_counts[g];
         for (size_t i = 0; same && i < counts[g]; ++i)
-            same = multi[g * gn.keys + i] == single[g][i];
+            same = multi[g * gn.keys + i] == single[g * gn.keys + i];
         if (!same) {
             std::cerr << "FAIL: grouped scan diverged from the "
-                         "single-query scan for group query "
+                         "one-query scan for group query "
                       << g << "\n";
             gn.bitIdentical = false;
         }
@@ -226,19 +229,20 @@ groupedScanComparison(const BenchShape &sh, const Matrix &queries,
     std::vector<size_t> nsel_single(group);
     gn.fusedUngrouped = bestRate(work, reps, [&] {
         for (uint32_t g = 0; g < group; ++g)
-            nsel_single[g] = batchScoreSelect(
-                qw.data() + g * wpr, signs, sinks, win_start,
-                sh.threshold, queries.row(g), cache.keys(), scale,
-                sh.hybrid.topK, sel_single.data() + g * kcap);
+            batchScoreSelectMultiSpans(
+                qw.data() + g * wpr, 1, signs, &region, 1, sh.threshold,
+                queries.row(g), queries.cols(), cache.keys(), scale,
+                sh.hybrid.topK, sel_single.data() + g * kcap, kcap,
+                &nsel_single[g]);
     });
     std::vector<ScoredIndex> sel_multi(group * kcap);
     std::vector<size_t> nsel_multi(group);
     gn.fusedGrouped = bestRate(work, reps, [&] {
-        batchScoreSelectMulti(qw.data(), group, signs, sinks, win_start,
-                              sh.threshold, queries.row(0),
-                              queries.cols(), cache.keys(), scale,
-                              sh.hybrid.topK, sel_multi.data(), kcap,
-                              nsel_multi.data());
+        batchScoreSelectMultiSpans(qw.data(), group, signs, &region, 1,
+                                   sh.threshold, queries.row(0),
+                                   queries.cols(), cache.keys(), scale,
+                                   sh.hybrid.topK, sel_multi.data(), kcap,
+                                   nsel_multi.data());
     });
     for (uint32_t g = 0; g < group; ++g) {
         bool same = nsel_multi[g] == nsel_single[g];
@@ -249,7 +253,7 @@ groupedScanComparison(const BenchShape &sh, const Matrix &queries,
                     sel_single[g * kcap + i].score;
         if (!same) {
             std::cerr << "FAIL: grouped score-select diverged from the "
-                         "single-query kernel for group query "
+                         "one-query call for group query "
                       << g << "\n";
             gn.bitIdentical = false;
         }

@@ -6,18 +6,19 @@
  * CXL transfers, softmax, and the dense-attention reference kernel.
  *
  * After the google benchmarks, a scalar-vs-SIMD comparison pass times
- * the batch scan, survivor-scoring, fused scan->score->select,
- * GQA-group multi-query (batchScanMulti / batchScoreSelectMulti, four
- * queries per pass), and INT8 quantized-scoring (quant_dot, int8_dot,
- * fused int8_score_select — scalar / AVX2 maddubs / AVX-512 VNNI)
- * kernels on every backend this host supports,
- * verifies the results are bit-identical to the scalar backend (the
- * fused kernel against the unfused scan + dot + topkSelect pipeline,
- * and every multi-query output against the scalar single-query result
- * for the same query), and writes BENCH_kernels.json. Exits nonzero
- * if any backend's survivor set, score vector, fused top-k, or
- * grouped per-query result differs from scalar — this is the
- * bit-identity gate CI's bench-smoke job enforces.
+ * the span drivers (every call over one identity span of the flat key
+ * set) on every backend this host supports: the one-query scan and
+ * fused scan->score->select, survivor scoring, the same scan and
+ * fused select for a four-query GQA group in one pass, and INT8
+ * quantized scoring (quant_dot, int8_dot, fused int8_score_select —
+ * scalar / AVX2 maddubs / AVX-512 VNNI). It verifies the results are
+ * bit-identical to the scalar backend (the fused select against the
+ * unfused scan + dot + topkSelect pipeline, and every grouped output
+ * against the scalar one-query call for the same query), and writes
+ * BENCH_kernels.json. Exits nonzero if any backend's survivor set,
+ * score vector, fused top-k, or grouped per-query result differs from
+ * scalar — this is the bit-identity gate CI's bench-smoke job
+ * enforces.
  *
  * Run:  ./build/bench/micro_kernels
  *       ./build/bench/micro_kernels --keys 4096 --reps 3 \
@@ -218,14 +219,18 @@ BM_BatchScan4K(benchmark::State &state)
     const Matrix keys(n, d, rng.gaussianVec(n * d));
     const SignMatrix signs = SignMatrix::pack(keys.data(), n, d);
     const auto q = rng.gaussianVec(d);
-    const SignBits qs(q.data(), d);
-    std::vector<uint32_t> survivors;
-    survivors.reserve(n);
+    std::vector<uint64_t> qw(signs.wordsPerRow());
+    packSigns(q.data(), d, qw.data());
+    const ScanSpan all{0, n, 0};
+    std::vector<uint32_t> survivors(n);
+    size_t count = 0;
     for (auto _ : state) {
-        survivors.clear();
-        batchConcordanceScan(qs, signs, 0, n, static_cast<int>(d) / 2,
-                             survivors);
-        benchmark::DoNotOptimize(survivors);
+        batchScanMultiSpans(qw.data(), 1, signs, &all, 1,
+                            static_cast<int>(d) / 2, survivors.data(), n,
+                            &count);
+        benchmark::DoNotOptimize(survivors.data());
+        benchmark::DoNotOptimize(count);
+        benchmark::ClobberMemory();
     }
     state.SetItemsProcessed(state.iterations() * n);
     state.SetLabel(kernelBackendName(activeKernelBackend()));
@@ -267,11 +272,13 @@ BM_FusedScoreSelect(benchmark::State &state)
     const auto q = rng.gaussianVec(d);
     std::vector<uint64_t> qw(signs.wordsPerRow());
     packSigns(q.data(), d, qw.data());
+    const ScanSpan all{0, n, 0};
     std::vector<ScoredIndex> out(k);
     for (auto _ : state) {
-        const size_t m = batchScoreSelect(
-            qw.data(), signs, 0, n, static_cast<int>(d) / 2, q.data(),
-            keys, 0.125f, k, out.data());
+        size_t m = 0;
+        batchScoreSelectMultiSpans(qw.data(), 1, signs, &all, 1,
+                                   static_cast<int>(d) / 2, q.data(), d,
+                                   keys, 0.125f, k, out.data(), k, &m);
         benchmark::DoNotOptimize(m);
         benchmark::DoNotOptimize(out.data());
     }
@@ -343,32 +350,53 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
         const SignMatrix signs =
             SignMatrix::pack(key_mat.data(), keys, dim);
         const auto q = rng.gaussianVec(dim);
-        const SignBits qs(q.data(), dim);
         const int threshold = static_cast<int>(dim) / 2;
         const float scale = 0.125f;
+        const size_t wpr = signs.wordsPerRow();
+        std::vector<uint64_t> qw(wpr);
+        packSigns(q.data(), dim, qw.data());
+        // Every driver call sees the flat key set as one identity span.
+        const ScanSpan all{0, keys, 0};
+
+        // One-query scan into a cleared vector, sized for the worst
+        // case and shrunk to the survivor count — the work earlier
+        // BENCH_kernels.json scan rows timed, so rows stay comparable.
+        const auto scanOne = [&](const uint64_t *words,
+                                 std::vector<uint32_t> &out) {
+            out.clear();
+            out.resize(keys);
+            size_t n = 0;
+            batchScanMultiSpans(words, 1, signs, &all, 1, threshold,
+                                out.data(), keys, &n);
+            out.resize(n);
+        };
+        const size_t k = 1024;
+        const size_t kcap = std::min(k, keys);
+        const auto selectOne = [&](const uint64_t *words, const float *qv,
+                                   ScoredIndex *out) {
+            size_t n = 0;
+            batchScoreSelectMultiSpans(words, 1, signs, &all, 1,
+                                       threshold, qv, dim, key_mat, scale,
+                                       k, out, kcap, &n);
+            return n;
+        };
 
         // Scalar reference results (survivors + their scores).
         setKernelBackend(KernelBackend::Scalar);
         std::vector<uint32_t> ref_survivors;
-        batchConcordanceScan(qs, signs, 0, keys, threshold,
-                             ref_survivors);
+        scanOne(qw.data(), ref_survivors);
         std::vector<float> ref_scores(ref_survivors.size());
         batchDotScaleAt(q.data(), key_mat, ref_survivors.data(),
                         ref_survivors.size(), scale, ref_scores.data());
 
-        // Fused-kernel reference: the unfused pipeline's exact top-k
-        // (batchScoreSelect contracts to match it bit for bit).
-        const size_t k = 1024;
+        // Fused-select reference: the unfused pipeline's exact top-k.
         const auto ref_sel = topkSelect(ref_scores, ref_survivors, k);
-        std::vector<uint64_t> qw(signs.wordsPerRow());
-        packSigns(q.data(), dim, qw.data());
 
-        // GQA-group multi-query shape: 4 queries, one pass. References
-        // are the scalar backend's per-query single-kernel results, so
-        // the gate closes the whole contract — multi on any backend
-        // must equal single-query scalar, query by query.
+        // GQA-group shape: 4 queries, one pass. References are the
+        // scalar backend's one-query results, so the gate closes the
+        // whole contract — grouped on any backend must equal one-query
+        // scalar, query by query.
         const size_t nq = 4;
-        const size_t wpr = signs.wordsPerRow();
         Matrix qm(nq, dim);
         std::vector<uint64_t> qwm(nq * wpr);
         for (size_t g = 0; g < nq; ++g) {
@@ -378,27 +406,18 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
         }
         std::vector<std::vector<uint32_t>> ref_msurv(nq);
         std::vector<std::vector<ScoredIndex>> ref_msel(nq);
-        const size_t kcap = std::min(k, keys);
         for (size_t g = 0; g < nq; ++g) {
-            ref_msurv[g].resize(keys);
-            std::vector<size_t> one(1);
-            batchScanMulti(qwm.data() + g * wpr, 1, signs, 0, keys,
-                           threshold, ref_msurv[g].data(), keys,
-                           one.data());
-            ref_msurv[g].resize(one[0]);
+            scanOne(qwm.data() + g * wpr, ref_msurv[g]);
             ref_msel[g].resize(kcap);
-            one[0] = 0;
-            batchScoreSelectMulti(qwm.data() + g * wpr, 1, signs, 0,
-                                  keys, threshold, qm.row(g), dim,
-                                  key_mat, scale, k, ref_msel[g].data(),
-                                  kcap, one.data());
-            ref_msel[g].resize(one[0]);
+            ref_msel[g].resize(
+                selectOne(qwm.data() + g * wpr, qm.row(g),
+                          ref_msel[g].data()));
         }
 
         // INT8 arena (the KvCache enableKeyQuantization layout) plus
         // scalar references for the quantized-scoring kernels: the
-        // mixed float x int8 survivor dot, the exact int8 x int8
-        // estimation dot, and the fused estimate -> top-k select.
+        // mixed float x int8 dot, the exact int8 x int8 estimation
+        // dot, and the fused estimate -> top-k select.
         std::vector<int8_t> kq(keys * dim);
         std::vector<float> kscales(keys);
         for (size_t i = 0; i < keys; ++i)
@@ -407,19 +426,23 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
         std::vector<int8_t> q8(dim);
         float q8_scale = 0.0f;
         quantizeInt8Into(q.data(), dim, q8.data(), &q8_scale);
+        const auto int8SelectOne = [&](ScoredIndex *out) {
+            size_t n = 0;
+            batchInt8ScoreSelectMultiSpans(q8.data(), &q8_scale, 1,
+                                           kq.data(), kscales.data(), dim,
+                                           &all, 1, scale, k, out, kcap,
+                                           &n);
+            return n;
+        };
 
-        std::vector<float> ref_qdot(ref_survivors.size());
-        batchQuantDotAt(q.data(), kq.data(), kscales.data(), dim,
-                        ref_survivors.data(), ref_survivors.size(),
-                        scale, ref_qdot.data());
+        std::vector<float> ref_qdot(keys);
+        batchQuantDotRange(q.data(), kq.data(), kscales.data(), dim, 0,
+                           keys, scale, ref_qdot.data());
         std::vector<int32_t> ref_idot(keys);
         batchInt8DotRange(q8.data(), kq.data(), dim, 0, keys,
                           ref_idot.data());
-        std::vector<ScoredIndex> ref_isel(std::min(k, keys));
-        const size_t ref_isel_n = batchInt8ScoreSelect(
-            q8.data(), q8_scale, kq.data(), kscales.data(), dim, 0,
-            keys, scale, k, ref_isel.data());
-        ref_isel.resize(ref_isel_n);
+        std::vector<ScoredIndex> ref_isel(kcap);
+        ref_isel.resize(int8SelectOne(ref_isel.data()));
 
         double scalar_scan = 0.0, scalar_dot = 0.0, scalar_fused = 0.0;
         double scalar_mscan = 0.0, scalar_mfused = 0.0;
@@ -429,12 +452,8 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
 
             std::vector<uint32_t> survivors;
             survivors.reserve(keys);
-            const double scan_rate =
-                bestKeysPerSec(keys, reps, [&] {
-                    survivors.clear();
-                    batchConcordanceScan(qs, signs, 0, keys, threshold,
-                                         survivors);
-                });
+            const double scan_rate = bestKeysPerSec(
+                keys, reps, [&] { scanOne(qw.data(), survivors); });
             const bool scan_same = survivors == ref_survivors;
 
             std::vector<float> scores(ref_survivors.size());
@@ -447,29 +466,25 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
                 });
             const bool dot_same = scores == ref_scores;
 
-            std::vector<ScoredIndex> sel(std::min(k, keys));
+            std::vector<ScoredIndex> sel(kcap);
             size_t nsel = 0;
-            const double fused_rate =
-                bestKeysPerSec(keys, reps, [&] {
-                    nsel = batchScoreSelect(qw.data(), signs, 0, keys,
-                                            threshold, q.data(),
-                                            key_mat, scale, k,
-                                            sel.data());
-                });
+            const double fused_rate = bestKeysPerSec(keys, reps, [&] {
+                nsel = selectOne(qw.data(), q.data(), sel.data());
+            });
             bool fused_same = nsel == ref_sel.size();
             for (size_t i = 0; fused_same && i < nsel; ++i)
                 fused_same = sel[i].score == ref_sel[i].score &&
                     sel[i].index == ref_sel[i].index;
 
             // Grouped 4-query pass; rates count key-query tests so
-            // they compare directly with the single-query rows.
+            // they compare directly with the one-query rows.
             std::vector<uint32_t> msurv(nq * keys);
             std::vector<size_t> mcounts(nq);
             const double mscan_rate =
                 bestKeysPerSec(nq * keys, reps, [&] {
-                    batchScanMulti(qwm.data(), nq, signs, 0, keys,
-                                   threshold, msurv.data(), keys,
-                                   mcounts.data());
+                    batchScanMultiSpans(qwm.data(), nq, signs, &all, 1,
+                                        threshold, msurv.data(), keys,
+                                        mcounts.data());
                 });
             bool mscan_same = true;
             for (size_t g = 0; g < nq; ++g) {
@@ -483,11 +498,10 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
             std::vector<size_t> mnsel(nq);
             const double mfused_rate =
                 bestKeysPerSec(nq * keys, reps, [&] {
-                    batchScoreSelectMulti(qwm.data(), nq, signs, 0,
-                                          keys, threshold, qm.row(0),
-                                          dim, key_mat, scale, k,
-                                          msel.data(), kcap,
-                                          mnsel.data());
+                    batchScoreSelectMultiSpans(
+                        qwm.data(), nq, signs, &all, 1, threshold,
+                        qm.row(0), dim, key_mat, scale, k, msel.data(),
+                        kcap, mnsel.data());
                 });
             bool mfused_same = true;
             for (size_t g = 0; g < nq; ++g) {
@@ -501,15 +515,11 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
 
             // INT8 scoring kernels (dispatch-routed: scalar contract
             // reference, AVX2 maddubs, AVX-512 VNNI where available).
-            std::vector<float> qdot(ref_survivors.size());
-            const double qdot_rate =
-                bestKeysPerSec(ref_survivors.size(), reps, [&] {
-                    batchQuantDotAt(q.data(), kq.data(),
-                                    kscales.data(), dim,
-                                    ref_survivors.data(),
-                                    ref_survivors.size(), scale,
-                                    qdot.data());
-                });
+            std::vector<float> qdot(keys);
+            const double qdot_rate = bestKeysPerSec(keys, reps, [&] {
+                batchQuantDotRange(q.data(), kq.data(), kscales.data(),
+                                   dim, 0, keys, scale, qdot.data());
+            });
             const bool qdot_same = qdot == ref_qdot;
 
             std::vector<int32_t> idot(keys);
@@ -519,13 +529,10 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
             });
             const bool idot_same = idot == ref_idot;
 
-            std::vector<ScoredIndex> isel(std::min(k, keys));
+            std::vector<ScoredIndex> isel(kcap);
             size_t nisel = 0;
-            const double isel_rate = bestKeysPerSec(keys, reps, [&] {
-                nisel = batchInt8ScoreSelect(
-                    q8.data(), q8_scale, kq.data(), kscales.data(),
-                    dim, 0, keys, scale, k, isel.data());
-            });
+            const double isel_rate = bestKeysPerSec(
+                keys, reps, [&] { nisel = int8SelectOne(isel.data()); });
             bool isel_same = nisel == ref_isel.size();
             for (size_t i = 0; isel_same && i < nisel; ++i)
                 isel_same = isel[i].score == ref_isel[i].score &&
@@ -555,9 +562,8 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
             rows.push_back({"score_select_multi_q4", dim, keys, b,
                             mfused_rate, mfused_rate / scalar_mfused,
                             mfused_same});
-            rows.push_back({"quant_dot", dim, ref_survivors.size(), b,
-                            qdot_rate, qdot_rate / scalar_qdot,
-                            qdot_same});
+            rows.push_back({"quant_dot", dim, keys, b, qdot_rate,
+                            qdot_rate / scalar_qdot, qdot_same});
             rows.push_back({"int8_dot", dim, keys, b, idot_rate,
                             idot_rate / scalar_idot, idot_same});
             rows.push_back({"int8_score_select", dim, keys, b,
@@ -579,12 +585,12 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
             if (!mscan_same)
                 std::cerr << "FAIL: " << kernelBackendName(b)
                           << " grouped scan differs per query from the "
-                             "scalar single-query scan (dim "
+                             "scalar one-query scan (dim "
                           << dim << ")\n";
             if (!mfused_same)
                 std::cerr << "FAIL: " << kernelBackendName(b)
                           << " grouped score_select differs per query "
-                             "from the scalar single-query kernel (dim "
+                             "from the scalar one-query call (dim "
                           << dim << ")\n";
             if (!qdot_same)
                 std::cerr << "FAIL: " << kernelBackendName(b)

@@ -115,8 +115,9 @@ class LongSightAttn
      * in place (their capacity is reused, so repeated calls on the
      * same result object are heap-allocation-free). All intermediate
      * buffers live in the calling thread's scratch arena; the SCF →
-     * score → select stage runs through the fused batchScoreSelect
-     * kernel without materializing survivor or score vectors.
+     * score → select stage runs through the fused span driver
+     * (batchScoreSelectMultiSpans, one query) without materializing
+     * survivor or score vectors.
      */
     void computeHeadInto(const float *q, const KvCache &cache,
                          uint32_t kv_head, HeadAttentionResult &r) const;
@@ -128,7 +129,7 @@ class LongSightAttn
      * vector is queries + g * query_stride; its result lands in rs[g].
      * The sparse region's packed sign rows and survivor key tiles
      * stream through every query's concordance test and top-k heap
-     * together (batchScoreSelectMulti), so the cache is read once for
+     * together (batchScoreSelectMultiSpans), so the cache is read once for
      * the whole group instead of once per query — per query, results
      * are bit-identical to computeHeadInto.
      */

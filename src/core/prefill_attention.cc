@@ -115,8 +115,9 @@ BlockSparsePrefill::estimateTasks(const Matrix &queries)
             // at its own causal window start.
             uint32_t *surv = frame.alloc<uint32_t>(nq * max_cand);
             size_t counts[kMaxScanQueries];
-            batchScanMulti(qsigs, nq, blockSigs_, sink_blocks, max_end,
-                           cfg_.threshold, surv, max_cand, counts);
+            const ScanSpan cand{sink_blocks, max_cand, sink_blocks};
+            batchScanMultiSpans(qsigs, nq, blockSigs_, &cand, 1,
+                                cfg_.threshold, surv, max_cand, counts);
             for (size_t qi = 0; qi < nq; ++qi) {
                 QBlockTask &t = tasks_[t0 + qi];
                 t.keptOffset = static_cast<uint32_t>(keptBuf_.size());

@@ -27,15 +27,18 @@ std::vector<uint32_t>
 scfFilter(const SignBits &query, const SignMatrix &keys, int threshold,
           uint32_t base_index)
 {
-    std::vector<uint32_t> survivors;
     if (keys.rows() == 0)
-        return survivors;
-    batchConcordanceScan(query, keys, 0, keys.rows(), threshold,
-                         survivors);
-    if (base_index != 0) {
-        for (uint32_t &idx : survivors)
-            idx += base_index;
-    }
+        return {};
+    LS_ASSERT(query.dim() == keys.dim(), "scfFilter dim mismatch: ",
+              query.dim(), " vs ", keys.dim());
+    // One identity-shaped span whose logical base is base_index: the
+    // scan writes base_index + row directly.
+    const ScanSpan all{0, keys.rows(), base_index};
+    std::vector<uint32_t> survivors(keys.rows());
+    size_t count = 0;
+    batchScanMultiSpans(query.words().data(), 1, keys, &all, 1, threshold,
+                        survivors.data(), survivors.size(), &count);
+    survivors.resize(count);
     return survivors;
 }
 

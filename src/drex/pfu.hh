@@ -32,8 +32,8 @@ class Bitmap128
   public:
     Bitmap128() = default;
 
-    /** Adopt two packed words (bits 0..63, 64..127) — the shape the
-     *  batch concordanceBitmap kernel emits. */
+    /** Adopt two packed words (bits 0..63, 64..127) — the per-query
+     *  shape concordanceBitmapMulti emits. */
     static Bitmap128 fromWords(uint64_t lo, uint64_t hi);
 
     void set(uint32_t i);

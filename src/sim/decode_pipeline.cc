@@ -463,7 +463,7 @@ DecodePipeline::stepCombineHead(
     // the sign rows and survivor key tiles stream through all group_
     // concordance tests and top-k heaps together, where the per-query
     // dispatch re-read them group_ times. Per query the expected
-    // selection is bit-identical to the single-query kernel.
+    // selection is bit-identical to a one-query call.
     ScoredIndex *expect = nullptr;
     size_t *expect_sizes = nullptr;
     size_t kcap = 0;

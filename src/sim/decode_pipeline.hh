@@ -137,7 +137,7 @@ class DecodePipeline
      * KV-head-major across the whole batch, so every request's queries
      * against the same (layer, KV head) are adjacent and each item
      * serves its whole GQA group with ONE pass over that head's cache
-     * (batchScoreSelectMulti). Returns the step's scan-amortization
+     * (batchScoreSelectMultiSpans). Returns the step's scan-amortization
      * accounting.
      */
     static GroupedScanStats decodeStepBatch(

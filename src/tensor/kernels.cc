@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <numeric>
+#include <string>
 
 #include "util/annotations.hh"
 #include "util/logging.hh"
@@ -45,36 +47,6 @@ scalarConcordance(const uint64_t *q, const uint64_t *signs, size_t wpr,
         out[r] = rowConcordance(q, signs + r * wpr, wpr, dim);
 }
 
-size_t
-scalarScan(const uint64_t *q, const uint64_t *signs, size_t wpr,
-           size_t rows, int dim, int threshold, uint32_t base,
-           uint32_t *out)
-{
-    LS_HOT_PATH();
-    LS_DETERMINISTIC();
-    LS_NO_LOCK();
-    size_t n = 0;
-    for (size_t r = 0; r < rows; ++r) {
-        if (rowConcordance(q, signs + r * wpr, wpr, dim) >= threshold)
-            out[n++] = base + static_cast<uint32_t>(r);
-    }
-    return n;
-}
-
-void
-scalarBitmap(const uint64_t *q, const uint64_t *signs, size_t wpr,
-             size_t rows, int dim, int threshold, uint64_t out[2])
-{
-    LS_HOT_PATH();
-    LS_DETERMINISTIC();
-    LS_NO_LOCK();
-    out[0] = out[1] = 0;
-    for (size_t r = 0; r < rows; ++r) {
-        if (rowConcordance(q, signs + r * wpr, wpr, dim) >= threshold)
-            out[r >> 6] |= uint64_t{1} << (r & 63);
-    }
-}
-
 void
 scalarDotAt(const float *q, const float *keys, size_t stride, size_t dim,
             const uint32_t *idx, size_t first, size_t count, float scale,
@@ -100,7 +72,7 @@ scalarScanMulti(const uint64_t *qs, size_t num_queries,
     LS_NO_LOCK();
     // Row-major walk: each sign row is read once and tested against
     // every query while it is hot. Per query the emission order is
-    // ascending rows — exactly scalarScan's.
+    // ascending rows.
     for (size_t r = 0; r < rows; ++r) {
         const uint64_t *row = signs + r * wpr;
         for (size_t q = 0; q < num_queries; ++q) {
@@ -196,10 +168,10 @@ scalarInt8DotAt(const int8_t *q, const int8_t *keys, size_t stride,
     }
 }
 
-const KernelOps kScalarOps = {scalarConcordance, scalarScan, scalarBitmap,
-                              scalarDotAt, scalarScanMulti,
-                              scalarBitmapMulti, scalarSignReduce,
-                              scalarQuantDotAt, scalarInt8DotAt};
+const KernelOps kScalarOps = {scalarConcordance, scalarDotAt,
+                              scalarScanMulti, scalarBitmapMulti,
+                              scalarSignReduce, scalarQuantDotAt,
+                              scalarInt8DotAt};
 
 } // namespace
 
@@ -233,6 +205,33 @@ struct Dispatch
     std::atomic<KernelBackend> backend{KernelBackend::Scalar};
 };
 
+constexpr KernelBackend kAllBackends[] = {
+    KernelBackend::Scalar, KernelBackend::Avx2, KernelBackend::Neon};
+
+/**
+ * Backend a LONGSIGHT_KERNELS value selects: the named backend when it
+ * is available, else `detected` after one warning that lists what is
+ * available. Never exits — the first kernel call, which lands here,
+ * may run on a pool worker.
+ */
+KernelBackend
+envKernelBackend(const char *env, KernelBackend detected)
+{
+    for (KernelBackend b : kAllBackends)
+        if (kernelBackendAvailable(b) &&
+            std::strcmp(env, kernelBackendName(b)) == 0)
+            return b;
+    std::string available;
+    for (KernelBackend b : kAllBackends)
+        if (kernelBackendAvailable(b))
+            available += std::string(available.empty() ? "" : ", ") +
+                kernelBackendName(b);
+    warn("LONGSIGHT_KERNELS=", env, " is not an available kernel ",
+         "backend (available: ", available, "); using ",
+         kernelBackendName(detected));
+    return detected;
+}
+
 Dispatch &
 dispatch()
 {
@@ -241,18 +240,8 @@ dispatch()
     static std::once_flag init;
     std::call_once(init, [] {
         KernelBackend pick = detectKernelBackend();
-        if (const char *env = std::getenv("LONGSIGHT_KERNELS")) {
-            for (KernelBackend b :
-                 {KernelBackend::Scalar, KernelBackend::Avx2,
-                  KernelBackend::Neon}) {
-                if (std::strcmp(env, kernelBackendName(b)) == 0) {
-                    LS_ASSERT(kernelBackendAvailable(b),
-                              "LONGSIGHT_KERNELS=", env,
-                              " not available on this machine");
-                    pick = b;
-                }
-            }
-        }
+        if (const char *env = std::getenv("LONGSIGHT_KERNELS"))
+            pick = envKernelBackend(env, pick);
         d.ops.store(opsFor(pick), std::memory_order_relaxed);
         d.backend.store(pick, std::memory_order_relaxed);
     });
@@ -314,23 +303,6 @@ setKernelBackend(KernelBackend b)
     d.backend.store(b, std::memory_order_relaxed);
 }
 
-void
-batchConcordance(const SignBits &query, const SignMatrix &m, size_t begin,
-                 size_t end, int32_t *out)
-{
-    LS_HOT_PATH();
-    LS_DETERMINISTIC();
-    LS_NO_LOCK();
-    LS_ASSERT(query.dim() == m.dim(), "batchConcordance dim mismatch: ",
-              query.dim(), " vs ", m.dim());
-    LS_ASSERT(begin <= end && end <= m.rows(), "batchConcordance range [",
-              begin, ",", end, ") out of ", m.rows());
-    if (begin == end)
-        return;
-    ops().concordance(query.words().data(),
-                      m.data() + begin * m.wordsPerRow(), m.wordsPerRow(),
-                      end - begin, static_cast<int>(m.dim()), out);
-}
 
 void
 batchConcordance(const uint64_t *query_words, const SignMatrix &m,
@@ -348,76 +320,6 @@ batchConcordance(const uint64_t *query_words, const SignMatrix &m,
                       static_cast<int>(m.dim()), out);
 }
 
-size_t
-batchConcordanceScan(const SignBits &query, const SignMatrix &m,
-                     size_t begin, size_t end, int threshold,
-                     std::vector<uint32_t> &survivors)
-{
-    LS_HOT_PATH();
-    LS_DETERMINISTIC();
-    LS_NO_LOCK();
-    LS_ASSERT(query.dim() == m.dim(), "batchConcordanceScan dim mismatch: ",
-              query.dim(), " vs ", m.dim());
-    // Worst-case room up front, shrink after; at steady state the
-    // vector's capacity persists, so this does not allocate per call.
-    const size_t before = survivors.size();
-    // LS_LINT_ALLOW(alloc): capacity persists at steady state (see above)
-    survivors.resize(before + (end - begin));
-    const size_t n = batchConcordanceScan(query.words().data(), m, begin,
-                                          end, threshold,
-                                          survivors.data() + before);
-    // LS_LINT_ALLOW(alloc): shrinking resize; never reallocates
-    survivors.resize(before + n);
-    return n;
-}
-
-size_t
-batchConcordanceScan(const uint64_t *query_words, const SignMatrix &m,
-                     size_t begin, size_t end, int threshold,
-                     uint32_t *survivors)
-{
-    LS_HOT_PATH();
-    LS_DETERMINISTIC();
-    LS_NO_LOCK();
-    LS_ASSERT(begin <= end && end <= m.rows(),
-              "batchConcordanceScan range [", begin, ",", end, ") out of ",
-              m.rows());
-    if (begin == end)
-        return 0;
-    return ops().scan(query_words, m.data() + begin * m.wordsPerRow(),
-                      m.wordsPerRow(), end - begin,
-                      static_cast<int>(m.dim()), threshold,
-                      static_cast<uint32_t>(begin), survivors);
-}
-
-void
-packSigns(const float *v, size_t dim, uint64_t *words)
-{
-    LS_HOT_PATH();
-    LS_DETERMINISTIC();
-    LS_NO_LOCK();
-    const size_t nwords = (dim + 63) / 64;
-    for (size_t w = 0; w < nwords; ++w)
-        words[w] = 0;
-    for (size_t i = 0; i < dim; ++i) {
-        if (v[i] >= 0.0f)
-            words[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-}
-
-void
-blockSignReduce(const SignMatrix &m, size_t begin, size_t end,
-                uint64_t *out)
-{
-    LS_HOT_PATH();
-    LS_DETERMINISTIC();
-    LS_NO_LOCK();
-    LS_ASSERT(begin < end && end <= m.rows(), "blockSignReduce range [",
-              begin, ",", end, ") out of ", m.rows());
-    ops().signReduce(m.data() + begin * m.wordsPerRow(), m.wordsPerRow(),
-                     end - begin, out);
-}
-
 void
 blockSignReduce(const uint64_t *signs, size_t words_per_row, size_t rows,
                 uint64_t *out)
@@ -427,38 +329,6 @@ blockSignReduce(const uint64_t *signs, size_t words_per_row, size_t rows,
     LS_NO_LOCK();
     LS_ASSERT(rows >= 1, "blockSignReduce needs at least one row");
     ops().signReduce(signs, words_per_row, rows, out);
-}
-
-void
-concordanceBitmap(const SignBits &query, const SignMatrix &m, size_t begin,
-                  uint32_t num_keys, int threshold, uint64_t out[2])
-{
-    LS_HOT_PATH();
-    LS_DETERMINISTIC();
-    LS_NO_LOCK();
-    LS_ASSERT(query.dim() == m.dim(), "concordanceBitmap dim mismatch");
-    concordanceBitmap(query.words().data(), m, begin, num_keys, threshold,
-                      out);
-}
-
-void
-concordanceBitmap(const uint64_t *query_words, const SignMatrix &m,
-                  size_t begin, uint32_t num_keys, int threshold,
-                  uint64_t out[2])
-{
-    LS_HOT_PATH();
-    LS_DETERMINISTIC();
-    LS_NO_LOCK();
-    LS_ASSERT(num_keys <= 128, "concordanceBitmap holds at most 128 keys");
-    LS_ASSERT(begin + num_keys <= m.rows(), "concordanceBitmap range [",
-              begin, ",", begin + num_keys, ") out of ", m.rows());
-    if (num_keys == 0) {
-        out[0] = out[1] = 0;
-        return;
-    }
-    ops().bitmap(query_words, m.data() + begin * m.wordsPerRow(),
-                 m.wordsPerRow(), num_keys, static_cast<int>(m.dim()),
-                 threshold, out);
 }
 
 void
@@ -492,83 +362,6 @@ batchDotScaleRange(const float *q, const Matrix &keys, size_t begin,
                 end - begin, scale, out);
 }
 
-size_t
-batchScoreSelect(const uint64_t *query_words, const SignMatrix &signs,
-                 size_t begin, size_t end, int threshold, const float *q,
-                 const Matrix &keys, float scale, size_t k,
-                 ScoredIndex *out, size_t *survivor_count)
-{
-    LS_HOT_PATH();
-    LS_DETERMINISTIC();
-    LS_NO_LOCK();
-    LS_ASSERT(begin <= end && end <= signs.rows(), "batchScoreSelect ",
-              "range [", begin, ",", end, ") out of ", signs.rows());
-    LS_ASSERT(end <= keys.rows(), "batchScoreSelect sign/key row "
-              "mismatch: ", end, " > ", keys.rows());
-    LS_ASSERT(k > 0, "batchScoreSelect k must be positive");
-
-    // Stack-local tiles keep the working set in L1 and off the heap.
-    // Tile size trades scan/dot call overhead against the survivors
-    // living in cache while they are scored; the results are identical
-    // for any tile size because the scan emits survivors in ascending
-    // row order and every key's dot is computed independently.
-    constexpr size_t kTile = 512;
-    uint32_t idx[kTile];
-    float score[kTile];
-
-    const detail::KernelOps &o = ops();
-    const size_t wpr = signs.wordsPerRow();
-    const int dim = static_cast<int>(signs.dim());
-
-    size_t heap_size = 0;
-    size_t survivors = 0;
-    for (size_t at = begin; at < end; at += kTile) {
-        const size_t rows = std::min(kTile, end - at);
-        const size_t n =
-            o.scan(query_words, signs.data() + at * wpr, wpr, rows, dim,
-                   threshold, static_cast<uint32_t>(at), idx);
-        if (n == 0)
-            continue;
-        survivors += n;
-        o.dotAt(q, keys.data(), keys.cols(), keys.cols(), idx, 0, n,
-                scale, score);
-        for (size_t j = 0; j < n; ++j)
-            heap_size = topk_heap::push(out, heap_size, k,
-                                        ScoredIndex{score[j], idx[j]});
-    }
-    topk_heap::sortBestFirst(out, heap_size);
-    if (survivor_count)
-        *survivor_count = survivors;
-    return heap_size;
-}
-
-void
-batchScanMulti(const uint64_t *query_words, size_t num_queries,
-               const SignMatrix &m, size_t begin, size_t end, int threshold,
-               uint32_t *survivors, size_t stride, size_t *counts)
-{
-    LS_HOT_PATH();
-    LS_DETERMINISTIC();
-    LS_NO_LOCK();
-    LS_ASSERT(begin <= end && end <= m.rows(), "batchScanMulti range [",
-              begin, ",", end, ") out of ", m.rows());
-    LS_ASSERT(stride >= end - begin, "batchScanMulti stride ", stride,
-              " < range ", end - begin);
-    for (size_t q = 0; q < num_queries; ++q)
-        counts[q] = 0;
-    if (begin == end || num_queries == 0)
-        return;
-    const size_t wpr = m.wordsPerRow();
-    for (size_t q0 = 0; q0 < num_queries; q0 += kMaxScanQueries) {
-        const size_t nq = std::min(kMaxScanQueries, num_queries - q0);
-        ops().scanMulti(query_words + q0 * wpr, nq,
-                        m.data() + begin * wpr, wpr, end - begin,
-                        static_cast<int>(m.dim()), threshold,
-                        static_cast<uint32_t>(begin),
-                        survivors + q0 * stride, stride, counts + q0);
-    }
-}
-
 void
 concordanceBitmapMulti(const uint64_t *query_words, size_t num_queries,
                        const SignMatrix &m, size_t begin, uint32_t num_keys,
@@ -599,84 +392,6 @@ concordanceBitmapMulti(const uint64_t *query_words, size_t num_queries,
     }
 }
 
-void
-batchScoreSelectMulti(const uint64_t *query_words, size_t num_queries,
-                      const SignMatrix &signs, size_t begin, size_t end,
-                      int threshold, const float *queries,
-                      size_t query_stride, const Matrix &keys, float scale,
-                      size_t k, ScoredIndex *out, size_t out_stride,
-                      size_t *out_sizes, size_t *survivor_counts)
-{
-    LS_HOT_PATH();
-    LS_DETERMINISTIC();
-    LS_NO_LOCK();
-    LS_ASSERT(begin <= end && end <= signs.rows(),
-              "batchScoreSelectMulti range [", begin, ",", end, ") out of ",
-              signs.rows());
-    LS_ASSERT(end <= keys.rows(), "batchScoreSelectMulti sign/key row "
-              "mismatch: ", end, " > ", keys.rows());
-    LS_ASSERT(k > 0, "batchScoreSelectMulti k must be positive");
-    LS_ASSERT(out_stride >= std::min(k, end - begin),
-              "batchScoreSelectMulti out_stride ", out_stride,
-              " < heap capacity ", std::min(k, end - begin));
-
-    for (size_t q = 0; q < num_queries; ++q) {
-        out_sizes[q] = 0;
-        if (survivor_counts)
-            survivor_counts[q] = 0;
-    }
-    if (begin == end || num_queries == 0)
-        return;
-
-    // Same tile size as batchScoreSelect: the per-query tile survivor
-    // lists are then exactly the single-query tile lists, so heap push
-    // order — and therefore every per-query result — is identical by
-    // construction. Within a tile the key rows a group's survivors
-    // gather from overlap heavily, so the shared pass also reuses key
-    // tiles while they are hot, not just the packed sign rows.
-    constexpr size_t kTile = 512;
-    uint32_t idx[kMaxScanQueries * kTile];
-    float score[kTile];
-    size_t tile_counts[kMaxScanQueries];
-
-    const detail::KernelOps &o = ops();
-    const size_t wpr = signs.wordsPerRow();
-    const int dim = static_cast<int>(signs.dim());
-
-    for (size_t q0 = 0; q0 < num_queries; q0 += kMaxScanQueries) {
-        const size_t nq = std::min(kMaxScanQueries, num_queries - q0);
-        for (size_t at = begin; at < end; at += kTile) {
-            const size_t rows = std::min(kTile, end - at);
-            for (size_t qi = 0; qi < nq; ++qi)
-                tile_counts[qi] = 0;
-            o.scanMulti(query_words + q0 * wpr, nq,
-                        signs.data() + at * wpr, wpr, rows, dim, threshold,
-                        static_cast<uint32_t>(at), idx, kTile,
-                        tile_counts);
-            for (size_t qi = 0; qi < nq; ++qi) {
-                const size_t n = tile_counts[qi];
-                if (n == 0)
-                    continue;
-                const size_t q = q0 + qi;
-                if (survivor_counts)
-                    survivor_counts[q] += n;
-                const uint32_t *qidx = idx + qi * kTile;
-                o.dotAt(queries + q * query_stride, keys.data(),
-                        keys.cols(), keys.cols(), qidx, 0, n, scale,
-                        score);
-                ScoredIndex *heap = out + q * out_stride;
-                size_t hs = out_sizes[q];
-                for (size_t j = 0; j < n; ++j)
-                    hs = topk_heap::push(heap, hs, k,
-                                         ScoredIndex{score[j], qidx[j]});
-                out_sizes[q] = hs;
-            }
-        }
-    }
-    for (size_t q = 0; q < num_queries; ++q)
-        topk_heap::sortBestFirst(out + q * out_stride, out_sizes[q]);
-}
-
 namespace {
 
 /** Total tokens covered by a span list, with in-bounds and
@@ -698,6 +413,101 @@ checkSpans(const ScanSpan *spans, size_t num_spans, size_t phys_rows)
         total += spans[s].count;
     }
     return total;
+}
+
+/**
+ * The fused scan -> score -> select tile loop both SCF drivers share;
+ * they differ only in `score(q, rows, n, out)`, which scores query q
+ * against the n PHYSICAL rows listed in `rows`. The heap sees each
+ * query's survivors in ascending logical order (spans ascend
+ * logically, the scan emits ascending rows), so the tile size cannot
+ * change a selection: the scan emits survivors in order and every
+ * key's score is computed independently. Within a tile the key rows a
+ * group's survivors gather from overlap heavily, so the shared pass
+ * reuses key tiles while they are hot, not just the packed sign rows.
+ */
+template <class Score>
+void
+scoreSelectSpans(const char *who, const uint64_t *query_words,
+                 size_t num_queries, const SignMatrix &signs,
+                 const ScanSpan *spans, size_t num_spans, size_t total,
+                 int threshold, size_t k, ScoredIndex *out,
+                 size_t out_stride, size_t *out_sizes,
+                 size_t *survivor_counts, size_t *span_survivors,
+                 Score score)
+{
+    LS_ASSERT(k > 0, who, " k must be positive");
+    LS_ASSERT(out_stride >= std::min(k, total), who, " out_stride ",
+              out_stride, " < heap capacity ", std::min(k, total));
+
+    for (size_t q = 0; q < num_queries; ++q) {
+        out_sizes[q] = 0;
+        if (survivor_counts)
+            survivor_counts[q] = 0;
+    }
+    for (size_t s = 0; s < num_spans; ++s)
+        if (span_survivors)
+            span_survivors[s] = 0;
+    if (total == 0 || num_queries == 0)
+        return;
+
+    // Stack-local tiles keep the working set in L1 and off the heap.
+    // Tile size trades scan/score call overhead against the survivors
+    // living in cache while they are scored.
+    constexpr size_t kTile = 512;
+    uint32_t idx[kMaxScanQueries * kTile];
+    float scores[kTile];
+    size_t tile_counts[kMaxScanQueries];
+
+    const detail::KernelOps &o = ops();
+    const size_t wpr = signs.wordsPerRow();
+    const int dim = static_cast<int>(signs.dim());
+
+    for (size_t q0 = 0; q0 < num_queries; q0 += kMaxScanQueries) {
+        const size_t nq = std::min(kMaxScanQueries, num_queries - q0);
+        for (size_t s = 0; s < num_spans; ++s) {
+            const ScanSpan &sp = spans[s];
+            // logical = physical + delta for every row in this span.
+            const int64_t delta =
+                static_cast<int64_t>(sp.logicalBase) -
+                static_cast<int64_t>(sp.physBegin);
+            for (size_t at = 0; at < sp.count; at += kTile) {
+                const size_t rows = std::min(kTile, sp.count - at);
+                for (size_t qi = 0; qi < nq; ++qi)
+                    tile_counts[qi] = 0;
+                o.scanMulti(
+                    query_words + q0 * wpr, nq,
+                    signs.data() + (sp.physBegin + at) * wpr, wpr, rows,
+                    dim, threshold,
+                    static_cast<uint32_t>(sp.physBegin + at), idx, kTile,
+                    tile_counts);
+                for (size_t qi = 0; qi < nq; ++qi) {
+                    const size_t n = tile_counts[qi];
+                    if (n == 0)
+                        continue;
+                    const size_t q = q0 + qi;
+                    if (survivor_counts)
+                        survivor_counts[q] += n;
+                    if (span_survivors)
+                        span_survivors[s] += n;
+                    const uint32_t *qidx = idx + qi * kTile;
+                    score(q, qidx, n, scores);
+                    ScoredIndex *heap = out + q * out_stride;
+                    size_t hs = out_sizes[q];
+                    for (size_t j = 0; j < n; ++j)
+                        hs = topk_heap::push(
+                            heap, hs, k,
+                            ScoredIndex{scores[j],
+                                        static_cast<uint32_t>(
+                                            static_cast<int64_t>(qidx[j]) +
+                                            delta)});
+                    out_sizes[q] = hs;
+                }
+            }
+        }
+    }
+    for (size_t q = 0; q < num_queries; ++q)
+        topk_heap::sortBestFirst(out + q * out_stride, out_sizes[q]);
 }
 
 } // namespace
@@ -722,48 +532,28 @@ batchScanMultiSpans(const uint64_t *query_words, size_t num_queries,
     if (total == 0 || num_queries == 0)
         return;
 
+    // The scan op appends base + row at counts[q], so passing each
+    // span's logicalBase as the base writes logical ids straight into
+    // the caller's lists — no scratch tile, no remap pass. Each query's
+    // region holds `total` slots and the op's store-then-advance writes
+    // at most counts[q] + span rows - 1 <= total - 1.
     const size_t wpr = m.wordsPerRow();
     const int dim = static_cast<int>(m.dim());
-    // Per-span scratch the physical survivor indices land in before the
-    // logical remap; spans never exceed a block, which never exceeds a
-    // tile's worth of rows in practice, but size for the worst case by
-    // chunking the span itself.
-    constexpr size_t kTile = 512;
-    uint32_t idx[kMaxScanQueries * kTile];
-    size_t tile_counts[kMaxScanQueries];
-
     for (size_t q0 = 0; q0 < num_queries; q0 += kMaxScanQueries) {
         const size_t nq = std::min(kMaxScanQueries, num_queries - q0);
         for (size_t s = 0; s < num_spans; ++s) {
             const ScanSpan &sp = spans[s];
-            // logical = physical + delta for every row in this span.
-            const int64_t delta =
-                static_cast<int64_t>(sp.logicalBase) -
-                static_cast<int64_t>(sp.physBegin);
-            for (size_t at = 0; at < sp.count; at += kTile) {
-                const size_t rows = std::min(kTile, sp.count - at);
-                for (size_t qi = 0; qi < nq; ++qi)
-                    tile_counts[qi] = 0;
-                ops().scanMulti(
-                    query_words + q0 * wpr, nq,
-                    m.data() + (sp.physBegin + at) * wpr, wpr, rows, dim,
-                    threshold, static_cast<uint32_t>(sp.physBegin + at),
-                    idx, kTile, tile_counts);
-                for (size_t qi = 0; qi < nq; ++qi) {
-                    const size_t n = tile_counts[qi];
-                    if (n == 0)
-                        continue;
-                    const size_t q = q0 + qi;
-                    uint32_t *dst = survivors + q * stride + counts[q];
-                    const uint32_t *src = idx + qi * kTile;
-                    for (size_t j = 0; j < n; ++j)
-                        dst[j] = static_cast<uint32_t>(
-                            static_cast<int64_t>(src[j]) + delta);
-                    counts[q] += n;
-                    if (span_survivors)
-                        span_survivors[s] += n;
-                }
-            }
+            const size_t before = span_survivors
+                ? std::accumulate(counts + q0, counts + q0 + nq, size_t{0})
+                : 0;
+            ops().scanMulti(query_words + q0 * wpr, nq,
+                            m.data() + sp.physBegin * wpr, wpr, sp.count,
+                            dim, threshold,
+                            static_cast<uint32_t>(sp.logicalBase),
+                            survivors + q0 * stride, stride, counts + q0);
+            if (span_survivors)
+                span_survivors[s] += std::accumulate(
+                    counts + q0, counts + q0 + nq, size_t{0}) - before;
         }
     }
 }
@@ -784,98 +574,15 @@ batchScoreSelectMultiSpans(const uint64_t *query_words, size_t num_queries,
     const size_t total = checkSpans(spans, num_spans, signs.rows());
     LS_ASSERT(checkSpans(spans, num_spans, keys.rows()) == total,
               "batchScoreSelectMultiSpans sign/key row mismatch");
-    LS_ASSERT(k > 0, "batchScoreSelectMultiSpans k must be positive");
-    LS_ASSERT(out_stride >= std::min(k, total),
-              "batchScoreSelectMultiSpans out_stride ", out_stride,
-              " < heap capacity ", std::min(k, total));
-
-    for (size_t q = 0; q < num_queries; ++q) {
-        out_sizes[q] = 0;
-        if (survivor_counts)
-            survivor_counts[q] = 0;
-    }
-    for (size_t s = 0; s < num_spans; ++s)
-        if (span_survivors)
-            span_survivors[s] = 0;
-    if (total == 0 || num_queries == 0)
-        return;
-
-    // Identical tile structure to batchScoreSelectMulti; the scan and
-    // dot kernels see physical rows (signs and keys share storage
-    // layout) and only the index offered to the heap is remapped to
-    // the logical token id. Because spans ascend logically and each
-    // span's candidates ascend physically, the heap sees candidates in
-    // exactly the order the contiguous driver would offer them over an
-    // equivalent flat layout — selections are element-identical.
-    constexpr size_t kTile = 512;
-    uint32_t idx[kMaxScanQueries * kTile];
-    float score[kTile];
-    size_t tile_counts[kMaxScanQueries];
-
     const detail::KernelOps &o = ops();
-    const size_t wpr = signs.wordsPerRow();
-    const int dim = static_cast<int>(signs.dim());
-
-    for (size_t q0 = 0; q0 < num_queries; q0 += kMaxScanQueries) {
-        const size_t nq = std::min(kMaxScanQueries, num_queries - q0);
-        for (size_t s = 0; s < num_spans; ++s) {
-            const ScanSpan &sp = spans[s];
-            const int64_t delta =
-                static_cast<int64_t>(sp.logicalBase) -
-                static_cast<int64_t>(sp.physBegin);
-            for (size_t at = 0; at < sp.count; at += kTile) {
-                const size_t rows = std::min(kTile, sp.count - at);
-                for (size_t qi = 0; qi < nq; ++qi)
-                    tile_counts[qi] = 0;
-                o.scanMulti(
-                    query_words + q0 * wpr, nq,
-                    signs.data() + (sp.physBegin + at) * wpr, wpr, rows,
-                    dim, threshold,
-                    static_cast<uint32_t>(sp.physBegin + at), idx, kTile,
-                    tile_counts);
-                for (size_t qi = 0; qi < nq; ++qi) {
-                    const size_t n = tile_counts[qi];
-                    if (n == 0)
-                        continue;
-                    const size_t q = q0 + qi;
-                    if (survivor_counts)
-                        survivor_counts[q] += n;
-                    if (span_survivors)
-                        span_survivors[s] += n;
-                    const uint32_t *qidx = idx + qi * kTile;
-                    o.dotAt(queries + q * query_stride, keys.data(),
-                            keys.cols(), keys.cols(), qidx, 0, n, scale,
-                            score);
-                    ScoredIndex *heap = out + q * out_stride;
-                    size_t hs = out_sizes[q];
-                    for (size_t j = 0; j < n; ++j)
-                        hs = topk_heap::push(
-                            heap, hs, k,
-                            ScoredIndex{score[j],
-                                        static_cast<uint32_t>(
-                                            static_cast<int64_t>(qidx[j]) +
-                                            delta)});
-                    out_sizes[q] = hs;
-                }
-            }
-        }
-    }
-    for (size_t q = 0; q < num_queries; ++q)
-        topk_heap::sortBestFirst(out + q * out_stride, out_sizes[q]);
-}
-
-void
-batchQuantDotAt(const float *q, const int8_t *keys, const float *scales,
-                size_t dim, const uint32_t *indices, size_t count,
-                float post_scale, float *out)
-{
-    LS_HOT_PATH();
-    LS_DETERMINISTIC();
-    LS_NO_LOCK();
-    if (count == 0)
-        return;
-    ops().quantDotAt(q, keys, scales, dim, dim, indices, 0, count,
-                     post_scale, out);
+    scoreSelectSpans(
+        "batchScoreSelectMultiSpans", query_words, num_queries, signs,
+        spans, num_spans, total, threshold, k, out, out_stride, out_sizes,
+        survivor_counts, span_survivors,
+        [&](size_t q, const uint32_t *rows, size_t n, float *scores) {
+            o.dotAt(queries + q * query_stride, keys.data(), keys.cols(),
+                    keys.cols(), rows, 0, n, scale, scores);
+        });
 }
 
 void
@@ -894,18 +601,6 @@ batchQuantDotRange(const float *q, const int8_t *keys, const float *scales,
 }
 
 void
-batchInt8DotAt(const int8_t *q, const int8_t *keys, size_t dim,
-               const uint32_t *indices, size_t count, int32_t *out)
-{
-    LS_HOT_PATH();
-    LS_DETERMINISTIC();
-    LS_NO_LOCK();
-    if (count == 0)
-        return;
-    ops().int8DotAt(q, keys, dim, dim, indices, 0, count, out);
-}
-
-void
 batchInt8DotRange(const int8_t *q, const int8_t *keys, size_t dim,
                   size_t begin, size_t end, int32_t *out)
 {
@@ -916,54 +611,6 @@ batchInt8DotRange(const int8_t *q, const int8_t *keys, size_t dim,
     if (begin == end)
         return;
     ops().int8DotAt(q, keys, dim, dim, nullptr, begin, end - begin, out);
-}
-
-size_t
-batchQuantScoreSelect(const uint64_t *query_words, const SignMatrix &signs,
-                      size_t begin, size_t end, int threshold,
-                      const float *q, const int8_t *keys,
-                      const float *scales, size_t dim, float post_scale,
-                      size_t k, ScoredIndex *out, size_t *survivor_count)
-{
-    LS_HOT_PATH();
-    LS_DETERMINISTIC();
-    LS_NO_LOCK();
-    LS_ASSERT(begin <= end && end <= signs.rows(),
-              "batchQuantScoreSelect range [", begin, ",", end,
-              ") out of ", signs.rows());
-    LS_ASSERT(k > 0, "batchQuantScoreSelect k must be positive");
-
-    // Identical tile structure to batchScoreSelect; only the scoring
-    // op differs (INT8 arena rows + per-row scales instead of the
-    // float key matrix).
-    constexpr size_t kTile = 512;
-    uint32_t idx[kTile];
-    float score[kTile];
-
-    const detail::KernelOps &o = ops();
-    const size_t wpr = signs.wordsPerRow();
-    const int sdim = static_cast<int>(signs.dim());
-
-    size_t heap_size = 0;
-    size_t survivors = 0;
-    for (size_t at = begin; at < end; at += kTile) {
-        const size_t rows = std::min(kTile, end - at);
-        const size_t n =
-            o.scan(query_words, signs.data() + at * wpr, wpr, rows, sdim,
-                   threshold, static_cast<uint32_t>(at), idx);
-        if (n == 0)
-            continue;
-        survivors += n;
-        o.quantDotAt(q, keys, scales, dim, dim, idx, 0, n, post_scale,
-                     score);
-        for (size_t j = 0; j < n; ++j)
-            heap_size = topk_heap::push(out, heap_size, k,
-                                        ScoredIndex{score[j], idx[j]});
-    }
-    topk_heap::sortBestFirst(out, heap_size);
-    if (survivor_count)
-        *survivor_count = survivors;
-    return heap_size;
 }
 
 void
@@ -979,120 +626,15 @@ batchQuantScoreSelectMultiSpans(
     LS_DETERMINISTIC();
     LS_NO_LOCK();
     const size_t total = checkSpans(spans, num_spans, signs.rows());
-    LS_ASSERT(k > 0, "batchQuantScoreSelectMultiSpans k must be positive");
-    LS_ASSERT(out_stride >= std::min(k, total),
-              "batchQuantScoreSelectMultiSpans out_stride ", out_stride,
-              " < heap capacity ", std::min(k, total));
-
-    for (size_t q = 0; q < num_queries; ++q) {
-        out_sizes[q] = 0;
-        if (survivor_counts)
-            survivor_counts[q] = 0;
-    }
-    for (size_t s = 0; s < num_spans; ++s)
-        if (span_survivors)
-            span_survivors[s] = 0;
-    if (total == 0 || num_queries == 0)
-        return;
-
-    // batchScoreSelectMultiSpans with the quantized scoring op: the
-    // scan and INT8 dot kernels see physical rows, heaps get logical
-    // token ids via the per-span delta remap.
-    constexpr size_t kTile = 512;
-    uint32_t idx[kMaxScanQueries * kTile];
-    float score[kTile];
-    size_t tile_counts[kMaxScanQueries];
-
     const detail::KernelOps &o = ops();
-    const size_t wpr = signs.wordsPerRow();
-    const int sdim = static_cast<int>(signs.dim());
-
-    for (size_t q0 = 0; q0 < num_queries; q0 += kMaxScanQueries) {
-        const size_t nq = std::min(kMaxScanQueries, num_queries - q0);
-        for (size_t s = 0; s < num_spans; ++s) {
-            const ScanSpan &sp = spans[s];
-            const int64_t delta =
-                static_cast<int64_t>(sp.logicalBase) -
-                static_cast<int64_t>(sp.physBegin);
-            for (size_t at = 0; at < sp.count; at += kTile) {
-                const size_t rows = std::min(kTile, sp.count - at);
-                for (size_t qi = 0; qi < nq; ++qi)
-                    tile_counts[qi] = 0;
-                o.scanMulti(
-                    query_words + q0 * wpr, nq,
-                    signs.data() + (sp.physBegin + at) * wpr, wpr, rows,
-                    sdim, threshold,
-                    static_cast<uint32_t>(sp.physBegin + at), idx, kTile,
-                    tile_counts);
-                for (size_t qi = 0; qi < nq; ++qi) {
-                    const size_t n = tile_counts[qi];
-                    if (n == 0)
-                        continue;
-                    const size_t q = q0 + qi;
-                    if (survivor_counts)
-                        survivor_counts[q] += n;
-                    if (span_survivors)
-                        span_survivors[s] += n;
-                    const uint32_t *qidx = idx + qi * kTile;
-                    o.quantDotAt(queries + q * query_stride, keys, scales,
-                                 dim, dim, qidx, 0, n, post_scale, score);
-                    ScoredIndex *heap = out + q * out_stride;
-                    size_t hs = out_sizes[q];
-                    for (size_t j = 0; j < n; ++j)
-                        hs = topk_heap::push(
-                            heap, hs, k,
-                            ScoredIndex{score[j],
-                                        static_cast<uint32_t>(
-                                            static_cast<int64_t>(qidx[j]) +
-                                            delta)});
-                    out_sizes[q] = hs;
-                }
-            }
-        }
-    }
-    for (size_t q = 0; q < num_queries; ++q)
-        topk_heap::sortBestFirst(out + q * out_stride, out_sizes[q]);
-}
-
-size_t
-batchInt8ScoreSelect(const int8_t *q8, float q_scale, const int8_t *keys,
-                     const float *scales, size_t dim, size_t begin,
-                     size_t end, float post_scale, size_t k,
-                     ScoredIndex *out)
-{
-    LS_HOT_PATH();
-    LS_DETERMINISTIC();
-    LS_NO_LOCK();
-    LS_ASSERT(begin <= end, "batchInt8ScoreSelect range [", begin, ",",
-              end, ")");
-    LS_ASSERT(k > 0, "batchInt8ScoreSelect k must be positive");
-
-    // Every row in range is a candidate: the estimation cost is the
-    // exact integer dot, so there is no cheap pre-filter to scan with.
-    // The float estimate is derived HERE, once, in driver code — the
-    // backends only supply the exact integer dots — so the
-    // multiplication order (qp * scales[row], then one multiply by the
-    // converted dot) is a single shared contract.
-    constexpr size_t kTile = 512;
-    int32_t idot[kTile];
-
-    const detail::KernelOps &o = ops();
-    const float qp = q_scale * post_scale;
-
-    size_t heap_size = 0;
-    for (size_t at = begin; at < end; at += kTile) {
-        const size_t rows = std::min(kTile, end - at);
-        o.int8DotAt(q8, keys, dim, dim, nullptr, at, rows, idot);
-        for (size_t j = 0; j < rows; ++j) {
-            const float est = static_cast<float>(idot[j]) *
-                (qp * scales[at + j]);
-            heap_size = topk_heap::push(
-                out, heap_size, k,
-                ScoredIndex{est, static_cast<uint32_t>(at + j)});
-        }
-    }
-    topk_heap::sortBestFirst(out, heap_size);
-    return heap_size;
+    scoreSelectSpans(
+        "batchQuantScoreSelectMultiSpans", query_words, num_queries, signs,
+        spans, num_spans, total, threshold, k, out, out_stride, out_sizes,
+        survivor_counts, span_survivors,
+        [&](size_t q, const uint32_t *rows, size_t n, float *scores) {
+            o.quantDotAt(queries + q * query_stride, keys, scales, dim, dim,
+                         rows, 0, n, post_scale, scores);
+        });
 }
 
 void
@@ -1128,6 +670,12 @@ batchInt8ScoreSelectMultiSpans(
     if (total == 0 || num_queries == 0)
         return;
 
+    // Every row is a candidate: the estimation cost is the exact
+    // integer dot, so there is no cheap pre-filter to scan with. The
+    // float estimate is derived HERE, once, in driver code — the
+    // backends only supply the exact integer dots — so the
+    // multiplication order (qp * scales[row], then one multiply by the
+    // converted dot) is a single shared contract.
     constexpr size_t kTile = 512;
     int32_t idot[kTile];
 

@@ -78,58 +78,6 @@ rowMismatches(const uint64_t *q, const uint64_t *row, size_t wpr)
     return mismatches;
 }
 
-/**
- * Shared burst walker: calls emit(row, concordance_ok) for every row
- * in ascending order, with the d<=64 / d<=128 layouts fully packed.
- */
-template <typename Emit>
-LS_AVX2 inline void
-forEachRow(const uint64_t *q, const uint64_t *signs, size_t wpr,
-           size_t rows, int dim, int threshold, Emit emit)
-{
-    // A row passes iff mismatches <= dim - threshold.
-    const long long limit = static_cast<long long>(dim) -
-        static_cast<long long>(threshold);
-    size_t r = 0;
-    if (wpr == 1) {
-        const __m256i qv = _mm256_set1_epi64x(
-            static_cast<long long>(q[0]));
-        const __m256i lim = _mm256_set1_epi64x(limit);
-        for (; r + 4 <= rows; r += 4) {
-            const __m256i x = _mm256_xor_si256(
-                _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(signs + r)),
-                qv);
-            const __m256i cnt = popcount64x4(x);
-            // cnt > limit per lane -> fail; pass bits are the rest.
-            const int fail = _mm256_movemask_pd(_mm256_castsi256_pd(
-                _mm256_cmpgt_epi64(cnt, lim)));
-            emit(r + 0, (fail & 1) == 0);
-            emit(r + 1, (fail & 2) == 0);
-            emit(r + 2, (fail & 4) == 0);
-            emit(r + 3, (fail & 8) == 0);
-        }
-    } else if (wpr == 2) {
-        const __m256i qv = _mm256_setr_epi64x(
-            static_cast<long long>(q[0]), static_cast<long long>(q[1]),
-            static_cast<long long>(q[0]), static_cast<long long>(q[1]));
-        for (; r + 2 <= rows; r += 2) {
-            const __m256i x = _mm256_xor_si256(
-                _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
-                    signs + r * 2)),
-                qv);
-            const __m256i cnt = popcount64x4(x);
-            // Fold word pairs: lanes (0+1) and (2+3) are row totals.
-            const __m256i folded = _mm256_add_epi64(
-                cnt, _mm256_shuffle_epi32(cnt, _MM_SHUFFLE(1, 0, 3, 2)));
-            emit(r + 0, _mm256_extract_epi64(folded, 0) <= limit);
-            emit(r + 1, _mm256_extract_epi64(folded, 2) <= limit);
-        }
-    }
-    for (; r < rows; ++r)
-        emit(r, rowMismatches(q, signs + r * wpr, wpr) <= limit);
-}
-
 LS_AVX2 void
 avx2Concordance(const uint64_t *q, const uint64_t *signs, size_t wpr,
                 size_t rows, int dim, int32_t *out)
@@ -171,16 +119,20 @@ avx2Concordance(const uint64_t *q, const uint64_t *signs, size_t wpr,
         out[r] = dim - rowMismatches(q, signs + r * wpr, wpr);
 }
 
+/**
+ * One-query scan: branchless compaction into the caller's list
+ * (capacity >= rows): store every candidate index unconditionally and
+ * advance the cursor by the pass bit. At typical ~50% survivor rates
+ * the mispredicted per-row branch costs more than the wasted stores.
+ * The multi-query body below serves one query correctly too, but its
+ * per-query inner loop re-broadcasts the query and reloads the cursor
+ * every row, so a lone query takes this tighter loop instead.
+ */
 LS_AVX2 size_t
 avx2Scan(const uint64_t *q, const uint64_t *signs, size_t wpr,
          size_t rows, int dim, int threshold, uint32_t base,
          uint32_t *out)
 {
-    // Branchless compaction into the caller's span (contract: capacity
-    // >= rows): store every candidate index unconditionally and
-    // advance the cursor by the pass bit. At typical ~50% survivor
-    // rates the mispredicted per-row branch costs more than the
-    // wasted stores.
     uint32_t *dst = out;
     size_t n = 0;
 
@@ -238,18 +190,6 @@ avx2Scan(const uint64_t *q, const uint64_t *signs, size_t wpr,
     return n;
 }
 
-LS_AVX2 void
-avx2Bitmap(const uint64_t *q, const uint64_t *signs, size_t wpr,
-           size_t rows, int dim, int threshold, uint64_t out[2])
-{
-    out[0] = out[1] = 0;
-    forEachRow(q, signs, wpr, rows, dim, threshold,
-               [&](size_t r, bool pass) {
-                   if (pass)
-                       out[r >> 6] |= uint64_t{1} << (r & 63);
-               });
-}
-
 #define LS_AVX512 \
     __attribute__((target( \
         "avx512f,avx512bw,avx512vl,avx512vpopcntdq,bmi2,popcnt")))
@@ -262,8 +202,7 @@ avx2Bitmap(const uint64_t *q, const uint64_t *signs, size_t wpr,
  * popcount sequence the AVX2 path pays simply disappears. Survivor
  * emission stays per-query branchless store-then-advance in ascending
  * row order, so results remain bit-identical to the scalar backend.
- * Only the new multi-query entry points take this path; the
- * single-query kernels keep the plain AVX2 implementation.
+ * Chunks of fewer than four queries keep the plain AVX2 bodies.
  */
 LS_AVX512 inline void
 avx512ScanMulti4W1(const uint64_t *qs, const uint64_t *signs,
@@ -473,9 +412,9 @@ avx2ScanMultiImpl(const uint64_t *qs, size_t num_queries,
 /**
  * Multi-query scan entry: peel 4-query chunks onto the AVX-512
  * VPOPCNTDQ kernels when the host has them, leaving any remainder
- * (and any other row width) to the AVX2 body. Queries are
- * independent, so splitting the set across kernels preserves each
- * query's survivor list exactly.
+ * (and any other row width) to the AVX2 bodies — avx2Scan for a lone
+ * query. Queries are independent, so splitting the set across kernels
+ * preserves each query's survivor list exactly.
  */
 LS_AVX2 void
 avx2ScanMulti(const uint64_t *qs, size_t num_queries,
@@ -498,7 +437,11 @@ avx2ScanMulti(const uint64_t *qs, size_t num_queries,
                                    counts + q0);
         }
     }
-    if (q0 < num_queries)
+    if (q0 + 1 == num_queries)
+        counts[q0] += avx2Scan(qs + q0 * wpr, signs, wpr, rows, dim,
+                               threshold, base,
+                               out + q0 * stride + counts[q0]);
+    else if (q0 < num_queries)
         avx2ScanMultiImpl(qs + q0 * wpr, num_queries - q0, signs, wpr,
                           rows, dim, threshold, base, out + q0 * stride,
                           stride, counts + q0);
@@ -823,10 +766,9 @@ avx2SignReduce(const uint64_t *signs, size_t wpr, size_t rows,
         out[w] = signReduceColumnCsa(signs, wpr, rows, w);
 }
 
-const KernelOps kAvx2Ops = {avx2Concordance, avx2Scan, avx2Bitmap,
-                            avx2DotAt, avx2ScanMulti, avx2BitmapMulti,
-                            avx2SignReduce, avx2QuantDotAt,
-                            avx2Int8DotAt};
+const KernelOps kAvx2Ops = {avx2Concordance, avx2DotAt, avx2ScanMulti,
+                            avx2BitmapMulti, avx2SignReduce,
+                            avx2QuantDotAt, avx2Int8DotAt};
 
 bool
 cpuHasAvx2()

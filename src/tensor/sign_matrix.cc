@@ -35,13 +35,7 @@ SignMatrix::setRow(size_t r, const float *v)
     LS_DETERMINISTIC();
     LS_NO_LOCK();
     LS_ASSERT(r < rows_, "SignMatrix setRow ", r, " out of range ", rows_);
-    uint64_t *w = words_.data() + r * wordsPerRow_;
-    for (size_t i = 0; i < wordsPerRow_; ++i)
-        w[i] = 0;
-    for (size_t i = 0; i < dim_; ++i) {
-        if (v[i] >= 0.0f)
-            w[i >> 6] |= uint64_t{1} << (i & 63);
-    }
+    packSigns(v, dim_, words_.data() + r * wordsPerRow_);
 }
 
 void
@@ -50,12 +44,8 @@ SignMatrix::appendRow(const float *v)
     LS_ASSERT(dim_ > 0, "appendRow on a dimensionless SignMatrix");
     const size_t base = words_.size();
     // LS_LINT_ALLOW(alloc): amortized append; geometric growth
-    words_.resize(base + wordsPerRow_, 0);
-    uint64_t *w = words_.data() + base;
-    for (size_t i = 0; i < dim_; ++i) {
-        if (v[i] >= 0.0f)
-            w[i >> 6] |= uint64_t{1} << (i & 63);
-    }
+    words_.resize(base + wordsPerRow_);
+    packSigns(v, dim_, words_.data() + base);
     ++rows_;
 }
 
@@ -80,7 +70,7 @@ SignMatrix::extract(size_t r) const
 {
     const uint64_t *w = row(r);
     // Rebuild a float vector whose signs match, then repack — keeps
-    // SignBits' constructor the single packing implementation.
+    // packSigns the single packing implementation.
     std::vector<float> v(dim_);
     for (size_t i = 0; i < dim_; ++i)
         v[i] = ((w[i >> 6] >> (i & 63)) & 1) ? 1.0f : -1.0f;

@@ -97,12 +97,11 @@ class SignMatrix
      */
     void resizeRows(size_t n);
 
-    /** Append the signs of a dim-long float vector (bit i set iff
-     *  v[i] >= 0, matching SignBits' packing). */
+    /** Append the signs of a dim-long float vector (packSigns). */
     void appendRow(const float *v);
 
-    /** Overwrite row r with the signs of a dim-long float vector —
-     *  bit-identical packing to appendRow. */
+    /** Overwrite row r with the signs of a dim-long float vector
+     *  (packSigns). */
     void setRow(size_t r, const float *v);
 
     /** Append a pre-packed SignBits value of matching dimension. */

@@ -2,17 +2,30 @@
 
 #include <bit>
 
+#include "util/annotations.hh"
 #include "util/logging.hh"
 
 namespace longsight {
 
-SignBits::SignBits(const float *v, size_t dim)
-    : dim_(dim), words_((dim + 63) / 64, 0)
+void
+packSigns(const float *v, size_t dim, uint64_t *words)
 {
+    LS_HOT_PATH();
+    LS_DETERMINISTIC();
+    LS_NO_LOCK();
+    const size_t nwords = (dim + 63) / 64;
+    for (size_t w = 0; w < nwords; ++w)
+        words[w] = 0;
     for (size_t i = 0; i < dim; ++i) {
         if (v[i] >= 0.0f)
-            words_[i >> 6] |= uint64_t{1} << (i & 63);
+            words[i >> 6] |= uint64_t{1} << (i & 63);
     }
+}
+
+SignBits::SignBits(const float *v, size_t dim)
+    : dim_(dim), words_((dim + 63) / 64)
+{
+    packSigns(v, dim, words_.data());
 }
 
 bool

@@ -17,6 +17,17 @@
 namespace longsight {
 
 /**
+ * Pack the sign pattern of v[0..dim) into words ((dim + 63) / 64 of
+ * them, fully overwritten): bit i set iff v[i] >= 0, so -0.0f and
+ * +0.0f set the bit, NaN clears it, and infinities and denormals
+ * follow their sign. The repo's one sign-packing routine: SignBits and
+ * SignMatrix rows are packed by it, and callers that keep packed
+ * queries in scratch memory call it directly instead of constructing
+ * a SignBits (which allocates).
+ */
+void packSigns(const float *v, size_t dim, uint64_t *words);
+
+/**
  * Sign-bit quantization of a float vector.
  */
 class SignBits
@@ -24,7 +35,7 @@ class SignBits
   public:
     SignBits() = default;
 
-    /** Quantize: bit i set iff v[i] >= 0. */
+    /** Quantize: bit i set iff v[i] >= 0 (see packSigns). */
     SignBits(const float *v, size_t dim);
 
     size_t dim() const { return dim_; }

@@ -3,8 +3,8 @@
  * Bounded top-k min-heap primitives over caller-owned storage. These
  * are the single implementation of the paper's §5 ranking order: both
  * the streaming TopK accumulator (core/topk) and the fused
- * scan→score→select kernel (tensor/kernels batchScoreSelect) build on
- * the helpers here, so the score-desc / index-asc tie-break is exact
+ * scan→score→select drivers (tensor/kernels *ScoreSelectMultiSpans)
+ * build on the helpers here, so the score-desc / index-asc tie-break is exact
  * and identical everywhere by construction, not by convention.
  *
  * The heap is a binary min-heap under betterThan-inverted ordering:

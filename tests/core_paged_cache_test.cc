@@ -125,7 +125,7 @@ TEST(PagedCache, CollectSpansTilesTheRange)
     EXPECT_EQ(one.logicalBase, 10u);
 }
 
-TEST(PagedCache, SpanDriversMatchContiguousDrivers)
+TEST(PagedCache, SpanDriversMatchFlatIdentitySpan)
 {
     const size_t n = 333;
     TokenStream tokens(n);
@@ -150,15 +150,16 @@ TEST(PagedCache, SpanDriversMatchContiguousDrivers)
     const float scale = 0.125f;
     const size_t k = 40, kcap = k;
 
-    // Contiguous drivers over the flat cache.
+    // The flat cache's one identity span.
+    const ScanSpan flat_span{lo, hi - lo, lo};
     std::vector<ScoredIndex> ref_sel(nq * kcap);
     std::vector<size_t> ref_sizes(nq), ref_surv(nq);
-    batchScoreSelectMulti(qwords.data(), nq, flat.filterSignsAll(), lo,
-                          hi, th, queries.data(), kDim, flat.keys(),
-                          scale, k, ref_sel.data(), kcap,
-                          ref_sizes.data(), ref_surv.data());
+    batchScoreSelectMultiSpans(
+        qwords.data(), nq, flat.filterSignsAll(), &flat_span, 1, th,
+        queries.data(), kDim, flat.keys(), scale, k, ref_sel.data(), kcap,
+        ref_sizes.data(), ref_surv.data());
 
-    // Span drivers over the paged cache.
+    // The paged cache's block-table spans.
     std::vector<ScanSpan> spans(paged.maxSpans(lo, hi));
     const size_t nspans = paged.collectSpans(lo, hi, spans.data());
     std::vector<ScoredIndex> got_sel(nq * kcap);
@@ -189,8 +190,9 @@ TEST(PagedCache, SpanDriversMatchContiguousDrivers)
     // Scan-only driver parity: survivors arrive as logical ids.
     std::vector<uint32_t> ref_ids(nq * n), got_ids(nq * n);
     std::vector<size_t> ref_counts(nq), got_counts(nq);
-    batchScanMulti(qwords.data(), nq, flat.filterSignsAll(), lo, hi, th,
-                   ref_ids.data(), n, ref_counts.data());
+    batchScanMultiSpans(qwords.data(), nq, flat.filterSignsAll(),
+                        &flat_span, 1, th, ref_ids.data(), n,
+                        ref_counts.data());
     batchScanMultiSpans(qwords.data(), nq, paged.filterSignsStorage(),
                         spans.data(), nspans, th, got_ids.data(), n,
                         got_counts.data());

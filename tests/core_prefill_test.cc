@@ -101,22 +101,34 @@ TEST(SignReduce, BackendsBitIdentical)
     }
 }
 
-TEST(SignReduce, SignMatrixFlavourMatchesRaw)
+TEST(SignReduce, SignMatrixSubrangeMatchesNaiveMajority)
 {
-    const size_t dim = 70;
+    // blockSignReduce over a SignMatrix sub-range (the layout
+    // BlockSparsePrefill reduces) against a naive per-bit vote.
+    const size_t dim = 70, begin = 2, end = 8;
     SignMatrix m(dim);
     m.resizeRows(9);
     std::vector<float> v(dim);
     for (size_t r = 0; r < 9; ++r) {
         for (size_t d = 0; d < dim; ++d)
             v[d] = ((r * 31 + d * 7) % 5) - 2.0f;
-        packSigns(v.data(), dim, m.data() + r * m.wordsPerRow());
+        m.setRow(r, v.data());
     }
-    std::vector<uint64_t> a(m.wordsPerRow()), b(m.wordsPerRow());
-    blockSignReduce(m, 2, 8, a.data());
-    blockSignReduce(m.data() + 2 * m.wordsPerRow(), m.wordsPerRow(), 6,
-                    b.data());
-    EXPECT_EQ(a, b);
+    const size_t wpr = m.wordsPerRow();
+    std::vector<uint64_t> ref(wpr, 0);
+    for (size_t d = 0; d < dim; ++d) {
+        size_t set = 0;
+        for (size_t r = begin; r < end; ++r)
+            set += (m.row(r)[d >> 6] >> (d & 63)) & 1;
+        if (2 * set >= end - begin)
+            ref[d >> 6] |= uint64_t{1} << (d & 63);
+    }
+    for (KernelBackend b : availableBackends()) {
+        ScopedBackend sb(b);
+        std::vector<uint64_t> got(wpr, ~uint64_t{0});
+        blockSignReduce(m.row(begin), wpr, end - begin, got.data());
+        EXPECT_EQ(got, ref) << "backend " << int(b);
+    }
 }
 
 /** Self-query prompt stream from the synthetic workload. */

@@ -2,18 +2,21 @@
  * @file
  * Batch-kernel parity tests: every compiled-in backend (scalar, and
  * AVX2/NEON when the host supports them) must produce BIT-IDENTICAL
- * results — concordance counts, survivor sets, PFU bitmaps, and
- * scaled dot products — across awkward shapes: dims that are not a
+ * results — concordance counts, one-query survivor sets, PFU bitmaps,
+ * and scaled dot products — across awkward shapes: dims that are not a
  * multiple of 64, row counts that are not a multiple of the vector
- * width, nonzero begin offsets, and empty regions. Dot kernels are
- * additionally checked bit-for-bit against the pre-existing scalar
- * linalg dot(), which defines the accumulation contract.
+ * width, nonzero begin offsets, and empty regions. Scans are checked
+ * against a naive per-row loop and dot kernels bit-for-bit against the
+ * scalar linalg dot(), which defines the accumulation contract. Also
+ * pins the LONGSIGHT_KERNELS fallback.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "tensor/kernels.hh"
@@ -61,6 +64,21 @@ const Shape kShapes[] = {
     {128, 4},  {128, 130}, {129, 33}, {200, 50}, {256, 257},
 };
 
+TEST(Kernels, EnvOverrideFallsBackToDetectedBackend)
+{
+    // The first kernel call reads LONGSIGHT_KERNELS. An available
+    // backend's name selects it; any other value (an unknown name, or
+    // one this CPU lacks — the tensor_kernels_env_fallback ctest entry
+    // sets one) warns and keeps the detected backend instead of
+    // aborting the run.
+    KernelBackend expect = detectKernelBackend();
+    if (const char *env = std::getenv("LONGSIGHT_KERNELS"))
+        for (auto b : availableBackends())
+            if (std::strcmp(env, kernelBackendName(b)) == 0)
+                expect = b;
+    EXPECT_EQ(activeKernelBackend(), expect);
+}
+
 TEST(Kernels, BackendPlumbing)
 {
     EXPECT_TRUE(kernelBackendAvailable(KernelBackend::Scalar));
@@ -92,7 +110,7 @@ TEST(Kernels, ConcordanceMatchesSignBitsAllBackends)
         for (KernelBackend b : availableBackends()) {
             ScopedBackend guard(b);
             std::vector<int32_t> got(sh.rows, -1);
-            batchConcordance(q, m, 0, sh.rows, got.data());
+            batchConcordance(q.words().data(), m, 0, sh.rows, got.data());
             EXPECT_EQ(got, ref) << kernelBackendName(b) << " dim "
                                 << sh.dim << " rows " << sh.rows;
         }
@@ -116,9 +134,35 @@ TEST(Kernels, ConcordanceSubrange)
     for (KernelBackend b : availableBackends()) {
         ScopedBackend guard(b);
         std::vector<int32_t> got(end - begin, -1);
-        batchConcordance(q, m, begin, end, got.data());
+        batchConcordance(q.words().data(), m, begin, end, got.data());
         EXPECT_EQ(got, ref) << kernelBackendName(b);
     }
+}
+
+/** Naive oracle: rows in [begin, end) whose concordance passes. */
+std::vector<uint32_t>
+naiveSurvivors(const SignBits &q, const SignMatrix &m, size_t begin,
+               size_t end, int threshold)
+{
+    std::vector<uint32_t> out;
+    for (size_t i = begin; i < end; ++i)
+        if (q.concordance(m.extract(i)) >= threshold)
+            out.push_back(static_cast<uint32_t>(i));
+    return out;
+}
+
+/** One query over the identity span [begin, end). */
+std::vector<uint32_t>
+scanOne(const SignBits &q, const SignMatrix &m, size_t begin, size_t end,
+        int threshold)
+{
+    const ScanSpan span{begin, end - begin, begin};
+    std::vector<uint32_t> out(end - begin, 0xdeadu);
+    size_t count = 777;
+    batchScanMultiSpans(q.words().data(), 1, m, &span, 1, threshold,
+                        out.data(), out.size(), &count);
+    out.resize(count);
+    return out;
 }
 
 TEST(Kernels, ScanSurvivorsBitIdenticalAcrossBackends)
@@ -133,18 +177,10 @@ TEST(Kernels, ScanSurvivorsBitIdenticalAcrossBackends)
         // Sweep thresholds from keep-everything to keep-nothing.
         const int dim_i = static_cast<int>(sh.dim);
         for (int th : {0, dim_i / 3, dim_i / 2, 2 * dim_i / 3, dim_i + 1}) {
-            std::vector<uint32_t> ref;
-            for (size_t i = 0; i < sh.rows; ++i)
-                if (q.concordance(m.extract(i)) >= th)
-                    ref.push_back(static_cast<uint32_t>(i));
-
+            const auto ref = naiveSurvivors(q, m, 0, sh.rows, th);
             for (KernelBackend b : availableBackends()) {
                 ScopedBackend guard(b);
-                std::vector<uint32_t> got;
-                const size_t n =
-                    batchConcordanceScan(q, m, 0, sh.rows, th, got);
-                EXPECT_EQ(n, got.size());
-                EXPECT_EQ(got, ref)
+                EXPECT_EQ(scanOne(q, m, 0, sh.rows, th), ref)
                     << kernelBackendName(b) << " dim " << sh.dim
                     << " rows " << sh.rows << " th " << th;
             }
@@ -152,7 +188,7 @@ TEST(Kernels, ScanSurvivorsBitIdenticalAcrossBackends)
     }
 }
 
-TEST(Kernels, ScanAppendsWithOffsets)
+TEST(Kernels, ScanSubrangeEmitsLogicalIndices)
 {
     Rng rng(104);
     const size_t dim = 64, rows = 300;
@@ -163,16 +199,12 @@ TEST(Kernels, ScanAppendsWithOffsets)
     const int th = 36;
     const size_t begin = 43, end = 291;
 
-    std::vector<uint32_t> ref{9999}; // scan must append, not clear
-    for (size_t i = begin; i < end; ++i)
-        if (q.concordance(m.extract(i)) >= th)
-            ref.push_back(static_cast<uint32_t>(i));
-
+    const auto ref = naiveSurvivors(q, m, begin, end, th);
+    ASSERT_FALSE(ref.empty());
     for (KernelBackend b : availableBackends()) {
         ScopedBackend guard(b);
-        std::vector<uint32_t> got{9999};
-        batchConcordanceScan(q, m, begin, end, th, got);
-        EXPECT_EQ(got, ref) << kernelBackendName(b);
+        EXPECT_EQ(scanOne(q, m, begin, end, th), ref)
+            << kernelBackendName(b);
     }
 }
 
@@ -186,11 +218,9 @@ TEST(Kernels, EmptyRegionYieldsNothing)
     const SignBits q(qv.data(), dim);
     for (KernelBackend b : availableBackends()) {
         ScopedBackend guard(b);
-        std::vector<uint32_t> got;
-        EXPECT_EQ(batchConcordanceScan(q, m, 4, 4, 0, got), 0u);
-        EXPECT_TRUE(got.empty());
+        EXPECT_TRUE(scanOne(q, m, 4, 4, 0).empty());
         uint64_t bits[2] = {~0ULL, ~0ULL};
-        concordanceBitmap(q, m, 4, 0, 0, bits);
+        concordanceBitmapMulti(q.words().data(), 1, m, 4, 0, 0, bits);
         EXPECT_EQ(bits[0], 0u);
         EXPECT_EQ(bits[1], 0u);
     }
@@ -210,10 +240,10 @@ TEST(Kernels, BitmapAgreesWithScan)
 
         for (KernelBackend b : availableBackends()) {
             ScopedBackend guard(b);
-            std::vector<uint32_t> surv;
-            batchConcordanceScan(q, m, begin, begin + num_keys, th, surv);
+            const auto surv = scanOne(q, m, begin, begin + num_keys, th);
             uint64_t bits[2];
-            concordanceBitmap(q, m, begin, num_keys, th, bits);
+            concordanceBitmapMulti(q.words().data(), 1, m, begin,
+                                   num_keys, th, bits);
             for (uint32_t j = 0; j < num_keys; ++j) {
                 const bool in_bitmap = (bits[j >> 6] >> (j & 63)) & 1;
                 const bool in_scan = std::binary_search(

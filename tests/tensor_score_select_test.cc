@@ -1,18 +1,22 @@
 /**
  * @file
- * Tests for the fused scan -> score -> select kernel: element-for-
- * element identity with the unfused batchConcordanceScan +
- * batchDotScaleAt + topkSelect pipeline on every available backend,
- * deterministic index tie-breaking on equal scores, k larger than the
- * survivor count, sub-range scans, and the survivor-count side output.
+ * Tests for the fused scan -> score -> select driver serving one
+ * query (batchScoreSelectMultiSpans with num_queries = 1 over an
+ * identity span, the shape a flat cache hands it): element-for-element
+ * identity with a naive scan + linalg dot() + topkSelect pipeline on
+ * every available backend, deterministic index tie-breaking on equal
+ * scores, k larger than the survivor count, sub-range scans that keep
+ * logical indices, and the survivor-count side output.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/topk.hh"
 #include "tensor/kernels.hh"
+#include "tensor/linalg.hh"
 #include "tensor/sign_matrix.hh"
 #include "tensor/tensor.hh"
 #include "util/rng.hh"
@@ -30,22 +34,40 @@ availableBackends()
     return out;
 }
 
-/** The unfused pipeline the fused kernel contracts to match. */
+/** The naive pipeline the fused driver contracts to match: a per-row
+ *  concordance loop, linalg dot() scoring, and topkSelect. */
 std::vector<ScoredIndex>
-reference(const uint64_t *qw, const SignMatrix &signs, size_t begin,
-          size_t end, int threshold, const float *q, const Matrix &keys,
-          float scale, size_t k, size_t *survivors_out)
+reference(const float *q, const SignMatrix &signs, size_t begin,
+          size_t end, int threshold, const Matrix &keys, float scale,
+          size_t k, size_t *survivors_out)
 {
-    std::vector<uint32_t> survivors(end - begin);
-    const size_t n =
-        batchConcordanceScan(qw, signs, begin, end, threshold,
-                             survivors.data());
-    survivors.resize(n);
-    std::vector<float> scores(n);
-    batchDotScaleAt(q, keys, survivors.data(), n, scale, scores.data());
+    const SignBits qbits(q, keys.cols());
+    std::vector<uint32_t> survivors;
+    std::vector<float> scores;
+    for (size_t i = begin; i < end; ++i) {
+        if (qbits.concordance(signs.extract(i)) >= threshold) {
+            survivors.push_back(static_cast<uint32_t>(i));
+            scores.push_back(dot(q, keys.row(i), keys.cols()) * scale);
+        }
+    }
     if (survivors_out)
-        *survivors_out = n;
+        *survivors_out = survivors.size();
     return topkSelect(scores, survivors, k);
+}
+
+/** One query through the fused span driver over [begin, end). */
+size_t
+selectOne(const uint64_t *qw, const SignMatrix &signs, size_t begin,
+          size_t end, int threshold, const float *q, const Matrix &keys,
+          float scale, size_t k, ScoredIndex *out,
+          size_t *survivors = nullptr)
+{
+    const ScanSpan span{begin, end - begin, begin};
+    size_t n = 0;
+    batchScoreSelectMultiSpans(qw, 1, signs, &span, 1, threshold, q,
+                               keys.cols(), keys, scale, k, out,
+                               std::min(k, end - begin), &n, survivors);
+    return n;
 }
 
 void
@@ -74,14 +96,14 @@ TEST(BatchScoreSelect, MatchesUnfusedPipelineAcrossBackends)
             const int threshold = static_cast<int>(dim) / 2;
             for (size_t k : {size_t{1}, size_t{13}, size_t{128}, n}) {
                 size_t ref_survivors = 0;
-                const auto ref = reference(
-                    qw.data(), signs, 0, n, threshold, q.data(), keys,
-                    0.125f, k, &ref_survivors);
+                const auto ref = reference(q.data(), signs, 0, n,
+                                           threshold, keys, 0.125f, k,
+                                           &ref_survivors);
                 for (KernelBackend b : availableBackends()) {
                     setKernelBackend(b);
                     std::vector<ScoredIndex> sel(std::min(k, n));
                     size_t survivors = 0;
-                    const size_t m = batchScoreSelect(
+                    const size_t m = selectOne(
                         qw.data(), signs, 0, n, threshold, q.data(),
                         keys, 0.125f, k, sel.data(), &survivors);
                     expectSame(ref, sel.data(), m,
@@ -113,9 +135,8 @@ TEST(BatchScoreSelect, TiedScoresBreakTowardLowerIndex)
     for (KernelBackend b : availableBackends()) {
         setKernelBackend(b);
         std::vector<ScoredIndex> sel(16);
-        const size_t m = batchScoreSelect(qw.data(), signs, 0, 256, 0,
-                                          q.data(), keys, 1.0f, 16,
-                                          sel.data());
+        const size_t m = selectOne(qw.data(), signs, 0, 256, 0, q.data(),
+                                   keys, 1.0f, 16, sel.data());
         ASSERT_EQ(m, 16u) << kernelBackendName(b);
         // Best-first: scores descend; equal scores order by index.
         for (size_t i = 1; i < m; ++i) {
@@ -149,12 +170,12 @@ TEST(BatchScoreSelect, KLargerThanSurvivorCountReturnsAll)
     size_t survivors = 0;
     std::vector<ScoredIndex> sel(n);
     const size_t m =
-        batchScoreSelect(qw.data(), signs, 0, n, threshold, q.data(),
-                         keys, 0.125f, 10 * n, sel.data(), &survivors);
+        selectOne(qw.data(), signs, 0, n, threshold, q.data(), keys,
+                  0.125f, 10 * n, sel.data(), &survivors);
     EXPECT_EQ(m, survivors);
     EXPECT_LT(survivors, n);
-    const auto ref = reference(qw.data(), signs, 0, n, threshold,
-                               q.data(), keys, 0.125f, 10 * n, nullptr);
+    const auto ref = reference(q.data(), signs, 0, n, threshold, keys,
+                               0.125f, 10 * n, nullptr);
     expectSame(ref, sel.data(), m, "k >= survivors");
 }
 
@@ -170,16 +191,15 @@ TEST(BatchScoreSelect, HonorsSubRange)
 
     const size_t begin = 100, end = 400;
     std::vector<ScoredIndex> sel(end - begin);
-    const size_t m = batchScoreSelect(qw.data(), signs, begin, end, 0,
-                                      q.data(), keys, 0.125f, 64,
-                                      sel.data());
+    const size_t m = selectOne(qw.data(), signs, begin, end, 0, q.data(),
+                               keys, 0.125f, 64, sel.data());
     ASSERT_EQ(m, 64u);
     for (size_t i = 0; i < m; ++i) {
         EXPECT_GE(sel[i].index, begin);
         EXPECT_LT(sel[i].index, end);
     }
-    const auto ref = reference(qw.data(), signs, begin, end, 0,
-                               q.data(), keys, 0.125f, 64, nullptr);
+    const auto ref = reference(q.data(), signs, begin, end, 0, keys,
+                               0.125f, 64, nullptr);
     expectSame(ref, sel.data(), m, "sub-range");
 }
 
@@ -195,14 +215,13 @@ TEST(BatchScoreSelect, EmptyRangeAndNoSurvivors)
 
     ScoredIndex sel[8];
     size_t survivors = 123;
-    EXPECT_EQ(batchScoreSelect(qw.data(), signs, 10, 10, 0, q.data(),
-                               keys, 1.0f, 8, sel, &survivors),
+    EXPECT_EQ(selectOne(qw.data(), signs, 10, 10, 0, q.data(), keys, 1.0f,
+                        8, sel, &survivors),
               0u);
     EXPECT_EQ(survivors, 0u);
     // Impossible threshold: scan finds nothing.
-    EXPECT_EQ(batchScoreSelect(qw.data(), signs, 0, n,
-                               static_cast<int>(dim) + 1, q.data(),
-                               keys, 1.0f, 8, sel, &survivors),
+    EXPECT_EQ(selectOne(qw.data(), signs, 0, n, static_cast<int>(dim) + 1,
+                        q.data(), keys, 1.0f, 8, sel, &survivors),
               0u);
     EXPECT_EQ(survivors, 0u);
 }

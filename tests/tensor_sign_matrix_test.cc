@@ -1,13 +1,16 @@
 /**
  * @file
  * SignMatrix unit tests: packing semantics against SignBits (the
- * scalar reference), append/extract round-trips, alignment of the
- * backing store, and the pack() batch constructor.
+ * scalar reference), the v >= 0 sign rule at edge values on every
+ * packing path, append/extract round-trips, alignment of the backing
+ * store, and the pack() batch constructor.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <vector>
 
 #include "tensor/sign_matrix.hh"
@@ -175,6 +178,50 @@ TEST(SignMatrix, RowsAreContiguous)
     }
     for (size_t r = 0; r < m.rows(); ++r)
         EXPECT_EQ(m.row(r), m.data() + r * m.wordsPerRow());
+}
+
+TEST(SignPacking, EdgeValuesFollowOneRuleOnEveryPath)
+{
+    // Bit i is set iff v[i] >= 0: both zeros set it, NaN clears it,
+    // infinities and denormals follow their sign. Spread over 130 dims
+    // so every word, including a partial tail word, sees each value.
+    using lim = std::numeric_limits<float>;
+    const float edges[] = {-0.0f,          0.0f,
+                           lim::quiet_NaN(), -lim::quiet_NaN(),
+                           lim::infinity(), -lim::infinity(),
+                           lim::denorm_min(), -lim::denorm_min(),
+                           lim::min(),      -lim::min()};
+    const bool expect[] = {true,  true,  false, false, true,
+                           false, true,  false, true,  false};
+    const size_t dim = 130;
+    std::vector<float> v(dim);
+    for (size_t i = 0; i < dim; ++i)
+        v[i] = edges[(i * 7) % std::size(edges)];
+
+    std::vector<uint64_t> packed((dim + 63) / 64, ~uint64_t{0});
+    packSigns(v.data(), dim, packed.data());
+    const SignBits bits(v.data(), dim);
+    SignMatrix appended(dim), set(dim);
+    appended.appendRow(v.data());
+    set.resizeRows(1);
+    const std::vector<float> ones(dim, 1.0f);
+    set.setRow(0, ones.data()); // setRow must overwrite, not OR in
+    set.setRow(0, v.data());
+
+    for (size_t i = 0; i < dim; ++i) {
+        const bool want = expect[(i * 7) % std::size(edges)];
+        EXPECT_EQ(((packed[i >> 6] >> (i & 63)) & 1) != 0, want)
+            << "packSigns dim " << i;
+        EXPECT_EQ(bits.bit(i), want) << "SignBits dim " << i;
+    }
+    // Padding past dim stays clear, so the four paths agree word for
+    // word.
+    EXPECT_EQ(packed.back() >> (dim % 64), 0u);
+    EXPECT_EQ(bits.words(), packed);
+    for (size_t w = 0; w < packed.size(); ++w) {
+        EXPECT_EQ(appended.row(0)[w], packed[w]) << "appendRow word " << w;
+        EXPECT_EQ(set.row(0)[w], packed[w]) << "setRow word " << w;
+    }
 }
 
 } // namespace

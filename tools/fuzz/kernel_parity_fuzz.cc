@@ -1,16 +1,24 @@
 /**
  * @file
  * Differential kernel-parity fuzzer: feeds randomized shapes,
- * thresholds, strides, and value patterns through EVERY compiled-in
- * kernel backend (scalar, AVX2, NEON) and asserts per-element bit
- * identity of the outputs — concordance counts, survivor sets, PFU
- * bitmaps, scaled dot products, fused score-select top-k results,
- * quantized-arena scoring (batchQuantDot*, batchInt8Dot*, and the
- * fused quant/INT8 score-selects, flat and span-list), and all *Multi
- * variants against their single-query counterparts. This is
- * the mechanized form of the SCF bit-exactness contract documented in
- * tensor/kernels.hh: survivor sets and scores must not depend on which
- * backend serves them.
+ * thresholds, query groups, span layouts, and value patterns through
+ * EVERY compiled-in kernel backend (scalar, AVX2, NEON) and asserts
+ * per-element bit identity of the outputs — concordance counts,
+ * survivor sets, PFU bitmaps, scaled dot products, block sign
+ * signatures, quantized-arena dots, and the fused float / quantized /
+ * INT8 span selects. On every backend it also checks the span
+ * family's two structural promises, query by query:
+ *
+ *  - a one-query call equals that query's slice of a grouped call
+ *    (2..17 queries, so the drivers' kMaxScanQueries chunking and
+ *    every SIMD chunk width — including AVX2's one-query branch next
+ *    to the AVX-512 4-query chunks — are crossed);
+ *  - one identity span equals the same rows split into spans stored
+ *    at shuffled physical rows (with unused rows in between).
+ *
+ * This is the mechanized form of the SCF bit-exactness contract
+ * documented in tensor/kernels.hh: results must not depend on which
+ * backend, group, or storage layout serves them.
  *
  * Two entry points share one case runner:
  *
@@ -32,6 +40,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -46,8 +55,8 @@ namespace {
 
 using longsight::KernelBackend;
 using longsight::Matrix;
+using longsight::ScanSpan;
 using longsight::ScoredIndex;
-using longsight::SignBits;
 using longsight::SignMatrix;
 
 /** Details of the case being run, for failure reports. */
@@ -138,43 +147,118 @@ availableBackends()
     return out;
 }
 
-/** Everything one backend produces for a case; memcmp-able fields. */
-struct Outputs
+/** One physical row layout: float keys plus the sign rows and INT8
+ *  arena derived from them, row for row. */
+struct Storage
 {
-    std::vector<int32_t> concordance;
-    std::vector<uint32_t> scan_vec;      // vector-flavour survivors
-    std::vector<uint32_t> scan_ptr;      // caller-storage survivors
-    uint64_t bitmap[2] = {0, 0};
-    uint64_t bitmap_words[2] = {0, 0};   // packed-words flavour
-    std::vector<float> dot_at;
-    std::vector<float> dot_range;
-    std::vector<ScoredIndex> select;
-    size_t select_n = 0;
-    size_t select_survivors = 0;
-    std::vector<uint32_t> multi_scan;    // queries * stride
-    std::vector<size_t> multi_counts;
-    std::vector<uint64_t> multi_bitmap;  // queries * 2
-    std::vector<ScoredIndex> multi_select;
-    std::vector<size_t> multi_select_n;
-    std::vector<size_t> multi_survivors;
-    std::vector<uint64_t> sign_reduce;   // majority over rows [begin,end)
-    std::vector<uint64_t> sign_reduce_q; // majority over the query rows
-    std::vector<float> quant_at;         // batchQuantDotAt over survivors
-    std::vector<float> quant_range;      // batchQuantDotRange [begin,end)
-    std::vector<int32_t> int8_at;        // batchInt8DotAt over survivors
-    std::vector<int32_t> int8_range;     // batchInt8DotRange [begin,end)
-    std::vector<ScoredIndex> quant_select;
-    size_t quant_select_n = 0;
-    size_t quant_select_survivors = 0;
-    std::vector<ScoredIndex> int8_select;
-    size_t int8_select_n = 0;
-    std::vector<ScoredIndex> quant_mspan; // span-list quant select
-    std::vector<size_t> quant_mspan_n;
-    std::vector<size_t> quant_mspan_surv;
-    std::vector<ScoredIndex> int8_mspan;  // span-list INT8 select
-    std::vector<size_t> int8_mspan_n;
-    std::vector<size_t> int8_mspan_cand;
+    Matrix keys;
+    SignMatrix signs;
+    std::vector<int8_t> kq;
+    std::vector<float> kscales;
+
+    explicit Storage(Matrix k)
+        : keys(std::move(k)), signs(keys.cols()),
+          kq(keys.rows() * keys.cols()),
+          kscales(std::max<size_t>(keys.rows(), 1), 1.0f)
+    {
+        const size_t dim = keys.cols();
+        for (size_t r = 0; r < keys.rows(); ++r) {
+            signs.appendRow(keys.row(r));
+            longsight::quantizeInt8Into(keys.row(r), dim,
+                                        kq.data() + r * dim, &kscales[r]);
+        }
+    }
 };
+
+/** A query group in every form the drivers take. */
+struct Queries
+{
+    const uint64_t *words;  // nq * wpr packed signs
+    const float *floats;    // nq * dim
+    const int8_t *q8s;      // nq * dim
+    const float *q8_scales; // nq
+    size_t nq;
+};
+
+/** Query q alone, as a one-query group. */
+Queries
+oneQuery(const Queries &g, size_t q, size_t wpr, size_t dim)
+{
+    return Queries{g.words + q * wpr, g.floats + q * dim, g.q8s + q * dim,
+                   g.q8_scales + q, 1};
+}
+
+/** What the span drivers produce for one query group and span list. */
+struct SpanOutputs
+{
+    size_t nq = 0, stride = 0, out_stride = 0;
+    std::vector<uint32_t> scan;      // nq * stride
+    std::vector<size_t> counts;      // nq
+    std::vector<size_t> scan_span;   // per-span survivors
+    std::vector<ScoredIndex> select; // nq * out_stride
+    std::vector<size_t> select_n, select_surv, select_span;
+    std::vector<ScoredIndex> quant;
+    std::vector<size_t> quant_n, quant_surv, quant_span;
+    std::vector<ScoredIndex> int8;
+    std::vector<size_t> int8_n, int8_cand;
+};
+
+SpanOutputs
+runSpans(const Storage &st, const std::vector<ScanSpan> &spans,
+         const Queries &g, size_t total, int threshold, float scale,
+         size_t k)
+{
+    const size_t dim = st.keys.cols();
+    const size_t ns = spans.size();
+    SpanOutputs o;
+    o.nq = g.nq;
+    o.stride = std::max<size_t>(total, 1);
+    o.out_stride = std::max<size_t>(std::min(k, total), 1);
+
+    g_case.stage = "batchScanMultiSpans";
+    o.scan.assign(g.nq * o.stride, 0xffffffffu);
+    o.counts.assign(g.nq, 777);
+    o.scan_span.assign(std::max<size_t>(ns, 1), 777);
+    longsight::batchScanMultiSpans(g.words, g.nq, st.signs, spans.data(),
+                                   ns, threshold, o.scan.data(), o.stride,
+                                   o.counts.data(), o.scan_span.data());
+
+    g_case.stage = "batchScoreSelectMultiSpans";
+    o.select.assign(g.nq * o.out_stride, ScoredIndex{0.0f, 0});
+    o.select_n.assign(g.nq, 777);
+    o.select_surv.assign(g.nq, 777);
+    o.select_span.assign(std::max<size_t>(ns, 1), 777);
+    longsight::batchScoreSelectMultiSpans(
+        g.words, g.nq, st.signs, spans.data(), ns, threshold, g.floats, dim,
+        st.keys, scale, k, o.select.data(), o.out_stride,
+        o.select_n.data(), o.select_surv.data(), o.select_span.data());
+
+    g_case.stage = "batchQuantScoreSelectMultiSpans";
+    o.quant.assign(g.nq * o.out_stride, ScoredIndex{0.0f, 0});
+    o.quant_n.assign(g.nq, 777);
+    o.quant_surv.assign(g.nq, 777);
+    o.quant_span.assign(std::max<size_t>(ns, 1), 777);
+    longsight::batchQuantScoreSelectMultiSpans(
+        g.words, g.nq, st.signs, spans.data(), ns, threshold, g.floats, dim,
+        st.kq.data(), st.kscales.data(), dim, scale, k, o.quant.data(),
+        o.out_stride, o.quant_n.data(), o.quant_surv.data(),
+        o.quant_span.data());
+
+    g_case.stage = "batchInt8ScoreSelectMultiSpans";
+    o.int8.assign(g.nq * o.out_stride, ScoredIndex{0.0f, 0});
+    o.int8_n.assign(g.nq, 777);
+    o.int8_cand.assign(std::max<size_t>(ns, 1), 777);
+    longsight::batchInt8ScoreSelectMultiSpans(
+        g.q8s, g.q8_scales, g.nq, st.kq.data(), st.kscales.data(), dim,
+        spans.data(), ns, scale, k, o.int8.data(), o.out_stride,
+        o.int8_n.data(), o.int8_cand.data());
+
+    o.scan_span.resize(ns);
+    o.select_span.resize(ns);
+    o.quant_span.resize(ns);
+    o.int8_cand.resize(ns);
+    return o;
+}
 
 bool
 scoredEq(const ScoredIndex &a, const ScoredIndex &b)
@@ -183,239 +267,168 @@ scoredEq(const ScoredIndex &a, const ScoredIndex &b)
            std::memcmp(&a.score, &b.score, sizeof(float)) == 0;
 }
 
-/** Run the full public kernel surface on the active backend. */
+/** Query qa of a equals query qb of b: counts and the valid prefix of
+ *  every list (the branchless store-then-advance emission may leave
+ *  scratch past counts[q], so raw buffers are not compared). */
+void
+queryEq(const SpanOutputs &a, size_t qa, const SpanOutputs &b, size_t qb,
+        const char *what)
+{
+    check(a.counts[qa] == b.counts[qb], what);
+    check(std::equal(a.scan.begin() + qa * a.stride,
+                     a.scan.begin() + qa * a.stride + a.counts[qa],
+                     b.scan.begin() + qb * b.stride),
+          what);
+    check(a.select_n[qa] == b.select_n[qb] &&
+              a.select_surv[qa] == b.select_surv[qb],
+          what);
+    check(std::equal(a.select.begin() + qa * a.out_stride,
+                     a.select.begin() + qa * a.out_stride + a.select_n[qa],
+                     b.select.begin() + qb * b.out_stride, scoredEq),
+          what);
+    check(a.quant_n[qa] == b.quant_n[qb] &&
+              a.quant_surv[qa] == b.quant_surv[qb],
+          what);
+    check(std::equal(a.quant.begin() + qa * a.out_stride,
+                     a.quant.begin() + qa * a.out_stride + a.quant_n[qa],
+                     b.quant.begin() + qb * b.out_stride, scoredEq),
+          what);
+    check(a.int8_n[qa] == b.int8_n[qb], what);
+    check(std::equal(a.int8.begin() + qa * a.out_stride,
+                     a.int8.begin() + qa * a.out_stride + a.int8_n[qa],
+                     b.int8.begin() + qb * b.out_stride, scoredEq),
+          what);
+}
+
+size_t
+sum(const std::vector<size_t> &v)
+{
+    return std::accumulate(v.begin(), v.end(), size_t{0});
+}
+
+/** Everything one backend produces for a case; memcmp-able fields. */
+struct Outputs
+{
+    std::vector<int32_t> concordance;    // query 0 over [begin, end)
+    std::vector<uint64_t> bitmap;        // queries * 2
+    std::vector<float> dot_at;           // query 0 over its survivors
+    std::vector<float> dot_range;        // query 0 over [begin, end)
+    std::vector<uint64_t> sign_reduce;   // majority over rows [begin,end)
+    std::vector<uint64_t> sign_reduce_q; // majority over the query rows
+    std::vector<float> quant_range;      // batchQuantDotRange [begin,end)
+    std::vector<int32_t> int8_range;     // batchInt8DotRange [begin,end)
+    SpanOutputs spans;                   // whole group, identity span
+};
+
+/** Run the full public kernel surface on the active backend, plus the
+ *  one-vs-group and identity-vs-split checks on that backend. */
 Outputs
-runKernels(const SignBits &query, const std::vector<uint64_t> &qwords,
-           const std::vector<uint64_t> &all_qwords,
-           const std::vector<float> &all_queries, const SignMatrix &signs,
-           const Matrix &keys, const std::vector<int8_t> &kq,
-           const std::vector<float> &kscales,
-           const std::vector<int8_t> &q8s,
-           const std::vector<float> &q8_scales,
-           const std::vector<longsight::ScanSpan> &spans, size_t begin,
-           size_t end, int threshold, float scale, size_t k,
-           size_t num_queries)
+runKernels(const Storage &flat, const Storage &split_store,
+           const std::vector<ScanSpan> &split, const Queries &group,
+           size_t begin, size_t end, int threshold, float scale, size_t k)
 {
     const size_t span = end - begin;
-    const size_t dim = signs.dim();
+    const size_t dim = flat.keys.cols();
+    const size_t wpr = flat.signs.wordsPerRow();
+    const std::vector<ScanSpan> identity{ScanSpan{begin, span, begin}};
     Outputs o;
 
     g_case.stage = "batchConcordance";
     o.concordance.assign(span, 0);
     if (span)
-        longsight::batchConcordance(query, signs, begin, end,
+        longsight::batchConcordance(group.words, flat.signs, begin, end,
                                     o.concordance.data());
 
-    g_case.stage = "batchConcordanceScan";
-    size_t n1 = longsight::batchConcordanceScan(query, signs, begin, end,
-                                                threshold, o.scan_vec);
-    check(n1 == o.scan_vec.size(), "scan count != appended size");
-    o.scan_ptr.assign(span ? span : 1, 0xffffffffu);
-    size_t n2 = longsight::batchConcordanceScan(
-        qwords.data(), signs, begin, end, threshold, o.scan_ptr.data());
-    o.scan_ptr.resize(n2);
-    check(o.scan_vec == o.scan_ptr,
-          "vector and caller-storage scans disagree");
-
-    g_case.stage = "concordanceBitmap";
-    if (span) {
-        size_t nkeys = std::min<size_t>(span, 128);
-        longsight::concordanceBitmap(query, signs, begin,
-                                     static_cast<uint32_t>(nkeys),
-                                     threshold, o.bitmap);
-        longsight::concordanceBitmap(qwords.data(), signs, begin,
-                                     static_cast<uint32_t>(nkeys),
-                                     threshold, o.bitmap_words);
-        check(o.bitmap[0] == o.bitmap_words[0] &&
-                  o.bitmap[1] == o.bitmap_words[1],
-              "SignBits and packed-words bitmaps disagree");
-    }
-
-    g_case.stage = "batchDotScaleAt";
-    o.dot_at.assign(o.scan_ptr.size() ? o.scan_ptr.size() : 1, 0.0f);
-    if (!o.scan_ptr.empty())
-        longsight::batchDotScaleAt(all_queries.data(), keys,
-                                   o.scan_ptr.data(), o.scan_ptr.size(),
-                                   scale, o.dot_at.data());
-    o.dot_at.resize(o.scan_ptr.size());
-
-    g_case.stage = "batchDotScaleRange";
-    o.dot_range.assign(span ? span : 1, 0.0f);
-    if (span)
-        longsight::batchDotScaleRange(all_queries.data(), keys, begin,
-                                      end, scale, o.dot_range.data());
-    o.dot_range.resize(span);
-
-    g_case.stage = "batchScoreSelect";
-    size_t cap = std::min(k, span);
-    o.select.assign(cap ? cap : 1, ScoredIndex{0.0f, 0});
-    o.select_n = longsight::batchScoreSelect(
-        qwords.data(), signs, begin, end, threshold, all_queries.data(),
-        keys, scale, k, o.select.data(), &o.select_survivors);
-    o.select.resize(o.select_n);
-
-    g_case.stage = "batchScanMulti";
-    const size_t stride = span ? span : 1;
-    o.multi_scan.assign(num_queries * stride, 0xffffffffu);
-    o.multi_counts.assign(num_queries, 0);
-    longsight::batchScanMulti(all_qwords.data(), num_queries, signs,
-                              begin, end, threshold, o.multi_scan.data(),
-                              stride, o.multi_counts.data());
+    o.spans = runSpans(flat, identity, group, span, threshold, scale, k);
+    const SpanOutputs &s = o.spans;
 
     g_case.stage = "concordanceBitmapMulti";
-    o.multi_bitmap.assign(num_queries * 2, 0);
-    if (span) {
-        size_t nkeys = std::min<size_t>(span, 128);
-        longsight::concordanceBitmapMulti(
-            all_qwords.data(), num_queries, signs, begin,
-            static_cast<uint32_t>(nkeys), threshold,
-            o.multi_bitmap.data());
-    }
+    const uint32_t nkeys =
+        static_cast<uint32_t>(std::min<size_t>(span, 128));
+    o.bitmap.assign(group.nq * 2, ~uint64_t{0});
+    longsight::concordanceBitmapMulti(group.words, group.nq, flat.signs,
+                                      begin, nkeys, threshold,
+                                      o.bitmap.data());
 
-    g_case.stage = "batchScoreSelectMulti";
-    const size_t out_stride = cap ? cap : 1;
-    o.multi_select.assign(num_queries * out_stride,
-                          ScoredIndex{0.0f, 0});
-    o.multi_select_n.assign(num_queries, 0);
-    o.multi_survivors.assign(num_queries, 0);
-    longsight::batchScoreSelectMulti(
-        all_qwords.data(), num_queries, signs, begin, end, threshold,
-        all_queries.data(), dim, keys, scale, k, o.multi_select.data(),
-        out_stride, o.multi_select_n.data(), o.multi_survivors.data());
+    g_case.stage = "batchDotScaleAt";
+    const uint32_t *surv0 = s.scan.data();
+    o.dot_at.assign(std::max<size_t>(s.counts[0], 1), 0.0f);
+    longsight::batchDotScaleAt(group.floats, flat.keys, surv0, s.counts[0],
+                               scale, o.dot_at.data());
+    o.dot_at.resize(s.counts[0]);
+
+    g_case.stage = "batchDotScaleRange";
+    o.dot_range.assign(std::max<size_t>(span, 1), 0.0f);
+    longsight::batchDotScaleRange(group.floats, flat.keys, begin, end,
+                                  scale, o.dot_range.data());
+    o.dot_range.resize(span);
+    // A row's score must not depend on gather-vs-range addressing.
+    for (size_t j = 0; j < o.dot_at.size(); ++j)
+        check(std::memcmp(&o.dot_at[j], &o.dot_range[surv0[j] - begin],
+                          sizeof(float)) == 0,
+              "dot at/range flavours disagree");
 
     g_case.stage = "blockSignReduce";
-    const size_t wpr = signs.wordsPerRow();
     o.sign_reduce.assign(wpr, 0);
-    if (span) {
-        longsight::blockSignReduce(signs, begin, end,
-                                   o.sign_reduce.data());
-        std::vector<uint64_t> raw(wpr, 0);
-        longsight::blockSignReduce(signs.data() + begin * wpr, wpr, span,
-                                   raw.data());
-        check(raw == o.sign_reduce,
-              "SignMatrix and raw blockSignReduce disagree");
-    }
-    // Raw flavour over the packed query rows (num_queries >= 1), so
-    // odd/even row counts and the tie rule are always exercised.
+    if (span)
+        longsight::blockSignReduce(flat.signs.data() + begin * wpr, wpr,
+                                   span, o.sign_reduce.data());
+    // Over the packed query rows (nq >= 2), so odd/even row counts and
+    // the tie rule are always exercised.
     o.sign_reduce_q.assign(wpr, 0);
-    longsight::blockSignReduce(all_qwords.data(), wpr, num_queries,
+    longsight::blockSignReduce(group.words, wpr, group.nq,
                                o.sign_reduce_q.data());
 
-    g_case.stage = "batchQuantDotAt";
-    o.quant_at.assign(o.scan_ptr.size() ? o.scan_ptr.size() : 1, 0.0f);
-    if (!o.scan_ptr.empty())
-        longsight::batchQuantDotAt(all_queries.data(), kq.data(),
-                                   kscales.data(), dim, o.scan_ptr.data(),
-                                   o.scan_ptr.size(), scale,
-                                   o.quant_at.data());
-    o.quant_at.resize(o.scan_ptr.size());
-
     g_case.stage = "batchQuantDotRange";
-    o.quant_range.assign(span ? span : 1, 0.0f);
-    if (span)
-        longsight::batchQuantDotRange(all_queries.data(), kq.data(),
-                                      kscales.data(), dim, begin, end,
-                                      scale, o.quant_range.data());
+    o.quant_range.assign(std::max<size_t>(span, 1), 0.0f);
+    longsight::batchQuantDotRange(group.floats, flat.kq.data(),
+                                  flat.kscales.data(), dim, begin, end,
+                                  scale, o.quant_range.data());
     o.quant_range.resize(span);
 
     g_case.stage = "batchInt8DotRange";
-    o.int8_range.assign(span ? span : 1, 0);
-    if (span)
-        longsight::batchInt8DotRange(q8s.data(), kq.data(), dim, begin,
-                                     end, o.int8_range.data());
+    o.int8_range.assign(std::max<size_t>(span, 1), 0);
+    longsight::batchInt8DotRange(group.q8s, flat.kq.data(), dim, begin, end,
+                                 o.int8_range.data());
     o.int8_range.resize(span);
 
-    g_case.stage = "batchInt8DotAt";
-    o.int8_at.assign(o.scan_ptr.size() ? o.scan_ptr.size() : 1, 0);
-    if (!o.scan_ptr.empty())
-        longsight::batchInt8DotAt(q8s.data(), kq.data(), dim,
-                                  o.scan_ptr.data(), o.scan_ptr.size(),
-                                  o.int8_at.data());
-    o.int8_at.resize(o.scan_ptr.size());
-    // The integer dot is exact, so the indexed and range flavours must
-    // agree bit-for-bit on THIS backend, not just across backends.
-    for (size_t j = 0; j < o.int8_at.size(); ++j)
-        check(o.int8_at[j] == o.int8_range[o.scan_ptr[j] - begin],
-              "int8 dot at/range flavours disagree");
+    // The fused drivers scan exactly what the scan driver scans.
+    g_case.stage = "fused-vs-scan";
+    check(s.select_surv == s.counts && s.quant_surv == s.counts,
+          "fused survivor counts != scan counts");
+    check(s.scan_span == s.select_span && s.scan_span == s.quant_span &&
+              s.scan_span[0] == sum(s.counts),
+          "span survivor totals disagree");
+    check(s.int8_cand[0] == group.nq * span,
+          "INT8 span candidates != queries * span length");
 
-    g_case.stage = "batchQuantScoreSelect";
-    size_t qcap = cap ? cap : 1;
-    o.quant_select.assign(qcap, ScoredIndex{0.0f, 0});
-    o.quant_select_n = longsight::batchQuantScoreSelect(
-        qwords.data(), signs, begin, end, threshold, all_queries.data(),
-        kq.data(), kscales.data(), dim, scale, k, o.quant_select.data(),
-        &o.quant_select_survivors);
-    o.quant_select.resize(o.quant_select_n);
-    check(o.quant_select_survivors == o.select_survivors,
-          "quant select survivors != scan survivors");
+    // One query alone == its slice of the group, on this backend.
+    for (size_t q = 0; q < group.nq; ++q) {
+        const Queries one = oneQuery(group, q, wpr, dim);
+        const SpanOutputs alone =
+            runSpans(flat, identity, one, span, threshold, scale, k);
+        g_case.stage = "one-vs-group";
+        queryEq(s, q, alone, 0, "one-query call != its group slice");
+        uint64_t bits[2] = {~uint64_t{0}, ~uint64_t{0}};
+        longsight::concordanceBitmapMulti(one.words, 1, flat.signs, begin,
+                                          nkeys, threshold, bits);
+        check(bits[0] == o.bitmap[q * 2] && bits[1] == o.bitmap[q * 2 + 1],
+              "one-query bitmap != its group slice");
+    }
 
-    g_case.stage = "batchInt8ScoreSelect";
-    o.int8_select.assign(qcap, ScoredIndex{0.0f, 0});
-    o.int8_select_n = longsight::batchInt8ScoreSelect(
-        q8s.data(), q8_scales[0], kq.data(), kscales.data(), dim, begin,
-        end, scale, k, o.int8_select.data());
-    o.int8_select.resize(o.int8_select_n);
-
-    // Span-list flavours over an identity-mapped split of [begin, end):
-    // per query they must reproduce the flat drivers exactly.
-    g_case.stage = "batchQuantScoreSelectMultiSpans";
-    o.quant_mspan.assign(num_queries * out_stride, ScoredIndex{0.0f, 0});
-    o.quant_mspan_n.assign(num_queries, 0);
-    o.quant_mspan_surv.assign(num_queries, 0);
-    longsight::batchQuantScoreSelectMultiSpans(
-        all_qwords.data(), num_queries, signs, spans.data(), spans.size(),
-        threshold, all_queries.data(), dim, kq.data(), kscales.data(),
-        dim, scale, k, o.quant_mspan.data(), out_stride,
-        o.quant_mspan_n.data(), o.quant_mspan_surv.data(), nullptr);
-    check(o.quant_mspan_n[0] == o.quant_select_n &&
-              o.quant_mspan_surv[0] == o.quant_select_survivors,
-          "span-list quant select sizes != flat sizes (query 0)");
-    check(std::equal(o.quant_select.begin(), o.quant_select.end(),
-                     o.quant_mspan.begin(), scoredEq),
-          "span-list quant select entries != flat entries (query 0)");
-
-    g_case.stage = "batchInt8ScoreSelectMultiSpans";
-    o.int8_mspan.assign(num_queries * out_stride, ScoredIndex{0.0f, 0});
-    o.int8_mspan_n.assign(num_queries, 0);
-    o.int8_mspan_cand.assign(spans.size() ? spans.size() : 1, 0);
-    longsight::batchInt8ScoreSelectMultiSpans(
-        q8s.data(), q8_scales.data(), num_queries, kq.data(),
-        kscales.data(), dim, spans.data(), spans.size(), scale, k,
-        o.int8_mspan.data(), out_stride, o.int8_mspan_n.data(),
-        o.int8_mspan_cand.data());
-    o.int8_mspan_cand.resize(spans.size());
-    check(o.int8_mspan_n[0] == o.int8_select_n,
-          "span-list INT8 select size != flat size (query 0)");
-    check(std::equal(o.int8_select.begin(), o.int8_select.end(),
-                     o.int8_mspan.begin(), scoredEq),
-          "span-list INT8 select entries != flat entries (query 0)");
-    for (size_t si = 0; si < spans.size(); ++si)
-        check(o.int8_mspan_cand[si] == num_queries * spans[si].count,
-              "INT8 span candidate count != queries * span length");
-
-    // Internal consistency on THIS backend: multi query 0 is the same
-    // query the single-query calls used, so its outputs must match.
-    g_case.stage = "multi-vs-single";
-    check(o.multi_counts[0] == o.scan_ptr.size(),
-          "multi scan count != single scan count (query 0)");
-    check(std::equal(o.scan_ptr.begin(), o.scan_ptr.end(),
-                     o.multi_scan.begin()),
-          "multi scan survivors != single scan survivors (query 0)");
-    if (span)
-        check(o.multi_bitmap[0] == o.bitmap[0] &&
-                  o.multi_bitmap[1] == o.bitmap[1],
-              "multi bitmap != single bitmap (query 0)");
-    check(o.multi_select_n[0] == o.select_n &&
-              o.multi_survivors[0] == o.select_survivors,
-          "multi select sizes != single select sizes (query 0)");
-    check(std::equal(
-              o.select.begin(), o.select.end(), o.multi_select.begin(),
-              [](const ScoredIndex &a, const ScoredIndex &b) {
-                  return a.index == b.index &&
-                         std::memcmp(&a.score, &b.score,
-                                     sizeof(float)) == 0;
-              }),
-          "multi select entries != single select entries (query 0)");
+    // The same rows split into spans at shuffled physical rows.
+    const SpanOutputs split_out =
+        runSpans(split_store, split, group, span, threshold, scale, k);
+    g_case.stage = "identity-vs-split";
+    for (size_t q = 0; q < group.nq; ++q)
+        queryEq(s, q, split_out, q, "split spans != identity span");
+    check(sum(split_out.scan_span) == s.scan_span[0] &&
+              split_out.select_span == split_out.scan_span &&
+              split_out.quant_span == split_out.scan_span,
+          "split span survivor totals disagree");
+    for (size_t si = 0; si < split.size(); ++si)
+        check(split_out.int8_cand[si] == group.nq * split[si].count,
+              "split INT8 candidates != queries * span length");
     return o;
 }
 
@@ -438,80 +451,64 @@ compareOutputs(const Outputs &ref, const Outputs &got)
 {
     g_case.stage = "cross-backend-compare";
     checkEq(ref.concordance, got.concordance, "concordance differs");
-    checkEq(ref.scan_ptr, got.scan_ptr, "survivor set differs");
-    check(ref.bitmap[0] == got.bitmap[0] && ref.bitmap[1] == got.bitmap[1],
-          "bitmap differs");
+    checkEq(ref.bitmap, got.bitmap, "bitmaps differ");
     checkEq(ref.dot_at, got.dot_at, "dotAt scores differ");
     checkEq(ref.dot_range, got.dot_range, "dotRange scores differ");
-    check(ref.select_n == got.select_n &&
-              ref.select_survivors == got.select_survivors,
-          "score-select sizes differ");
-    checkEq(ref.select, got.select, "score-select entries differ");
-    checkEq(ref.multi_counts, got.multi_counts, "multi counts differ");
-    checkEq(ref.multi_bitmap, got.multi_bitmap, "multi bitmaps differ");
-    checkEq(ref.multi_select_n, got.multi_select_n,
-            "multi score-select sizes differ");
-    checkEq(ref.multi_survivors, got.multi_survivors,
-            "multi survivor counts differ");
     checkEq(ref.sign_reduce, got.sign_reduce,
             "block sign-reduce signature differs");
     checkEq(ref.sign_reduce_q, got.sign_reduce_q,
             "query-rows sign-reduce signature differs");
-    checkEq(ref.quant_at, got.quant_at, "quant dotAt scores differ");
     checkEq(ref.quant_range, got.quant_range,
             "quant dotRange scores differ");
-    checkEq(ref.int8_at, got.int8_at, "int8 dotAt values differ");
     checkEq(ref.int8_range, got.int8_range, "int8 dotRange values differ");
-    check(ref.quant_select_n == got.quant_select_n &&
-              ref.quant_select_survivors == got.quant_select_survivors,
-          "quant score-select sizes differ");
-    checkEq(ref.quant_select, got.quant_select,
-            "quant score-select entries differ");
-    check(ref.int8_select_n == got.int8_select_n,
-          "int8 score-select sizes differ");
-    checkEq(ref.int8_select, got.int8_select,
-            "int8 score-select entries differ");
-    checkEq(ref.quant_mspan_n, got.quant_mspan_n,
-            "span-list quant select sizes differ");
-    checkEq(ref.quant_mspan_surv, got.quant_mspan_surv,
-            "span-list quant survivor counts differ");
-    checkEq(ref.int8_mspan_n, got.int8_mspan_n,
-            "span-list int8 select sizes differ");
-    checkEq(ref.int8_mspan_cand, got.int8_mspan_cand,
-            "span-list int8 candidate counts differ");
-    // Multi outputs are contracted per query up to counts[q] /
-    // out_sizes[q]; beyond that is scratch (the SIMD backends'
-    // branchless store-then-advance emission writes one slot past the
-    // live list), so only the valid prefixes are compared.
-    const size_t nq = ref.multi_counts.size();
-    const size_t stride = nq ? ref.multi_scan.size() / nq : 0;
-    const size_t out_stride = nq ? ref.multi_select.size() / nq : 0;
-    for (size_t q = 0; q < nq; ++q) {
-        check(std::equal(ref.multi_scan.begin() + q * stride,
-                         ref.multi_scan.begin() + q * stride +
-                             ref.multi_counts[q],
-                         got.multi_scan.begin() + q * stride),
-              "multi survivors differ");
-        check(std::equal(
-                  ref.multi_select.begin() + q * out_stride,
-                  ref.multi_select.begin() + q * out_stride +
-                      ref.multi_select_n[q],
-                  got.multi_select.begin() + q * out_stride,
-                  scoredEq),
-              "multi score-select entries differ");
-        check(std::equal(ref.quant_mspan.begin() + q * out_stride,
-                         ref.quant_mspan.begin() + q * out_stride +
-                             ref.quant_mspan_n[q],
-                         got.quant_mspan.begin() + q * out_stride,
-                         scoredEq),
-              "span-list quant select entries differ");
-        check(std::equal(ref.int8_mspan.begin() + q * out_stride,
-                         ref.int8_mspan.begin() + q * out_stride +
-                             ref.int8_mspan_n[q],
-                         got.int8_mspan.begin() + q * out_stride,
-                         scoredEq),
-              "span-list int8 select entries differ");
+    checkEq(ref.spans.scan_span, got.spans.scan_span,
+            "span survivor totals differ");
+    checkEq(ref.spans.int8_cand, got.spans.int8_cand,
+            "int8 candidate counts differ");
+    for (size_t q = 0; q < ref.spans.nq; ++q)
+        queryEq(ref.spans, q, got.spans, q,
+                "span driver outputs differ across backends");
+}
+
+/**
+ * The rows [begin, end) of `flat`, cut into up to five uneven spans
+ * and stored at shuffled physical positions with 0..3 unused rows
+ * before each (and after the last): the block-table shape a paged
+ * cache hands the drivers. `spans` receives the span list, in
+ * ascending logical order.
+ */
+Storage
+shuffledLayout(Input &in, const Matrix &flat, size_t begin, size_t end,
+               std::vector<ScanSpan> &spans)
+{
+    spans.clear();
+    for (size_t at = begin; at < end;) {
+        const size_t left = end - at;
+        const size_t take = spans.size() >= 4 ? left : in.range(1, left);
+        spans.push_back(ScanSpan{0, take, at});
+        at += take;
     }
+    std::vector<size_t> order(spans.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    for (size_t i = order.size(); i > 1; --i)
+        std::swap(order[i - 1], order[in.range(0, i - 1)]);
+    size_t rows = 0;
+    for (size_t i : order) {
+        rows += in.range(0, 3);
+        spans[i].physBegin = rows;
+        rows += spans[i].count;
+    }
+    rows += in.range(0, 3);
+
+    const size_t dim = flat.cols();
+    std::vector<float> data(rows * dim);
+    for (auto &v : data)
+        v = in.smallFloat(); // unused rows hold unrelated keys
+    Matrix keys(rows, dim, std::move(data));
+    for (const ScanSpan &sp : spans)
+        for (size_t r = 0; r < sp.count; ++r)
+            keys.setRow(sp.physBegin + r, flat.row(sp.logicalBase + r));
+    return Storage(std::move(keys));
 }
 
 void
@@ -526,9 +523,10 @@ runCase(const uint8_t *data, size_t size)
     const int threshold =
         static_cast<int>(in.range(0, dim + 2)) - 1;
     const size_t k = in.range(1, rows + 2); // k > 0 is a precondition
-    // Beyond kMaxScanQueries so the drivers' chunking is exercised.
+    // 2..17 queries: past kMaxScanQueries so the drivers' chunking is
+    // exercised, and every remainder a SIMD chunk can leave.
     const size_t num_queries =
-        in.range(1, longsight::kMaxScanQueries + 4);
+        in.range(2, longsight::kMaxScanQueries + 1);
     const float scale = in.smallFloat();
 
     g_case.dim = dim;
@@ -542,52 +540,28 @@ runCase(const uint8_t *data, size_t size)
     std::vector<float> key_data(rows * dim);
     for (auto &v : key_data)
         v = in.smallFloat();
-    Matrix keys(rows, dim, key_data);
-    SignMatrix signs(dim);
-    for (size_t r = 0; r < rows; ++r)
-        signs.appendRow(keys.row(r));
+    const Storage flat(Matrix(rows, dim, std::move(key_data)));
 
     std::vector<float> all_queries(num_queries * dim);
     for (auto &v : all_queries)
         v = in.smallFloat();
-    const size_t wpr = signs.wordsPerRow();
+    const size_t wpr = flat.signs.wordsPerRow();
     std::vector<uint64_t> all_qwords(num_queries * wpr);
     for (size_t q = 0; q < num_queries; ++q)
         longsight::packSigns(all_queries.data() + q * dim, dim,
                              all_qwords.data() + q * wpr);
-    SignBits query(all_queries.data(), dim);
-    std::vector<uint64_t> qwords(all_qwords.begin(),
-                                 all_qwords.begin() + wpr);
-
-    // INT8 arenas for the quantized-scoring stages: per-row symmetric
-    // key quantization (the KvCache::enableKeyQuantization scheme) and
-    // per-query quantization for the estimation kernels.
-    std::vector<int8_t> kq(rows * dim);
-    std::vector<float> kscales(rows ? rows : 1, 1.0f);
-    for (size_t r = 0; r < rows; ++r)
-        longsight::quantizeInt8Into(keys.row(r), dim, kq.data() + r * dim,
-                                    &kscales[r]);
+    // Per-query INT8 quantization for the estimation kernels.
     std::vector<int8_t> q8s(num_queries * dim);
     std::vector<float> q8_scales(num_queries, 1.0f);
     for (size_t q = 0; q < num_queries; ++q)
         longsight::quantizeInt8Into(all_queries.data() + q * dim, dim,
                                     q8s.data() + q * dim, &q8_scales[q]);
+    const Queries group{all_qwords.data(), all_queries.data(), q8s.data(),
+                        q8_scales.data(), num_queries};
 
-    // Identity-mapped span split of [begin, end) — up to three uneven
-    // pieces, so the span-list drivers' stitching is exercised while
-    // staying comparable to the flat drivers.
-    std::vector<longsight::ScanSpan> spans;
-    {
-        size_t at = begin;
-        while (at < end) {
-            const size_t left = end - at;
-            size_t take = spans.size() >= 2
-                ? left
-                : std::min(left, in.range(1, left));
-            spans.push_back(longsight::ScanSpan{at, take, at});
-            at += take;
-        }
-    }
+    std::vector<ScanSpan> split;
+    const Storage split_store =
+        shuffledLayout(in, flat.keys, begin, end, split);
 
     const KernelBackend prev = longsight::activeKernelBackend();
     Outputs ref;
@@ -595,10 +569,8 @@ runCase(const uint8_t *data, size_t size)
     for (KernelBackend b : availableBackends()) {
         g_case.backend = longsight::kernelBackendName(b);
         longsight::setKernelBackend(b);
-        Outputs got = runKernels(query, qwords, all_qwords, all_queries,
-                                 signs, keys, kq, kscales, q8s,
-                                 q8_scales, spans, begin, end, threshold,
-                                 scale, k, num_queries);
+        Outputs got = runKernels(flat, split_store, split, group, begin,
+                                 end, threshold, scale, k);
         if (!have_ref) {
             ref = std::move(got);
             have_ref = true;
@@ -700,7 +672,8 @@ main(int argc, char **argv)
     std::printf("\n");
     if (backends < 2)
         std::printf("note: only one backend available; checking "
-                    "internal (multi-vs-single, flavour) parity only\n");
+                    "internal (one-vs-group, identity-vs-split) parity "
+                    "only\n");
 
     const auto t0 = std::chrono::steady_clock::now();
     auto elapsed = [&] {

@@ -369,6 +369,18 @@ class GimpleParser:
             if m:
                 ff.writes.append(floc + (m.group(1), "captured"))
                 return False
+            m = re.match(r"^(\w+(?:\.\d+)?(?:_\d+)?)->", lhs)
+            if m:
+                # p->f = v is a store through p, like *p = v. GIMPLE
+                # loads a global pointer into a temporary before
+                # dereferencing it (g_ptr.0_1->x = 1), so a bare name
+                # here is a parameter or a local — even when a header
+                # split by interleaved dump output hid the parameter
+                # list. Only a loaded by-reference capture is shared.
+                if m.group(1) in taint:
+                    ff.writes.append(floc + (taint[m.group(1)],
+                                             "captured"))
+                return False
             base = re.split(r"\.|->|\[", lhs, 1)[0].strip()
             if (TEMP_RE.match(base)
                     or re.match(r"^(_\d+|D\.\d+|\w+\.\d+)", lhs)):

@@ -52,6 +52,14 @@ tuneThresholds(const AlgoEvaluator &eval, EvalConfig base,
     return tuner.tune(evaluate, eval.numHeads(), eval.headDim());
 }
 
+double
+secondsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+}
+
 std::string
 fmtTokens(uint64_t tokens)
 {

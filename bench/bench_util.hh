@@ -1,7 +1,8 @@
 /**
  * @file
  * Shared helpers for the figure-reproduction benches: threshold
- * tuning against an AlgoEvaluator corpus and scaled-context notes.
+ * tuning against an AlgoEvaluator corpus, scaled-context notes, the
+ * provenance stamp and the one wall-clock timer every bench uses.
  *
  * Scaling honesty (see DESIGN.md): quality benches run the full
  * algorithm at reduced context lengths chosen to finish in seconds on
@@ -14,6 +15,7 @@
 #ifndef LONGSIGHT_BENCH_BENCH_UTIL_HH
 #define LONGSIGHT_BENCH_BENCH_UTIL_HH
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -58,6 +60,9 @@ std::string benchMeta(const std::string &bench,
 std::optional<TuneResult>
 tuneThresholds(const AlgoEvaluator &eval, EvalConfig base,
                double ppl_budget_pct, int step, uint32_t max_iters);
+
+/** Wall-clock seconds elapsed since t0 (a steady_clock reading). */
+double secondsSince(std::chrono::steady_clock::time_point t0);
 
 /** "32K"-style human-readable token count. */
 std::string fmtTokens(uint64_t tokens);

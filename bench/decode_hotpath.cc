@@ -70,14 +70,6 @@ struct BenchShape
     LongSightConfig hybrid;
 };
 
-double
-seconds(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
 /** One decode step through the pre-fusion allocating pipeline. */
 void
 baselineStep(const BenchShape &sh, const Matrix &queries,
@@ -154,7 +146,7 @@ bestRate(size_t work, int reps, F &&fn)
         const auto t0 = std::chrono::steady_clock::now();
         for (size_t i = 0; i < inner; ++i)
             fn();
-        const double sec = seconds(t0);
+        const double sec = secondsSince(t0);
         if (r > 0)
             best = std::max(best,
                             static_cast<double>(inner * work) / sec);
@@ -340,7 +332,7 @@ run(const BenchShape &sh, const std::string &out_path)
         appendToken();
         baselineStep(sh, step_queries[step_at++], caches, base_out);
     }
-    const double base_sec = seconds(bt0);
+    const double base_sec = secondsSince(bt0);
     const AllocCounters base_alloc = allocSnapshot() - b0;
 
     // Fused phase (warmup settles every capacity and arena).
@@ -354,7 +346,7 @@ run(const BenchShape &sh, const std::string &out_path)
         appendToken();
         mh.computeInto(step_queries[step_at++], caches, fused);
     }
-    const double fused_sec = seconds(ft0);
+    const double fused_sec = secondsSince(ft0);
     const AllocCounters fused_alloc = allocSnapshot() - f0;
 
     // Scan-stage isolation: KV head 0's group at the final cache state.

@@ -315,10 +315,7 @@ bestKeysPerSec(size_t keys, int reps, F &&fn)
         const auto t0 = std::chrono::steady_clock::now();
         for (size_t i = 0; i < inner; ++i)
             fn();
-        const double sec =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
+        const double sec = secondsSince(t0);
         if (r == 0)
             continue; // warmup
         best = std::max(best,

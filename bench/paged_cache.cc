@@ -21,9 +21,9 @@
  *    cold blocks demote, and outputs are unchanged (tier moves are
  *    accounting only; the expander is compute-enabled).
  *
- * A trace section runs the continuous-batching scheduler with its
- * canAdmit gate wired to PartitionManager's block budget, the way a
- * paged serving stack admits against memory instead of request count.
+ * A trace section runs the serving engine over a BlockLedger backed
+ * by PartitionManager's device row budget, the way a paged serving
+ * stack admits against memory instead of request count.
  *
  * Run:  ./build/bench/paged_cache
  *       ./build/bench/paged_cache --steps 32 --out BENCH_paged.json
@@ -40,7 +40,7 @@
 #include "core/kv_cache.hh"
 #include "core/multi_head.hh"
 #include "drex/partition_manager.hh"
-#include "sim/batch_scheduler.hh"
+#include "sim/serving_engine.hh"
 #include "util/flags.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -53,14 +53,6 @@ constexpr uint32_t kDim = 64;
 constexpr uint32_t kKvHeads = 2;
 constexpr uint32_t kQHeads = 4;
 constexpr uint32_t kBlockTokens = 128;
-
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-}
 
 /** Section 1+3 payload: identity, step timings, residency counters. */
 struct IdentityResult
@@ -271,10 +263,10 @@ struct TraceResult
 };
 
 /**
- * Continuous batching with canAdmit wired to PartitionManager's block
- * budget: a job is admitted only when prompt + output budget fits the
- * free blocks, so peak residency is bounded by memory, not by a guess
- * at maxBatch.
+ * Monolithic-prefill serving over a device-backed BlockLedger: a
+ * request is admitted only when prompt + output budget fits the free
+ * blocks, so peak residency is bounded by memory, not by a guess at
+ * maxBatch.
  */
 TraceResult
 runTrace()
@@ -282,44 +274,37 @@ runTrace()
     TraceResult r;
     const DataLayout layout(DrexGeometry{}, LpddrTimings{}, 8, 32, 128);
     PartitionManager pm(layout, 8, 32);
-    r.blockBudget = pm.blockBudget(kBlockTokens);
+    BlockLedger ledger(pm, kBlockTokens);
+    r.blockBudget = ledger.budget();
 
-    // 24 long-context jobs: together they want ~3x the device budget.
-    std::vector<ServingJob> jobs;
+    // 24 long-context requests: together they want ~3x the budget.
+    std::vector<ServingRequest> trace(24);
     const uint64_t prompt =
         r.blockBudget * kBlockTokens / (8 * 8); // /heads, /8 co-resident
-    for (uint32_t i = 0; i < 24; ++i)
-        jobs.push_back({i, Tick(i) * kMillisecond, prompt, 64});
-    r.jobs = static_cast<uint32_t>(jobs.size());
+    for (uint32_t i = 0; i < trace.size(); ++i) {
+        trace[i].id = i;
+        trace[i].arrival = Tick(i) * kMillisecond;
+        trace[i].promptLen = prompt;
+        trace[i].outputTokens = 64;
+    }
+    r.jobs = static_cast<uint32_t>(trace.size());
 
-    uint64_t in_use = 0;
-    EngineModel e;
-    e.prefillTime = [](uint64_t p) {
-        return Tick(p / 1000 + 1) * kMillisecond;
+    ServingEngineConfig cfg;
+    cfg.maxBatch = 64; // memory, not the cap, should bind
+    cfg.prefillChunkTokens = 0;
+    ServingCostModel cost;
+    cost.prefillChunkTime = [](uint64_t chunk, uint64_t) {
+        return Tick(chunk / 1000 + 1) * kMillisecond;
     };
-    e.stepTime = [](const std::vector<uint64_t> &c) {
+    cost.decodeStepTime = [](const std::vector<uint64_t> &c) {
         return Tick(1 + c.size() / 8) * kMillisecond;
     };
-    e.maxBatch = 64; // memory, not the cap, should bind
-    e.canAdmit = [&](const ServingJob &j) {
-        if (pm.canAdmitBlocks(in_use, j.promptLen + j.outputTokens,
-                              kBlockTokens))
-            return true;
-        ++r.gateRejections;
-        return false;
-    };
-    e.onAdmit = [&](const ServingJob &j) {
-        in_use +=
-            pm.blocksForContext(j.promptLen + j.outputTokens, kBlockTokens);
-        r.peakBlocks = std::max(r.peakBlocks, in_use);
-    };
-    e.onRetire = [&](uint32_t id) {
-        in_use -= pm.blocksForContext(
-            jobs[id].promptLen + jobs[id].outputTokens, kBlockTokens);
-    };
-    const ScheduleResult sr = runBatchSchedule(jobs, e);
-    r.makespanSec = toSeconds(sr.makespan);
-    r.throughput = sr.throughputTokensPerSec;
+    const ServingEngineResult res =
+        ServingEngine(cfg, cost, &ledger).run(trace);
+    r.peakBlocks = res.peakBlocks;
+    r.gateRejections = res.gateHolds;
+    r.makespanSec = toSeconds(res.makespan);
+    r.throughput = res.throughputTokensPerSec;
     return r;
 }
 

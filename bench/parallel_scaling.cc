@@ -36,14 +36,6 @@
 namespace longsight {
 namespace {
 
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-}
-
 std::vector<uint64_t>
 parseList(const std::string &csv)
 {

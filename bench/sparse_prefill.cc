@@ -79,14 +79,6 @@ constexpr size_t kRecallK = 64;
 constexpr double kPplBudgetPct = 1.0;
 constexpr double kSpeedupTarget = 2.0;
 
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-}
-
 /** One synthetic KV head's prompt stream (self-query convention). */
 struct HeadStream
 {

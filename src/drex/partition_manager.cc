@@ -69,15 +69,6 @@ PartitionManager::blocksForContext(uint64_t context_len,
     return per_head * numKvHeads_;
 }
 
-bool
-PartitionManager::canAdmitBlocks(uint64_t blocks_in_use,
-                                 uint64_t context_len,
-                                 uint32_t block_tokens) const
-{
-    return blocks_in_use + blocksForContext(context_len, block_tokens) <=
-        blockBudget(block_tokens);
-}
-
 uint32_t
 PartitionManager::maxUsersExact(uint64_t context_len) const
 {

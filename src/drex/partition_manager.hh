@@ -81,13 +81,13 @@ class PartitionManager
     /** Whether a new user at this context could be admitted now. */
     bool canAdmit(uint64_t context_len) const;
 
-    // Block-granular admission (paged KV cache). The slot machinery
+    // Block-granular accounting (paged KV cache). The slot machinery
     // above carves DReX rows into 131K-token slices; a paged serving
     // stack instead reasons in KvBlockPool blocks of block_tokens
     // tokens each. These helpers translate the same row budget into
-    // that currency so the batch scheduler's admission gate can ask
-    // "do prompt + output fit the remaining blocks?" rather than
-    // capping concurrent request count.
+    // that currency; a device-backed BlockLedger (below) admits
+    // against it, asking "do prompt + output fit the remaining
+    // blocks?" rather than capping concurrent request count.
 
     /** Total device capacity in KV blocks of block_tokens tokens. */
     uint64_t blockBudget(uint32_t block_tokens) const;
@@ -96,10 +96,6 @@ class PartitionManager
      *  (each head pages its tokens independently). */
     uint64_t blocksForContext(uint64_t context_len,
                               uint32_t block_tokens) const;
-
-    /** Whether a context fits beside blocks_in_use allocated blocks. */
-    bool canAdmitBlocks(uint64_t blocks_in_use, uint64_t context_len,
-                        uint32_t block_tokens) const;
 
     /**
      * Exact admission capacity: how many users of this context fit in
@@ -136,13 +132,12 @@ class PartitionManager
 
 /**
  * Running block-budget account over a fixed budget: the admission
- * currency the serving engine reserves against. PR 6's paged bench
- * tracked in-use blocks by hand next to its canAdmit lambda; this
- * class owns that arithmetic — reserve on admit, release on retire or
- * preemption — and keeps the peak on record so benches can assert the
- * budget was never exceeded. Construct from a PartitionManager to use
- * the device's real row budget and per-head paging, or standalone for
- * unit tests.
+ * currency the serving engine reserves against. It owns the in-use
+ * arithmetic — reserve on admit, release on retire or preemption —
+ * and keeps the peak on record so benches can assert the budget was
+ * never exceeded. Construct from a PartitionManager to use the
+ * device's real row budget and per-head paging (bench/paged_cache
+ * does), or standalone for unit tests.
  *
  * Thread safety: the running account (inUse_, peak_) is guarded by an
  * internal mutex, so concurrent serving lanes can reserve/release

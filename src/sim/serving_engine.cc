@@ -47,6 +47,13 @@ struct Resident
     {
         return prefilled >= req.promptLen && !needsRestore;
     }
+
+    /** Prompt resident and output budget spent; a zero-output
+     *  (prefill-only) request is done the moment its prompt is. */
+    bool finished() const
+    {
+        return runnable() && generated >= req.outputTokens;
+    }
 };
 
 } // namespace
@@ -129,17 +136,6 @@ ServingEngine::run(std::vector<ServingRequest> trace)
     LS_DETERMINISTIC();
     LS_ASSERT(!ledger_ || ledger_->inUse() == 0,
               "ledger carries reservations from a previous run");
-    for (const ServingRequest &r : trace) {
-        LS_ASSERT(r.outputTokens > 0, "request ", r.id,
-                  " has no output budget");
-        LS_ASSERT(!ledger_ ||
-                      ledger_->privateBlocksFor(
-                          r.promptLen + r.outputTokens,
-                          std::min(r.sharedPrefixTokens, r.promptLen)) <=
-                          ledger_->budget(),
-                  "request ", r.id, " cannot fit the block budget even "
-                  "alone; the budget is misconfigured");
-    }
     std::sort(trace.begin(), trace.end(),
               [](const ServingRequest &a, const ServingRequest &b) {
                   return a.arrival < b.arrival ||
@@ -148,6 +144,23 @@ ServingEngine::run(std::vector<ServingRequest> trace)
 
     ServingEngineResult result(cfg_.slo);
     result.blockBudget = ledger_ ? ledger_->budget() : 0;
+
+    // A request that cannot fit even an empty ledger would hold its
+    // queue forever: reject it before the loop, with a reason.
+    if (ledger_) {
+        std::erase_if(trace, [&](const ServingRequest &r) {
+            const uint64_t need = ledger_->privateBlocksFor(
+                r.promptLen + r.outputTokens,
+                std::min(r.sharedPrefixTokens, r.promptLen));
+            if (need <= ledger_->budget())
+                return false;
+            result.rejected.push_back(
+                {r.id, "needs " + std::to_string(need) +
+                           " KV blocks; the whole budget is " +
+                           std::to_string(ledger_->budget())});
+            return true;
+        });
+    }
 
     // waiting[1] = Interactive, waiting[0] = Batch; strict priority,
     // FIFO within a class, preempted requests resume from the front.
@@ -175,9 +188,26 @@ ServingEngine::run(std::vector<ServingRequest> trace)
         }
     };
 
+    // Leave: release the request's blocks and record its metrics.
+    const auto retire = [&](const Resident &job) {
+        if (ledger_)
+            ledger_->release(job.reservedTokens(), job.sharedPrefix());
+        RequestMetrics m;
+        m.id = job.req.id;
+        m.priority = job.req.priority;
+        m.ttft = job.generated ? job.firstTokenAt - job.req.arrival : 0;
+        m.completion = now;
+        m.tokens = job.generated;
+        m.maxTbtMs = job.maxTbtMs;
+        m.preemptions = job.preemptions;
+        result.requests.push_back(m);
+    };
+
     // Admit the head of one class if a slot and the block budget
     // allow. Admission itself charges no time: the admitted request's
-    // prefill is paid chunk by chunk in subsequent steps.
+    // prefill is paid chunk by chunk in subsequent steps. A
+    // prefill-only request whose prompt is already resident has
+    // nothing to run, so it leaves at admission.
     const auto try_admit = [&](int cls) {
         if (waiting[cls].empty() || active.size() >= cfg_.maxBatch)
             return false;
@@ -197,7 +227,10 @@ ServingEngine::run(std::vector<ServingRequest> trace)
                 std::max(result.peakBlocks, ledger_->inUse());
         }
         head.seq = admit_seq++;
-        active.push_back(head);
+        if (head.finished())
+            retire(head);
+        else
+            active.push_back(head);
         waiting[cls].pop_front();
         result.peakActive = std::max(
             result.peakActive, static_cast<uint32_t>(active.size()));
@@ -269,6 +302,9 @@ ServingEngine::run(std::vector<ServingRequest> trace)
                 continue;
             break;
         }
+        // Everything admitted left at admission: nothing to step.
+        if (active.empty())
+            continue;
 
         // Snapshot this step's decoders BEFORE prefill work: a
         // request whose last chunk lands this step joins the batch
@@ -338,22 +374,12 @@ ServingEngine::run(std::vector<ServingRequest> trace)
             ++result.totalTokens;
         }
 
-        // Per-step leave: spent requests release their blocks and
-        // free their slots before the next admission pass.
+        // Per-step leave: spent requests (and prefill-only ones whose
+        // last chunk just landed) release their blocks and free their
+        // slots before the next admission pass.
         for (auto it = active.begin(); it != active.end();) {
-            if (it->generated >= it->req.outputTokens) {
-                if (ledger_)
-                    ledger_->release(it->reservedTokens(),
-                                     it->sharedPrefix());
-                RequestMetrics m;
-                m.id = it->req.id;
-                m.priority = it->req.priority;
-                m.ttft = it->firstTokenAt - it->req.arrival;
-                m.completion = now;
-                m.tokens = it->generated;
-                m.maxTbtMs = it->maxTbtMs;
-                m.preemptions = it->preemptions;
-                result.requests.push_back(m);
+            if (it->finished()) {
+                retire(*it);
                 it = active.erase(it);
             } else {
                 ++it;

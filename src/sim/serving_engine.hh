@@ -1,14 +1,14 @@
 /**
  * @file
- * SLO-aware continuous-batching serving engine: the promotion of the
- * batch-scheduler / SLO-sim scaffolding into the serving layer the
- * north star means by "heavy traffic from millions of users". The
- * engine owns four policies the plain scheduler lacked:
+ * SLO-aware continuous-batching serving engine: the repo's one
+ * arrival-to-completion serving loop, which every bench, example and
+ * test that serves arrivals over time drives. It owns four policies:
  *
- *  1. *Admission control* against a KV block budget (the PR 6
- *     canAdmit gate, now a BlockLedger): a request joins only when
- *     prompt + output budget fit the free pool, so peak memory is
- *     bounded by capacity, not by a guess at a request cap.
+ *  1. *Admission control* against a KV block budget (a BlockLedger):
+ *     a request joins only when prompt + output budget fit the free
+ *     pool, so peak memory is bounded by capacity, not by a guess at
+ *     a request cap. A request that cannot fit even an empty ledger
+ *     is rejected up front with a reason, never aborted on.
  *
  *  2. *Continuous batching with per-step join/leave*: requests join
  *     the running batch the step after their prefill completes and
@@ -43,6 +43,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "drex/partition_manager.hh"
@@ -64,8 +65,10 @@ struct ServingEngineConfig
     /**
      * Prefill chunk quantum (tokens). One chunk is processed per
      * engine step, fused with the decode iteration. 0 disables
-     * chunking (a prompt prefills monolithically in one step —
-     * the pre-engine scheduler's behaviour, kept for comparison).
+     * chunking: a prompt prefills monolithically in one step, so the
+     * prefill callback sees the whole prompt as one chunk (a
+     * serialized-prefill schedule, or free prefill for contexts that
+     * are already resident).
      */
     uint32_t prefillChunkTokens = 2048;
 
@@ -140,7 +143,9 @@ struct RequestMetrics
 {
     uint32_t id = 0;
     Priority priority = Priority::Batch;
-    Tick ttft = 0;        //!< arrival -> first generated token
+    /** Arrival -> first generated token; 0 for a prefill-only
+     *  (zero-output) request, which never emits one. */
+    Tick ttft = 0;
     Tick completion = 0;  //!< absolute finish time
     uint32_t tokens = 0;  //!< generated tokens
     double maxTbtMs = 0.0; //!< worst streaming gap
@@ -149,13 +154,25 @@ struct RequestMetrics
 };
 
 /**
- * Aggregate outcome of serving one trace.
+ * A request the engine refused to serve, and why.
+ */
+struct RejectedRequest
+{
+    uint32_t id = 0;
+    std::string reason;
+};
+
+/**
+ * Aggregate outcome of serving one trace. Every trace request lands in
+ * exactly one of `requests` or `rejected`; throughput, goodput and
+ * attainment count served requests only.
  */
 struct ServingEngineResult
 {
     explicit ServingEngineResult(const SloTargets &slo);
 
     std::vector<RequestMetrics> requests; //!< completion order
+    std::vector<RejectedRequest> rejected; //!< arrival order
     Tick makespan = 0;
     uint64_t totalTokens = 0;
     double throughputTokensPerSec = 0.0;
@@ -202,7 +219,14 @@ class ServingEngine
                   const ServingCostModel &cost,
                   BlockLedger *ledger = nullptr);
 
-    /** Serve the trace to completion; deterministic in its inputs. */
+    /**
+     * Serve the trace to completion; deterministic in its inputs. A
+     * request whose private blocks exceed the whole ledger budget is
+     * rejected before the loop. A zero-output request is prefill-only:
+     * it pays its prefill chunks and leaves the step its prompt is
+     * resident (at admission if the prompt is fully shared), never
+     * decoding.
+     */
     ServingEngineResult run(std::vector<ServingRequest> trace);
 
   private:

@@ -99,12 +99,12 @@ baselineStep(const BenchShape &sh, const Matrix &queries,
             std::vector<uint32_t> survivors(region.count);
             size_t count = 0;
             batchScanMultiSpans(qs.words().data(), 1,
-                                cache.filterSignsAll(), &region, 1,
+                                cache.filterSignsStorage(), &region, 1,
                                 sh.threshold, survivors.data(),
                                 survivors.size(), &count);
             survivors.resize(count);
             const auto scores =
-                attentionScoresAt(q, cache.keys(), survivors, scale);
+                attentionScoresAt(q, cache.keysStorage(), survivors, scale);
             const auto sel =
                 topkSelect(scores, survivors, sh.hybrid.topK);
             for (const auto &e : sel)
@@ -115,8 +115,8 @@ baselineStep(const BenchShape &sh, const Matrix &queries,
         std::sort(attended.begin(), attended.end());
         if (attended.empty())
             attended.push_back(static_cast<uint32_t>(n - 1));
-        const auto r = subsetAttention(q, cache.keys(),
-                                       cache.values(), attended, scale);
+        const auto r = subsetAttention(q, cache.keysStorage(),
+                                       cache.valuesStorage(), attended, scale);
         out.setRow(qh, r.output.data());
     });
 }
@@ -176,7 +176,7 @@ groupedScanComparison(const BenchShape &sh, const Matrix &queries,
         return gn; // context too small for a meaningful sparse region
     gn.keys = win_start - sinks;
 
-    const SignMatrix &signs = cache.filterSignsAll();
+    const SignMatrix &signs = cache.filterSignsStorage();
     const size_t wpr = signs.wordsPerRow();
     const ScanSpan region{sinks, gn.keys, sinks};
     std::vector<float> qf(sh.dim);
@@ -223,7 +223,7 @@ groupedScanComparison(const BenchShape &sh, const Matrix &queries,
         for (uint32_t g = 0; g < group; ++g)
             batchScoreSelectMultiSpans(
                 qw.data() + g * wpr, 1, signs, &region, 1, sh.threshold,
-                queries.row(g), queries.cols(), cache.keys(), scale,
+                queries.row(g), queries.cols(), cache.keysStorage(), scale,
                 sh.hybrid.topK, sel_single.data() + g * kcap, kcap,
                 &nsel_single[g]);
     });
@@ -232,7 +232,7 @@ groupedScanComparison(const BenchShape &sh, const Matrix &queries,
     gn.fusedGrouped = bestRate(work, reps, [&] {
         batchScoreSelectMultiSpans(qw.data(), group, signs, &region, 1,
                                    sh.threshold, queries.row(0),
-                                   queries.cols(), cache.keys(), scale,
+                                   queries.cols(), cache.keysStorage(), scale,
                                    sh.hybrid.topK, sel_multi.data(), kcap,
                                    nsel_multi.data());
     });

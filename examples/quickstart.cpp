@@ -39,7 +39,7 @@ main()
     cache.appendAll(workload.keys(), workload.values());
     Matrix train(1024, kDim);
     for (size_t i = 0; i < 896; ++i)
-        train.setRow(i, cache.keys().row(i * kContext / 896));
+        train.setRow(i, cache.keysStorage().row(i * kContext / 896));
     for (size_t i = 0; i < 128; ++i) {
         const auto q = workload.drawQuery();
         train.setRow(896 + i, q.data());
@@ -71,8 +71,8 @@ main()
             const auto q = probe.drawQuery();
             const auto hybrid = attn.computeHead(q, cache, 0);
             LongSightAttn::recordStats(hybrid, fs);
-            const auto dense = denseAttention(q.data(), cache.keys(),
-                                              cache.values(), scale);
+            const auto dense = denseAttention(q.data(), cache.keysStorage(),
+                                              cache.valuesStorage(), scale);
             double mass = 0.0;
             for (uint32_t idx : hybrid.attended)
                 mass += dense.probs[idx];

@@ -108,18 +108,13 @@ denseAttentionInto(const float *q, const KvCache &cache, float scale,
     LS_HOT_PATH();
     LS_DETERMINISTIC();
     LS_NO_LOCK();
-    if (!cache.paged()) {
-        denseAttentionInto(q, cache.keys(), cache.values(), scale, probs,
-                           out);
-        return;
-    }
     const size_t n = cache.size();
     const Matrix &keys = cache.keysStorage();
     const Matrix &values = cache.valuesStorage();
-    // Score and accumulate span by span in ascending logical order:
-    // each token's dot and its probs-weighted add happen in exactly
-    // the sequence the contiguous path uses, so the result is
-    // bit-identical for any block size.
+    // Score and accumulate span by span in ascending logical order (a
+    // flat cache is one identity span): each token's dot and its
+    // probs-weighted add happen in exactly the sequence the Matrix
+    // form uses, so the result is bit-identical for any block size.
     for (size_t at = 0; at < n;) {
         const ScanSpan sp = cache.spanAt(at, n);
         batchDotScaleRange(q, keys, sp.physBegin, sp.physBegin + sp.count,
@@ -149,17 +144,12 @@ subsetAttentionInto(const float *q, const KvCache &cache,
     LS_HOT_PATH();
     LS_DETERMINISTIC();
     LS_NO_LOCK();
-    if (!cache.paged()) {
-        subsetAttentionInto(q, cache.keys(), cache.values(), indices,
-                            count, scale, probs, out);
-        return;
-    }
     const Matrix &keys = cache.keysStorage();
     const Matrix &values = cache.valuesStorage();
-    // Logical -> physical translation through a bounded stack chunk
-    // keeps the gather path allocation-free; scores, softmax and the
-    // weighted sum all run in the caller's index order regardless of
-    // where the chunk boundaries fall.
+    // Logical -> physical translation (the identity when flat) through
+    // a bounded stack chunk keeps the gather path allocation-free;
+    // scores, softmax and the weighted sum all run in the caller's
+    // index order regardless of where the chunk boundaries fall.
     constexpr size_t kChunk = 512;
     uint32_t phys[kChunk];
     for (size_t at = 0; at < count; at += kChunk) {

@@ -87,10 +87,10 @@ void weightedValueSumInto(const Matrix &values, const uint32_t *indices,
                           size_t count, const float *probs, float *out);
 
 // Cache-aware flavours: identical math against a KvCache in either
-// storage mode. Flat caches delegate to the Matrix forms above; paged
-// caches walk the block table span by span (dense) or translate
-// logical token ids to physical rows in bounded stack chunks (subset),
-// so both stay allocation-free and bit-identical to the flat layout.
+// storage mode. Both walk the cache's row map — span by span (dense)
+// or translating logical token ids to physical rows in bounded stack
+// chunks (subset) — where a flat cache is one identity span, so both
+// stay allocation-free and bit-identical to the Matrix forms above.
 
 /**
  * denseAttentionInto over tokens [0, cache.size()): probs must hold

@@ -8,20 +8,137 @@
 
 namespace longsight {
 
+KvRows::KvRows(uint32_t head_dim, size_t rows)
+    : headDim_(head_dim), keys_(rows, head_dim), values_(rows, head_dim),
+      rawSigns_(head_dim), rotatedSigns_(head_dim)
+{
+    LS_ASSERT(head_dim > 0, "KvRows head dim must be positive");
+    rawSigns_.resizeRows(rows);
+}
+
+void
+KvRows::reserve(size_t n)
+{
+    reserved_ = std::max(reserved_, n);
+    keys_.reserveRows(n);
+    values_.reserveRows(n);
+    rawSigns_.reserveRows(n);
+    if (rotated_)
+        rotatedSigns_.reserveRows(n);
+    if (quantized_) {
+        quantData_.reserve(n * headDim_);
+        quantScales_.reserve(n);
+    }
+}
+
+void
+KvRows::ensureRotated()
+{
+    if (rotated_)
+        return;
+    rotated_ = true;
+    rotatedSigns_.reserveRows(std::max(reserved_, rows()));
+    rotatedSigns_.resizeRows(rows());
+}
+
+void
+KvRows::ensureQuantized()
+{
+    if (quantized_)
+        return;
+    quantized_ = true;
+    const size_t ceiling = std::max(reserved_, rows());
+    quantData_.reserve(ceiling * headDim_);
+    quantScales_.reserve(ceiling);
+    quantData_.assign(rows() * headDim_, 0);
+    quantScales_.assign(rows(), 1.0f);
+}
+
+void
+KvRows::writeToken(size_t row, const float *key, const float *value,
+                   const float *rotated_key)
+{
+    LS_HOT_PATH();
+    LS_DETERMINISTIC();
+    LS_NO_LOCK();
+    if (row == rows()) {
+        // Growth goes through the amortized appends; reserve()
+        // preallocates.
+        keys_.appendRow(key);
+        values_.appendRow(value);
+        rawSigns_.appendRow(key);
+        if (rotated_) {
+            LS_ASSERT(rotated_key, "new rotated-sign row needs a key");
+            rotatedSigns_.appendRow(rotated_key);
+        }
+        if (quantized_) {
+            // LS_LINT_ALLOW(alloc): amortized growth; reserve() preallocates
+            quantData_.resize(quantData_.size() + headDim_);
+            // LS_LINT_ALLOW(alloc): amortized growth; reserve() preallocates
+            quantScales_.push_back(0.0f);
+        }
+    } else {
+        keys_.setRow(row, key);
+        values_.setRow(row, value);
+        rawSigns_.setRow(row, key);
+        if (rotated_key)
+            rotatedSigns_.setRow(row, rotated_key);
+    }
+    if (quantized_)
+        writeQuantized(row, key);
+}
+
+void
+KvRows::writeRotatedSigns(size_t row, const float *rotated_key)
+{
+    LS_HOT_PATH();
+    LS_DETERMINISTIC();
+    LS_NO_LOCK();
+    rotatedSigns_.setRow(row, rotated_key);
+}
+
+void
+KvRows::writeQuantized(size_t row, const float *key)
+{
+    LS_HOT_PATH();
+    LS_DETERMINISTIC();
+    LS_NO_LOCK();
+    LS_ASSERT(quantized_, "writeQuantized before ensureQuantized");
+    quantizeInt8Into(key, headDim_, quantData_.data() + row * headDim_,
+                     quantScales_.data() + row);
+}
+
+void
+KvRows::copyRows(size_t src, size_t dst, size_t count)
+{
+    std::copy_n(keys_.row(src), count * headDim_, keys_.row(dst));
+    std::copy_n(values_.row(src), count * headDim_, values_.row(dst));
+    const size_t wpr = rawSigns_.wordsPerRow();
+    std::copy_n(rawSigns_.data() + src * wpr, count * wpr,
+                rawSigns_.data() + dst * wpr);
+    if (rotated_)
+        std::copy_n(rotatedSigns_.data() + src * wpr, count * wpr,
+                    rotatedSigns_.data() + dst * wpr);
+    if (quantized_) {
+        std::copy_n(quantData_.data() + src * headDim_, count * headDim_,
+                    quantData_.data() + dst * headDim_);
+        std::copy_n(quantScales_.data() + src, count,
+                    quantScales_.data() + dst);
+    }
+}
+
 KvBlockPool::KvBlockPool(uint32_t head_dim, uint32_t block_tokens,
                          uint32_t num_blocks, uint32_t hbm_budget_blocks)
     : headDim_(head_dim), blockTokens_(block_tokens),
       numBlocks_(num_blocks), hbmBudget_(hbm_budget_blocks),
-      keys_(size_t{num_blocks} * block_tokens, head_dim),
-      values_(size_t{num_blocks} * block_tokens, head_dim),
-      rawSigns_(head_dim), rotatedSigns_(head_dim)
+      rows_(head_dim, size_t{num_blocks} * block_tokens)
 {
-    LS_ASSERT(head_dim > 0, "KvBlockPool head dim must be positive");
     LS_ASSERT(block_tokens > 0, "KvBlockPool block size must be positive");
     LS_ASSERT(num_blocks > 0, "KvBlockPool needs at least one block");
-    const size_t rows = size_t{num_blocks} * block_tokens;
-    rawSigns_.resizeRows(rows);
-    rotatedSigns_.resizeRows(rows);
+    // Eager, unlike a flat cache's: DecodePipeline::maybeTrainItq
+    // installs rotations on many caches of one pool in parallel, so a
+    // lazily built shared arena would race.
+    rows_.ensureRotated();
     refs_.assign(num_blocks, 0);
     tier_.assign(num_blocks, static_cast<uint8_t>(Tier::Expander));
     scanned_ = std::make_unique<std::atomic<uint64_t>[]>(num_blocks);
@@ -57,64 +174,6 @@ KvBlockPool::occupancy() const
 {
     return static_cast<double>(usedBlocks()) /
            static_cast<double>(numBlocks_);
-}
-
-void
-KvBlockPool::writeToken(size_t phys_row, const float *key,
-                        const float *value)
-{
-    LS_HOT_PATH();
-    LS_DETERMINISTIC();
-    LS_NO_LOCK();
-    keys_.setRow(phys_row, key);
-    values_.setRow(phys_row, value);
-    rawSigns_.setRow(phys_row, key);
-}
-
-void
-KvBlockPool::writeRotatedSigns(size_t phys_row, const float *rotated_key)
-{
-    LS_HOT_PATH();
-    LS_DETERMINISTIC();
-    LS_NO_LOCK();
-    rotatedSigns_.setRow(phys_row, rotated_key);
-}
-
-void
-KvBlockPool::writeQuantized(size_t phys_row, const float *key)
-{
-    LS_HOT_PATH();
-    LS_DETERMINISTIC();
-    LS_NO_LOCK();
-    LS_ASSERT(!quantScales_.empty(),
-              "writeQuantized before ensureQuantized");
-    quantizeInt8Into(key, headDim_, quantData_.data() + phys_row * headDim_,
-                     quantScales_.data() + phys_row);
-}
-
-void
-KvBlockPool::ensureQuantized()
-{
-    if (!quantScales_.empty())
-        return;
-    const size_t rows = size_t{numBlocks_} * blockTokens_;
-    quantData_.assign(rows * headDim_, 0);
-    quantScales_.assign(rows, 1.0f);
-}
-
-const int8_t *
-KvBlockPool::quantizedRow(size_t phys_row) const
-{
-    LS_ASSERT(!quantScales_.empty(), "quantized arena not allocated");
-    return quantData_.data() + phys_row * headDim_;
-}
-
-float
-KvBlockPool::quantizedScale(size_t phys_row) const
-{
-    LS_ASSERT(phys_row < quantScales_.size(),
-              "quantizedScale row out of range");
-    return quantScales_[phys_row];
 }
 
 uint32_t
@@ -166,32 +225,8 @@ KvBlockPool::copyBlock(uint32_t src, uint32_t dst)
 {
     LS_ASSERT(src < numBlocks_ && dst < numBlocks_ && src != dst,
               "copyBlock bad pair ", src, " -> ", dst);
-    const size_t srow = size_t{src} * blockTokens_;
-    const size_t drow = size_t{dst} * blockTokens_;
-    for (size_t o = 0; o < blockTokens_; ++o) {
-        keys_.setRow(drow + o, keys_.row(srow + o));
-        values_.setRow(drow + o, values_.row(srow + o));
-    }
-    const size_t wpr = rawSigns_.wordsPerRow();
-    for (size_t o = 0; o < blockTokens_; ++o) {
-        uint64_t *rd = rawSigns_.data() + (drow + o) * wpr;
-        const uint64_t *rs = rawSigns_.data() + (srow + o) * wpr;
-        for (size_t w = 0; w < wpr; ++w)
-            rd[w] = rs[w];
-        uint64_t *td = rotatedSigns_.data() + (drow + o) * wpr;
-        const uint64_t *ts = rotatedSigns_.data() + (srow + o) * wpr;
-        for (size_t w = 0; w < wpr; ++w)
-            td[w] = ts[w];
-    }
-    if (!quantScales_.empty()) {
-        for (size_t o = 0; o < blockTokens_; ++o) {
-            const int8_t *qs = quantData_.data() + (srow + o) * headDim_;
-            int8_t *qd = quantData_.data() + (drow + o) * headDim_;
-            for (size_t i = 0; i < headDim_; ++i)
-                qd[i] = qs[i];
-            quantScales_[drow + o] = quantScales_[srow + o];
-        }
-    }
+    rows_.copyRows(size_t{src} * blockTokens_, size_t{dst} * blockTokens_,
+                   blockTokens_);
 }
 
 void

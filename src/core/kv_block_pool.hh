@@ -1,12 +1,13 @@
 /**
  * @file
- * KvBlockPool — the shared paged arena behind every paged KvCache.
- * §4's "vector database" framing makes the KV cache an indexed store
- * of Key/Value Objects; this pool is its physical layer: a fixed
- * budget of block-granular slots (keys, values, packed sign rows,
- * INT8 key rows all block-granular in one preallocated arena each),
- * a free-list allocator, per-block reference counts for
- * copy-on-write prefix sharing, and a two-tier residency model.
+ * KvRows and KvBlockPool — the physical layer of the KV cache. §4's
+ * "vector database" framing makes the KV cache an indexed store of
+ * Key/Value Objects. KvRows is that store's row layout: keys, values,
+ * packed raw/rotated sign rows and INT8 keys, one row per token, the
+ * same for every cache. KvBlockPool is the shared paged arena: one
+ * KvRows sized for a fixed budget of block-granular slots, a free-list
+ * allocator, per-block reference counts for copy-on-write prefix
+ * sharing, and a two-tier residency model.
  *
  * Residency is an *accounting* layer, not a placement constraint:
  * DReX's expander tier is compute-enabled (the PFU scans wherever the
@@ -54,13 +55,88 @@ enum class Tier : uint8_t
 inline constexpr uint32_t kInvalidBlock = UINT32_MAX;
 
 /**
+ * Per-token row stores: keys, values, packed raw and ITQ-rotated sign
+ * rows, and INT8 keys with one scale each. Row r of every store
+ * belongs to the same token. A KvBlockPool holds one sized for its
+ * whole budget and overwrites rows in place; a flat KvCache owns one
+ * that grows by a row per append. The rotated-sign and INT8 stores
+ * are allocated on demand (ensureRotated / ensureQuantized) for every
+ * existing row and kept in step from then on.
+ */
+class KvRows
+{
+  public:
+    /** `rows` zeroed rows of keys, values and raw signs. */
+    explicit KvRows(uint32_t head_dim, size_t rows = 0);
+
+    size_t rows() const { return keys_.rows(); }
+
+    const Matrix &keys() const { return keys_; }
+    const Matrix &values() const { return values_; }
+    const SignMatrix &rawSigns() const { return rawSigns_; }
+    const SignMatrix &rotatedSigns() const { return rotatedSigns_; }
+
+    /** INT8 store base pointers for the batch kernels: head_dim int8s
+     *  and one scale per row, row-major; valid once ensureQuantized()
+     *  ran. */
+    const int8_t *quantizedData() const { return quantData_.data(); }
+    const float *quantizedScales() const { return quantScales_.data(); }
+
+    /**
+     * Reserve capacity for n rows in every store, including the ones
+     * ensureRotated() / ensureQuantized() allocate later, so writes
+     * that grow the store up to n rows perform no heap allocation.
+     */
+    void reserve(size_t n);
+
+    /** Allocate the rotated-sign rows (cold; idempotent). */
+    void ensureRotated();
+
+    /** Allocate the INT8 store (cold; idempotent). */
+    void ensureQuantized();
+
+    /**
+     * Store one token at `row`: key, value and raw-sign rows, the INT8
+     * key once ensureQuantized() ran, and the rotated-sign row when
+     * rotated_key is given (required once ensureRotated() ran and
+     * `row` is new). `row == rows()` grows every store by one row (a
+     * flat cache's amortized append); a lower row is overwritten in
+     * place. No locking: the writer has exclusive access to the row.
+     */
+    void writeToken(size_t row, const float *key, const float *value,
+                    const float *rotated_key);
+
+    /** Overwrite the rotated-sign row (ITQ install). */
+    void writeRotatedSigns(size_t row, const float *rotated_key);
+
+    /** Quantize a key into the INT8 row (after ensureQuantized()). */
+    void writeQuantized(size_t row, const float *key);
+
+    /** Copy rows [src, src + count) of every store onto [dst, dst +
+     *  count); the two ranges must not overlap. */
+    void copyRows(size_t src, size_t dst, size_t count);
+
+  private:
+    uint32_t headDim_;
+    size_t reserved_ = 0; //!< reserve() ceiling for late stores
+    Matrix keys_;
+    Matrix values_;
+    SignMatrix rawSigns_;
+    SignMatrix rotatedSigns_;
+    bool rotated_ = false;   //!< rotated-sign rows allocated
+    bool quantized_ = false; //!< INT8 store allocated
+    std::vector<int8_t> quantData_;
+    std::vector<float> quantScales_;
+};
+
+/**
  * Fixed-budget arena of KV blocks shared by many KvCaches.
  *
- * Every backing store (keys, values, raw signs, rotated signs,
- * quantized keys) is sized once at construction — physical row
- * `b * blockTokens() + o` of each store belongs to block b. Nothing
- * reallocates after construction, so row pointers are stable and the
- * decode hot path stays allocation-free.
+ * One KvRows holds every block's rows — physical row
+ * `b * blockTokens() + o` belongs to block b. It is sized once at
+ * construction, rotated signs included (the INT8 store follows on the
+ * first ensureQuantized()), so row pointers are stable and the decode
+ * hot path stays allocation-free.
  */
 class KvBlockPool
 {
@@ -86,35 +162,10 @@ class KvBlockPool
     /** usedBlocks() / numBlocks(). */
     double occupancy() const;
 
-    // ---- Backing stores (physical row = block * blockTokens + off) --
-    const Matrix &keys() const { return keys_; }
-    const Matrix &values() const { return values_; }
-    const SignMatrix &rawSigns() const { return rawSigns_; }
-    const SignMatrix &rotatedSigns() const { return rotatedSigns_; }
-
-    /** Write one token's key/value/raw-sign rows (no locking: the
-     *  owning cache has exclusive write access to its blocks). */
-    void writeToken(size_t phys_row, const float *key, const float *value);
-
-    /** Overwrite the rotated-sign row (ITQ path). */
-    void writeRotatedSigns(size_t phys_row, const float *rotated_key);
-
-    /** Quantize a key into the INT8 arena row (requires
-     *  ensureQuantized() to have run). */
-    void writeQuantized(size_t phys_row, const float *key);
-
-    /** Lazily allocate the INT8 arena (cold; idempotent). */
-    void ensureQuantized();
-    bool quantizedReady() const { return !quantScales_.empty(); }
-
-    const int8_t *quantizedRow(size_t phys_row) const;
-    float quantizedScale(size_t phys_row) const;
-
-    /** Arena base pointers for the batch INT8 kernels (row-major,
-     *  headDim() int8s + one scale per physical row); valid once
-     *  quantizedReady(). */
-    const int8_t *quantizedData() const { return quantData_.data(); }
-    const float *quantizedScales() const { return quantScales_.data(); }
+    /** The rows of every block (physical row = block * blockTokens +
+     *  offset). Caches write their own blocks' rows without locking. */
+    KvRows &rows() { return rows_; }
+    const KvRows &rows() const { return rows_; }
 
     // ---- Block lifecycle -------------------------------------------
     /** Pop a free block (refcount 1, Expander tier, counters zeroed);
@@ -129,7 +180,7 @@ class KvBlockPool
 
     uint32_t refCount(uint32_t block) const;
 
-    /** Copy every backing row of src into dst (CoW unshare). */
+    /** Copy every row of block src onto block dst (CoW unshare). */
     void copyBlock(uint32_t src, uint32_t dst);
 
     // ---- Residency --------------------------------------------------
@@ -219,12 +270,7 @@ class KvBlockPool
     // fine; the declaration stays here to match the ctor init order.
     uint32_t hbmBudget_ LS_GUARDED_BY(lock_);
 
-    Matrix keys_;
-    Matrix values_;
-    SignMatrix rawSigns_;
-    SignMatrix rotatedSigns_;
-    std::vector<int8_t> quantData_;
-    std::vector<float> quantScales_;
+    KvRows rows_;
 
     mutable SpinLock lock_;
     //!< LIFO free list

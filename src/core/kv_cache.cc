@@ -1,48 +1,34 @@
 #include "core/kv_cache.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "tensor/linalg.hh"
+#include "tensor/quantized.hh"
 #include "util/annotations.hh"
 #include "util/logging.hh"
 
 namespace longsight {
 
-KvCache::KvCache(uint32_t head_dim)
-    : headDim_(head_dim), keys_(0, head_dim), values_(0, head_dim),
-      rawSigns_(head_dim), rotatedSigns_(head_dim)
+KvCache::KvCache(uint32_t head_dim) : headDim_(head_dim), own_(head_dim)
 {
     LS_ASSERT(head_dim > 0, "KvCache head dim must be positive");
 }
 
 KvCache::KvCache(KvBlockPool &pool)
-    : headDim_(pool.headDim()), keys_(0, pool.headDim()),
-      values_(0, pool.headDim()), rawSigns_(pool.headDim()),
-      rotatedSigns_(pool.headDim()), pool_(&pool)
+    : headDim_(pool.headDim()), own_(pool.headDim()), pool_(&pool)
 {
 }
 
 KvCache::~KvCache() { releaseAll(); }
 
-KvCache::KvCache(const KvCache &o)
-    : headDim_(o.headDim_), keys_(0, o.headDim_), values_(0, o.headDim_),
-      rawSigns_(o.headDim_), rotatedSigns_(o.headDim_), pool_(o.pool_)
-{
-    if (pool_) {
-        shareFrom(o);
-    } else {
-        keys_ = o.keys_;
-        values_ = o.values_;
-        rawSigns_ = o.rawSigns_;
-        rotatedSigns_ = o.rotatedSigns_;
-        rotation_ = o.rotation_;
-        quantizeKeys_ = o.quantizeKeys_;
-        quantData_ = o.quantData_;
-        quantScales_ = o.quantScales_;
-        reserved_ = o.reserved_;
-    }
-}
+KvCache::KvCache(const KvCache &o) : KvCache(o.headDim_) { *this = o; }
 
+/** Reproduce o's rotation/quantization configuration first, then its
+ *  rows: a paged copy shares o's full blocks by refcount, and whatever
+ *  is left (the partial tail, or every row of a flat cache) is
+ *  re-appended privately, so those rows are recomputed bit-identically
+ *  and appends to either cache never touch the other's rows. */
 KvCache &
 KvCache::operator=(const KvCache &o)
 {
@@ -50,50 +36,36 @@ KvCache::operator=(const KvCache &o)
         return *this;
     releaseAll();
     headDim_ = o.headDim_;
+    own_ = KvRows(headDim_);
     pool_ = o.pool_;
-    blocks_.clear();
-    pagedSize_ = 0;
+    rotation_ = o.rotation_;
+    quantizeKeys_ = o.quantizeKeys_;
+    if (rotation_)
+        rows().ensureRotated();
+    if (quantizeKeys_)
+        rows().ensureQuantized();
+    reserved_ = 0;
+    reserve(o.reserved_);
     if (pool_) {
-        keys_ = Matrix(0, headDim_);
-        values_ = Matrix(0, headDim_);
-        rawSigns_ = SignMatrix(headDim_);
-        rotatedSigns_ = SignMatrix(headDim_);
-        rotation_.reset();
-        quantizeKeys_ = false;
-        quantData_.clear();
-        quantScales_.clear();
-        shareFrom(o);
-    } else {
-        keys_ = o.keys_;
-        values_ = o.values_;
-        rawSigns_ = o.rawSigns_;
-        rotatedSigns_ = o.rotatedSigns_;
-        rotation_ = o.rotation_;
-        quantizeKeys_ = o.quantizeKeys_;
-        quantData_ = o.quantData_;
-        quantScales_ = o.quantScales_;
-        reserved_ = o.reserved_;
+        const size_t bt = pool_->blockTokens();
+        for (size_t b = 0; b < o.size_ / bt; ++b) {
+            pool_->retainBlock(o.blocks_[b]);
+            blocks_.push_back(o.blocks_[b]);
+        }
+        size_ = blocks_.size() * bt;
     }
+    for (size_t i = size_; i < o.size_; ++i)
+        append(o.keyRow(i), o.valueRow(i));
     return *this;
 }
 
-KvCache::KvCache(KvCache &&o) noexcept
-    : headDim_(o.headDim_), keys_(std::move(o.keys_)),
-      values_(std::move(o.values_)), rawSigns_(std::move(o.rawSigns_)),
-      rotatedSigns_(std::move(o.rotatedSigns_)),
-      rotation_(std::move(o.rotation_)), quantizeKeys_(o.quantizeKeys_),
-      quantData_(std::move(o.quantData_)),
-      quantScales_(std::move(o.quantScales_)),
-      rotScratch_(std::move(o.rotScratch_)), pool_(o.pool_),
-      blocks_(std::move(o.blocks_)), pagedSize_(o.pagedSize_),
-      reserved_(o.reserved_)
+KvCache::KvCache(KvCache &&o) noexcept : KvCache(o.headDim_)
 {
-    // The moved-from cache must no longer own the blocks.
-    o.pool_ = nullptr;
-    o.blocks_.clear();
-    o.pagedSize_ = 0;
+    *this = std::move(o);
 }
 
+/** Takes o's rows and block table; o is left an empty cache of the
+ *  same mode. */
 KvCache &
 KvCache::operator=(KvCache &&o) noexcept
 {
@@ -101,63 +73,24 @@ KvCache::operator=(KvCache &&o) noexcept
         return *this;
     releaseAll();
     headDim_ = o.headDim_;
-    keys_ = std::move(o.keys_);
-    values_ = std::move(o.values_);
-    rawSigns_ = std::move(o.rawSigns_);
-    rotatedSigns_ = std::move(o.rotatedSigns_);
-    rotation_ = std::move(o.rotation_);
-    quantizeKeys_ = o.quantizeKeys_;
-    quantData_ = std::move(o.quantData_);
-    quantScales_ = std::move(o.quantScales_);
+    own_ = std::exchange(o.own_, KvRows(o.headDim_));
+    rotation_ = std::exchange(o.rotation_, std::nullopt);
+    quantizeKeys_ = std::exchange(o.quantizeKeys_, false);
     rotScratch_ = std::move(o.rotScratch_);
     pool_ = o.pool_;
-    blocks_ = std::move(o.blocks_);
-    pagedSize_ = o.pagedSize_;
-    reserved_ = o.reserved_;
-    o.pool_ = nullptr;
-    o.blocks_.clear();
-    o.pagedSize_ = 0;
+    blocks_ = std::exchange(o.blocks_, {});
+    size_ = std::exchange(o.size_, 0);
+    reserved_ = std::exchange(o.reserved_, 0);
     return *this;
 }
 
 void
 KvCache::releaseAll()
 {
-    if (!pool_)
-        return;
     for (uint32_t b : blocks_)
         pool_->releaseBlock(b);
     blocks_.clear();
-    pagedSize_ = 0;
-}
-
-/** Copy-construct helper for paged caches: share o's full blocks by
- *  refcount and re-append the partial tail privately, reproducing its
- *  rotation/quantization configuration first so the tail rows are
- *  recomputed bit-identically. */
-void
-KvCache::shareFrom(const KvCache &o)
-{
-    LS_ASSERT(pool_ == o.pool_, "shareFrom across pools");
-    LS_ASSERT(blocks_.empty() && pagedSize_ == 0,
-              "shareFrom target must be empty");
-    rotation_ = o.rotation_;
-    quantizeKeys_ = o.quantizeKeys_;
-    reserved_ = o.reserved_;
-    if (quantizeKeys_)
-        pool_->ensureQuantized();
-    if (reserved_)
-        reserve(reserved_);
-    const size_t bt = pool_->blockTokens();
-    const size_t full = o.pagedSize_ / bt;
-    blocks_.reserve(o.blocks_.size());
-    for (size_t b = 0; b < full; ++b) {
-        pool_->retainBlock(o.blocks_[b]);
-        blocks_.push_back(o.blocks_[b]);
-    }
-    pagedSize_ = full * bt;
-    for (size_t i = pagedSize_; i < o.pagedSize_; ++i)
-        append(o.keyRow(i), o.valueRow(i));
+    size_ = 0;
 }
 
 void
@@ -166,14 +99,14 @@ KvCache::forkFrom(const KvCache &parent)
     LS_ASSERT(pool_ && parent.pool_ == pool_,
               "forkFrom requires paged caches sharing one pool");
     LS_ASSERT(size() == 0, "forkFrom target must be empty");
-    shareFrom(parent);
+    *this = parent;
 }
 
 size_t
 KvCache::publishPrefix(uint64_t hash)
 {
     LS_ASSERT(pool_, "publishPrefix requires a paged cache");
-    const size_t full = pagedSize_ / pool_->blockTokens();
+    const size_t full = size_ / pool_->blockTokens();
     if (full == 0)
         return 0;
     if (!pool_->publishPrefix(hash, blocks_.data(), full))
@@ -186,9 +119,8 @@ KvCache::adoptPrefix(uint64_t hash)
 {
     LS_ASSERT(pool_, "adoptPrefix requires a paged cache");
     LS_ASSERT(size() == 0, "adoptPrefix target must be empty");
-    const size_t tokens = pool_->adoptPrefix(hash, blocks_);
-    pagedSize_ = tokens;
-    return tokens;
+    size_ = pool_->adoptPrefix(hash, blocks_);
+    return size_;
 }
 
 void
@@ -204,70 +136,43 @@ KvCache::append(const float *key, const float *value)
 {
     LS_HOT_PATH();
     LS_DETERMINISTIC();
-    if (pool_) {
-        const size_t bt = pool_->blockTokens();
-        const size_t off = pagedSize_ % bt;
-        if (off == 0) {
-            const uint32_t b = pool_->allocBlock();
-            LS_ASSERT(b != kInvalidBlock,
-                      "KvBlockPool exhausted: admission control must "
-                      "bound concurrent context to the block budget");
-            // LS_LINT_ALLOW(alloc): table growth; reserve() preallocates
-            blocks_.push_back(b);
-        }
-        const size_t row = size_t{blocks_.back()} * bt + off;
-        pool_->writeToken(row, key, value);
-        if (quantizeKeys_)
-            pool_->writeQuantized(row, key);
-        if (rotation_) {
-            rotScratch_.resize(headDim_); // LS_LINT_ALLOW(alloc): sized once, capacity persists
-            gemvT(*rotation_, key, rotScratch_.data());
-            pool_->writeRotatedSigns(row, rotScratch_.data());
-        }
-        ++pagedSize_;
-        return;
-    }
-    keys_.appendRow(key);
-    values_.appendRow(value);
-    rawSigns_.appendRow(key);
-    if (quantizeKeys_) {
-        // LS_LINT_ALLOW(alloc): amortized growth; reserve() preallocates
-        quantData_.resize(quantData_.size() + headDim_);
-        // LS_LINT_ALLOW(alloc): amortized growth; reserve() preallocates
-        quantScales_.push_back(0.0f);
-        quantizeInt8Into(key, headDim_,
-                         quantData_.data() + quantData_.size() - headDim_,
-                         &quantScales_.back());
-    }
+    const float *rotated = nullptr;
     if (rotation_) {
         // Member scratch: capacity persists across appends, so the
         // rotation adds no steady-state allocation to the decode step.
         rotScratch_.resize(headDim_); // LS_LINT_ALLOW(alloc): sized once, capacity persists
         gemvT(*rotation_, key, rotScratch_.data());
-        rotatedSigns_.appendRow(rotScratch_.data());
+        rotated = rotScratch_.data();
     }
+    rows().writeToken(claimRow(), key, value, rotated);
+    ++size_;
+}
+
+/** Physical row for token size(): the next row of a flat store, or the
+ *  next slot of the tail block — a fresh one at each block boundary. */
+size_t
+KvCache::claimRow()
+{
+    if (pool_ && size_ % pool_->blockTokens() == 0) {
+        const uint32_t b = pool_->allocBlock();
+        LS_ASSERT(b != kInvalidBlock,
+                  "KvBlockPool exhausted: admission control must "
+                  "bound concurrent context to the block budget");
+        // LS_LINT_ALLOW(alloc): table growth; reserve() preallocates
+        blocks_.push_back(b);
+    }
+    return physRow(size_);
 }
 
 void
 KvCache::reserve(size_t n)
 {
     reserved_ = std::max(reserved_, n);
-    if (pool_) {
+    if (pool_)
         blocks_.reserve((n + pool_->blockTokens() - 1) /
                         pool_->blockTokens());
-        if (quantizeKeys_)
-            pool_->ensureQuantized();
-        return;
-    }
-    keys_.reserveRows(n);
-    values_.reserveRows(n);
-    rawSigns_.reserveRows(n);
-    if (rotation_)
-        rotatedSigns_.reserveRows(n);
-    if (quantizeKeys_) {
-        quantData_.reserve(n * headDim_);
-        quantScales_.reserve(n);
-    }
+    else
+        own_.reserve(n);
 }
 
 void
@@ -278,22 +183,6 @@ KvCache::appendAll(const Matrix &keys, const Matrix &values)
               "KvCache appendAll shape mismatch");
     for (size_t i = 0; i < keys.rows(); ++i)
         append(keys.row(i), values.row(i));
-}
-
-const Matrix &
-KvCache::keys() const
-{
-    LS_ASSERT(!pool_, "keys(): no contiguous view in paged mode; use "
-                      "keysStorage() + physRow()/collectSpans()");
-    return keys_;
-}
-
-const Matrix &
-KvCache::values() const
-{
-    LS_ASSERT(!pool_, "values(): no contiguous view in paged mode; use "
-                      "valuesStorage() + physRow()/collectSpans()");
-    return values_;
 }
 
 void
@@ -357,9 +246,7 @@ SignBits
 KvCache::rawSigns(size_t i) const
 {
     LS_ASSERT(i < size(), "rawSigns index out of range");
-    if (pool_)
-        return pool_->rawSigns().extract(physRow(i));
-    return rawSigns_.extract(i);
+    return rows().rawSigns().extract(physRow(i));
 }
 
 SignBits
@@ -369,20 +256,11 @@ KvCache::filterSigns(size_t i) const
     return filterSignsStorage().extract(physRow(i));
 }
 
-const SignMatrix &
-KvCache::filterSignsAll() const
-{
-    LS_ASSERT(!pool_, "filterSignsAll(): no contiguous view in paged "
-                      "mode; use filterSignsStorage() + collectSpans()");
-    return rotation_ ? rotatedSigns_ : rawSigns_;
-}
-
 /** CoW unshare: give this cache a private copy of every block it
- *  currently shares (refcount > 1). */
+ *  currently shares (refcount > 1; a flat cache holds none). */
 void
 KvCache::unshareAll()
 {
-    LS_ASSERT(pool_, "unshareAll on a flat cache");
     for (uint32_t &b : blocks_) {
         if (pool_->refCount(b) <= 1)
             continue;
@@ -401,22 +279,15 @@ KvCache::setItqRotation(Matrix rotation)
     LS_ASSERT(rotation.rows() == headDim_ && rotation.cols() == headDim_,
               "ITQ rotation must be headDim x headDim");
     rotation_ = std::move(rotation);
-    if (pool_) {
-        // Rotated sign rows become per-cache content once caches can
-        // carry different rotations, so shared blocks must split.
-        unshareAll();
-        rotScratch_.resize(headDim_);
-        for (size_t i = 0; i < pagedSize_; ++i) {
-            gemvT(*rotation_, keyRow(i), rotScratch_.data());
-            pool_->writeRotatedSigns(physRow(i), rotScratch_.data());
-        }
-        return;
-    }
-    rotatedSigns_.clear();
-    rotatedSigns_.reserveRows(std::max(reserved_, size()));
-    for (size_t i = 0; i < size(); ++i) {
-        const std::vector<float> rk = gemvT(*rotation_, keys_.rowVec(i));
-        rotatedSigns_.appendRow(rk.data());
+    // Rotated sign rows become per-cache content once caches can
+    // carry different rotations, so shared blocks must split.
+    unshareAll();
+    KvRows &r = rows();
+    r.ensureRotated();
+    rotScratch_.resize(headDim_);
+    for (size_t i = 0; i < size_; ++i) {
+        gemvT(*rotation_, keyRow(i), rotScratch_.data());
+        r.writeRotatedSigns(physRow(i), rotScratch_.data());
     }
 }
 
@@ -433,56 +304,24 @@ KvCache::enableKeyQuantization()
     if (quantizeKeys_)
         return;
     quantizeKeys_ = true;
-    if (pool_) {
-        // No unshare needed: quantizeInt8Into is a pure function of
-        // the key bytes, so sharers write identical arena rows.
-        pool_->ensureQuantized();
-        for (size_t i = 0; i < pagedSize_; ++i)
-            pool_->writeQuantized(physRow(i), keyRow(i));
-        return;
-    }
-    const size_t ceiling = std::max(reserved_, size());
-    quantData_.clear();
-    quantData_.reserve(ceiling * headDim_);
-    quantScales_.clear();
-    quantScales_.reserve(ceiling);
-    quantData_.resize(size() * headDim_);
-    quantScales_.resize(size());
-    for (size_t i = 0; i < size(); ++i)
-        quantizeInt8Into(keys_.row(i), headDim_,
-                         quantData_.data() + i * headDim_,
-                         &quantScales_[i]);
-}
-
-QuantizedVector
-KvCache::quantizedKey(size_t i) const
-{
-    LS_ASSERT(!pool_, "quantizedKey(): paged caches score via "
-                      "scoreKey() against the pool's INT8 arena");
-    LS_ASSERT(quantizeKeys_, "key quantization not enabled");
-    LS_ASSERT(i < quantScales_.size(), "quantized key out of range");
-    QuantizedVector q;
-    q.data.assign(quantData_.begin() + i * headDim_,
-                  quantData_.begin() + (i + 1) * headDim_);
-    q.scale = quantScales_[i];
-    return q;
+    // No unshare needed: quantizeInt8Into is a pure function of the
+    // key bytes, so sharers write identical rows.
+    KvRows &r = rows();
+    r.ensureQuantized();
+    for (size_t i = 0; i < size_; ++i)
+        r.writeQuantized(physRow(i), keyRow(i));
 }
 
 float
 KvCache::scoreKey(const float *q, size_t i) const
 {
     LS_ASSERT(i < size(), "scoreKey index out of range");
-    if (pool_) {
-        const size_t row = physRow(i);
-        if (quantizeKeys_)
-            return dotQuantized(pool_->quantizedRow(row),
-                                pool_->quantizedScale(row), q, headDim_);
-        return dot(q, pool_->keys().row(row), headDim_);
-    }
+    const KvRows &r = rows();
+    const size_t row = physRow(i);
     if (quantizeKeys_)
-        return dotQuantized(quantData_.data() + i * headDim_,
-                            quantScales_[i], q, headDim_);
-    return dot(q, keys_.row(i), headDim_);
+        return dotQuantized(r.quantizedData() + row * headDim_,
+                            r.quantizedScales()[row], q, headDim_);
+    return dot(q, r.keys().row(row), headDim_);
 }
 
 std::vector<float>

@@ -8,23 +8,25 @@
  * still uses the original keys (an orthogonal rotation leaves dot
  * products unchanged, so only the one-bit quantization sees it).
  *
- * Two storage modes share the one interface:
+ * Every cache reads and writes one KvRows store at physRow(i); the
+ * two modes differ only in whose store it is and how tokens map to
+ * its rows:
  *
- *  - **Flat** (the default, `KvCache(head_dim)`): every store is a
- *    private, contiguous append-only buffer; logical token i is
- *    physical row i.
+ *  - **Flat** (`KvCache(head_dim)`): the cache owns a KvRows that
+ *    grows by a row per append; logical token i is physical row i.
  *  - **Paged** (`KvCache(pool)`): the cache owns a *block table* — a
  *    list of fixed-size block ids in a shared KvBlockPool — and
  *    logical token i lives at physical row
- *    `blocks[i / blockTokens] * blockTokens + i % blockTokens`.
- *    Blocks support copy-on-write prefix sharing (forkFrom /
- *    publishPrefix / adoptPrefix) and carry the SCF survivor counters
- *    that drive HBM-vs-expander residency.
+ *    `blocks[i / blockTokens] * blockTokens + i % blockTokens` of the
+ *    pool's KvRows. Blocks support copy-on-write prefix sharing
+ *    (forkFrom / publishPrefix / adoptPrefix) and carry the SCF
+ *    survivor counters that drive HBM-vs-expander residency.
  *
- * Paged consumers scan through collectSpans(): each ScanSpan is one
- * contiguous physical run covering an ascending logical range, so the
- * span-aware kernel drivers (tensor/kernels.hh) produce results
- * element-identical to the flat layout for any block size.
+ * Consumers scan through collectSpans(): each ScanSpan is one
+ * contiguous physical run covering an ascending logical range (a flat
+ * cache yields the single identity span), so the span-aware kernel
+ * drivers (tensor/kernels.hh) produce results element-identical
+ * across layouts for any block size.
  */
 
 #ifndef LONGSIGHT_CORE_KV_CACHE_HH
@@ -37,7 +39,6 @@
 
 #include "core/kv_block_pool.hh"
 #include "tensor/kernels.hh"
-#include "tensor/quantized.hh"
 #include "tensor/sign_matrix.hh"
 #include "tensor/signbits.hh"
 #include "tensor/tensor.hh"
@@ -50,7 +51,7 @@ namespace longsight {
 class KvCache
 {
   public:
-    /** Flat mode: private contiguous storage. */
+    /** Flat mode: a private row store. */
     explicit KvCache(uint32_t head_dim);
 
     /** Paged mode: block-table view over a shared pool. The pool must
@@ -66,7 +67,7 @@ class KvCache
     bool paged() const { return pool_ != nullptr; }
 
     uint32_t headDim() const { return headDim_; }
-    size_t size() const { return pool_ ? pagedSize_ : keys_.rows(); }
+    size_t size() const { return size_; }
 
     /** Append one (post-RoPE key, value) pair. */
     void append(const std::vector<float> &key, const std::vector<float> &value);
@@ -75,11 +76,11 @@ class KvCache
     void append(const float *key, const float *value);
 
     /**
-     * Reserve capacity for n total entries across every backing store
-     * (keys, values, sign rows, quantized keys), so subsequent appends
-     * up to n perform no heap allocation. Decode loops that know their
-     * context ceiling call this once up front to keep the steady-state
-     * step allocation-free. The ceiling is remembered: enabling ITQ
+     * Reserve capacity for n total entries (a flat cache's row stores,
+     * a paged cache's block table), so subsequent appends up to n
+     * perform no heap allocation. Decode loops that know their context
+     * ceiling call this once up front to keep the steady-state step
+     * allocation-free. The ceiling is remembered: enabling ITQ
      * rotation or key quantization later re-applies it to the stores
      * those features add.
      */
@@ -88,18 +89,11 @@ class KvCache
     /** Bulk-append rows of two (n x headDim) matrices. */
     void appendAll(const Matrix &keys, const Matrix &values);
 
-    /** Flat-mode contiguous views (assert in paged mode — paged
-     *  consumers go through the *Storage()/row accessors below). */
-    const Matrix &keys() const;
-    const Matrix &values() const;
-
-    /** Backing store holding this cache's key rows (pool storage in
-     *  paged mode); index with physRow(). */
-    const Matrix &keysStorage() const { return pool_ ? pool_->keys() : keys_; }
-    const Matrix &valuesStorage() const
-    {
-        return pool_ ? pool_->values() : values_;
-    }
+    /** Backing store holding this cache's key rows (the pool's in
+     *  paged mode; exactly size() rows when flat); index with
+     *  physRow(). */
+    const Matrix &keysStorage() const { return rows().keys(); }
+    const Matrix &valuesStorage() const { return rows().values(); }
 
     /** Physical storage row of logical token i. */
     size_t physRow(size_t i) const
@@ -173,21 +167,11 @@ class KvCache
      */
     SignBits filterSigns(size_t i) const;
 
-    /**
-     * All filter sign bits as one contiguous packed matrix — what the
-     * batch-scan kernels and the PFU model consume directly (flat
-     * mode only; paged consumers pair filterSignsStorage() with
-     * collectSpans()).
-     */
-    const SignMatrix &filterSignsAll() const;
-
-    /** Backing sign store for filtering (rotation-aware; pool storage
+    /** Backing sign store for filtering (rotation-aware; the pool's
      *  in paged mode); index with physRow() / collectSpans(). */
     const SignMatrix &filterSignsStorage() const
     {
-        if (pool_)
-            return rotation_ ? pool_->rotatedSigns() : pool_->rawSigns();
-        return rotation_ ? rotatedSigns_ : rawSigns_;
+        return rotation_ ? rows().rotatedSigns() : rows().rawSigns();
     }
 
     /**
@@ -221,12 +205,6 @@ class KvCache
 
     bool keysQuantized() const { return quantizeKeys_; }
 
-    /** Materialize quantized key i (flat mode; paged scoring goes
-     *  through scoreKey(), which reads the pool's INT8 arena).
-     *  Allocates — a test/analysis accessor, not a hot path; the
-     *  backing store is a flat arena shaped like the pool's. */
-    QuantizedVector quantizedKey(size_t i) const;
-
     /**
      * q . key_i using the INT8 key when quantization is enabled,
      * full precision otherwise.
@@ -234,16 +212,14 @@ class KvCache
     float scoreKey(const float *q, size_t i) const;
 
     /** Base pointers of the INT8 key arena the batch kernels score
-     *  against (flat: private size() x headDim() arena; paged: the
-     *  pool arena — index with physRow() either way). Valid once
-     *  keysQuantized(). */
+     *  against (index with physRow()). Valid once keysQuantized(). */
     const int8_t *quantizedStorage() const
     {
-        return pool_ ? pool_->quantizedData() : quantData_.data();
+        return rows().quantizedData();
     }
     const float *quantizedScalesStorage() const
     {
-        return pool_ ? pool_->quantizedScales() : quantScales_.data();
+        return rows().quantizedScales();
     }
 
     // ---- Paged-mode sharing ----------------------------------------
@@ -264,24 +240,23 @@ class KvCache
     size_t adoptPrefix(uint64_t hash);
 
   private:
-    void shareFrom(const KvCache &o);
+    /** The row store: the pool's when paged, own_ when flat. */
+    const KvRows &rows() const { return pool_ ? pool_->rows() : own_; }
+    KvRows &rows() { return pool_ ? pool_->rows() : own_; }
+
+    size_t claimRow();
     void releaseAll();
     void unshareAll();
 
     uint32_t headDim_;
-    Matrix keys_;
-    Matrix values_;
-    SignMatrix rawSigns_;
-    SignMatrix rotatedSigns_;
+    KvRows own_;                    //!< flat mode's rows (unused paged)
     std::optional<Matrix> rotation_;
     bool quantizeKeys_ = false;
-    std::vector<int8_t> quantData_;  //!< size() x headDim_ INT8 arena
-    std::vector<float> quantScales_; //!< one scale per key
     std::vector<float> rotScratch_; //!< reused rotated-key buffer
 
     KvBlockPool *pool_ = nullptr;   //!< non-null in paged mode
     std::vector<uint32_t> blocks_;  //!< block table (paged)
-    size_t pagedSize_ = 0;          //!< logical tokens (paged)
+    size_t size_ = 0;               //!< logical tokens
     size_t reserved_ = 0;           //!< remembered reserve() ceiling
 };
 

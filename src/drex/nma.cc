@@ -30,7 +30,7 @@ Nma::filterEpochFunctional(const OffloadSpec &spec,
     LS_HOT_PATH();
     LS_DETERMINISTIC();
     LS_NO_LOCK();
-    const auto &signs = spec.cache->filterSignsAll();
+    const auto &signs = spec.cache->filterSignsStorage();
     const uint32_t nq = spec.numQueries;
     for (uint32_t q = 0; q < nq; ++q)
         per_query_counts[q] = 0;
@@ -92,6 +92,8 @@ Nma::process(Tick start, const OffloadSpec &spec)
                   "functional offload needs query matrices");
         LS_ASSERT(spec.sparseEnd <= spec.cache->size(),
                   "sparse region beyond cache");
+        LS_ASSERT(!spec.cache->paged(), "functional offload needs a flat "
+                  "cache: the NMA indexes rows by token id");
     }
 
     OffloadResult r;
@@ -226,8 +228,8 @@ Nma::process(Tick start, const OffloadSpec &spec)
                     // scores in epoch scratch.
                     float *s = epoch_frame.alloc<float>(kept_n);
                     batchDotScaleAt(spec.queries->row(q),
-                                    spec.cache->keys(), kept, kept_n,
-                                    scale, s);
+                                    spec.cache->keysStorage(), kept,
+                                    kept_n, scale, s);
                     for (size_t j = 0; j < kept_n; ++j)
                         hs = topk_heap::push(heap, hs, k,
                                              ScoredIndex{s[j], kept[j]});

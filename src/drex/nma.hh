@@ -85,7 +85,7 @@ struct OffloadSpec
     int threshold = 0;
 
     // Functional inputs; leave null for timing-only simulation.
-    const KvCache *cache = nullptr;   //!< keys + filter signs, global idx
+    const KvCache *cache = nullptr;   //!< flat: keys + signs by token id
     const Matrix *queries = nullptr;  //!< numQueries x d, original space
     const Matrix *filterQueries = nullptr; //!< numQueries x d, ITQ space
 

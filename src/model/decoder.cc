@@ -111,7 +111,8 @@ DecoderLayer::forward(const std::vector<float> &x, uint64_t position,
         for (uint32_t qh = 0; qh < cfg_.numQueryHeads; ++qh) {
             const KvCache &cache = caches[qh / group];
             const AttentionResult r = denseAttention(
-                queries.row(qh), cache.keys(), cache.values(), scale);
+                queries.row(qh), cache.keysStorage(),
+                cache.valuesStorage(), scale);
             for (uint32_t i = 0; i < d; ++i)
                 attn_out[qh * d + i] = r.output[i];
         }

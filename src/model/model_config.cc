@@ -10,12 +10,6 @@ ModelConfig::kvBytesPerToken() const
 }
 
 uint64_t
-ModelConfig::kvBytesPerHead(uint64_t context_len) const
-{
-    return uint64_t{2} * headDim * bytesPerValue * context_len;
-}
-
-uint64_t
 ModelConfig::weightBytes() const
 {
     const uint64_t d = hiddenDim;

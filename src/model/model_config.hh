@@ -36,9 +36,6 @@ struct ModelConfig
     /** KV-cache bytes appended per token across all layers. */
     uint64_t kvBytesPerToken() const;
 
-    /** KV-cache bytes for one (layer, KV head) at a context length. */
-    uint64_t kvBytesPerHead(uint64_t context_len) const;
-
     /** Total parameter bytes (projections + FFN + embeddings). */
     uint64_t weightBytes() const;
 

@@ -4,10 +4,8 @@
 #include <cmath>
 
 #include "core/attention.hh"
+#include "core/filter_backend.hh"
 #include "core/itq.hh"
-#include "core/scf.hh"
-#include "core/topk.hh"
-#include "tensor/kernels.hh"
 #include "util/annotations.hh"
 #include "util/logging.hh"
 #include "util/scratch_arena.hh"
@@ -458,44 +456,33 @@ DecodePipeline::stepCombineHead(
     const Matrix &queries = stepQueries_[h];
     ScratchFrame frame(ScratchArena::forThisThread());
 
-    // Verification A precompute, grouped: ONE scan over the offloaded
-    // region [sinks, flushed_) serves the head's whole query group —
-    // the sign rows and survivor key tiles stream through all group_
-    // concordance tests and top-k heaps together, where the per-query
-    // dispatch re-read them group_ times. Per query the expected
-    // selection is bit-identical to a one-query call.
+    // Verification A precompute, grouped: the software filter ->
+    // score -> rank selection over the offloaded region [sinks,
+    // flushed_), through the same SCF backend LongSightAttn runs. ONE
+    // fused scan serves the head's whole query group, and per query
+    // the selection is bit-identical to a one-query call; paged scans
+    // credit the pool's residency counters.
     ScoredIndex *expect = nullptr;
     size_t *expect_sizes = nullptr;
     size_t kcap = 0;
     if (offload) {
-        const SignMatrix &signs = cache.filterSignsStorage();
-        const size_t wpr = signs.wordsPerRow();
-        uint64_t *qw = frame.alloc<uint64_t>(group_ * wpr);
-        for (uint32_t g = 0; g < group_; ++g)
-            packSigns(stepFilterQueries_[h].row(g), cfg_.headDim,
-                      qw + g * wpr);
         kcap = std::min<size_t>(cfg_.hybrid.topK, flushed_ - sinks);
         expect = frame.alloc<ScoredIndex>(group_ * kcap);
         expect_sizes = frame.alloc<size_t>(group_);
-        // Span-aware driver: the flat cache routes through the single
-        // identity span, a paged cache through its block table, with
-        // per-query selections element-identical either way. Survivor
-        // totals per span feed the pool's SCF residency counters.
-        ScanSpan *spans =
-            frame.alloc<ScanSpan>(cache.maxSpans(sinks, flushed_));
-        const size_t nspans = cache.collectSpans(sinks, flushed_, spans);
-        size_t *span_surv = frame.alloc<size_t>(nspans);
-        batchScoreSelectMultiSpans(qw, group_, signs, spans, nspans,
-                                   cfg_.hybrid.defaultThreshold,
-                                   queries.row(0), queries.cols(),
-                                   cache.keysStorage(), scale,
-                                   cfg_.hybrid.topK, expect, kcap,
-                                   expect_sizes, nullptr, span_surv);
-        if (cache.paged())
-            for (size_t si = 0; si < nspans; ++si)
-                cache.recordFilterScan(spans[si],
-                                       uint64_t{group_} * spans[si].count,
-                                       span_surv[si]);
+        FilterArgs fa;
+        fa.queries = queries.row(0);
+        fa.queryStride = queries.cols();
+        fa.numQueries = group_;
+        fa.cache = &cache;
+        fa.lo = sinks;
+        fa.hi = flushed_;
+        fa.threshold = cfg_.hybrid.defaultThreshold;
+        fa.scale = scale;
+        fa.k = cfg_.hybrid.topK;
+        fa.kcap = kcap;
+        const FilterSelection out{expect, expect_sizes,
+                                  frame.alloc<size_t>(group_)};
+        filterBackendFor(FilterKind::Scf).select(fa, frame, out);
     }
 
     // GPU-side combine + verification, per query of the group. Lane

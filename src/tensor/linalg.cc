@@ -103,19 +103,6 @@ transpose(const Matrix &a)
 }
 
 float
-frobeniusDiff(const Matrix &a, const Matrix &b)
-{
-    LS_ASSERT(a.rows() == b.rows() && a.cols() == b.cols(),
-              "frobeniusDiff shape mismatch");
-    double acc = 0.0;
-    for (size_t i = 0; i < a.size(); ++i) {
-        const double d = static_cast<double>(a.data()[i]) - b.data()[i];
-        acc += d * d;
-    }
-    return static_cast<float>(std::sqrt(acc));
-}
-
-float
 maxAbsDiff(const Matrix &a, const Matrix &b)
 {
     LS_ASSERT(a.rows() == b.rows() && a.cols() == b.cols(),

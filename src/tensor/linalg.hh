@@ -42,9 +42,6 @@ void gemvT(const Matrix &a, const float *x, float *y);
 /** Transposed copy. */
 Matrix transpose(const Matrix &a);
 
-/** Frobenius norm of the difference a - b. */
-float frobeniusDiff(const Matrix &a, const Matrix &b);
-
 /** Max |a[i,j] - b[i,j]|. */
 float maxAbsDiff(const Matrix &a, const Matrix &b);
 

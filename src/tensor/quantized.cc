@@ -96,14 +96,4 @@ quantizationError(const Matrix &rows)
     return total / static_cast<double>(rows.rows());
 }
 
-std::vector<QuantizedVector>
-quantizeRows(const Matrix &rows)
-{
-    std::vector<QuantizedVector> out;
-    out.reserve(rows.rows());
-    for (size_t r = 0; r < rows.rows(); ++r)
-        out.push_back(quantizeInt8(rows.row(r), rows.cols()));
-    return out;
-}
-
 } // namespace longsight

@@ -54,11 +54,6 @@ float dotQuantized(const int8_t *data, float scale, const float *b,
 /** Mean relative L2 error of quantizing each row of a matrix. */
 double quantizationError(const Matrix &rows);
 
-/**
- * Quantize every row of a (count x dim) matrix.
- */
-std::vector<QuantizedVector> quantizeRows(const Matrix &rows);
-
 } // namespace longsight
 
 #endif // LONGSIGHT_TENSOR_QUANTIZED_HH

@@ -38,26 +38,4 @@ softmax(const std::vector<float> &scores)
     return out;
 }
 
-double
-softmaxParts(const std::vector<float> &scores, float global_max,
-             std::vector<float> &out)
-{
-    out.resize(scores.size());
-    double denom = 0.0;
-    for (size_t i = 0; i < scores.size(); ++i) {
-        out[i] = std::exp(scores[i] - global_max);
-        denom += out[i];
-    }
-    return denom;
-}
-
-float
-maxScore(const std::vector<float> &scores)
-{
-    float mx = -std::numeric_limits<float>::infinity();
-    for (float s : scores)
-        mx = std::max(mx, s);
-    return mx;
-}
-
 } // namespace longsight

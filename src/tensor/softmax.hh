@@ -20,18 +20,6 @@ void softmaxInPlace(float *scores, size_t n);
 /** Stable softmax copy. */
 std::vector<float> softmax(const std::vector<float> &scores);
 
-/**
- * Softmax numerator/denominator in "online" form: returns
- * sum_i exp(scores[i] - max) and writes exp(scores[i] - max) into out.
- * Used when dense-window and sparse partial results are combined — the
- * two partial sums share one global max for stability.
- */
-double softmaxParts(const std::vector<float> &scores, float global_max,
-                    std::vector<float> &out);
-
-/** Max element, -inf for empty input. */
-float maxScore(const std::vector<float> &scores);
-
 } // namespace longsight
 
 #endif // LONGSIGHT_TENSOR_SOFTMAX_HH

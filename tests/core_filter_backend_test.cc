@@ -265,7 +265,7 @@ TEST(FilterBackend, CentroidKeepAllEqualsExactTopK)
         for (size_t i = lo; i < hi; ++i)
             ids[i - lo] = static_cast<uint32_t>(i);
         std::vector<float> scores(ids.size());
-        batchDotScaleAt(queries.data() + g * kDim, caches.flat.keys(),
+        batchDotScaleAt(queries.data() + g * kDim, caches.flat.keysStorage(),
                         ids.data(), ids.size(), scale, scores.data());
         std::vector<ScoredIndex> heap(k);
         size_t hs = 0;

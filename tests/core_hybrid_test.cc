@@ -61,8 +61,8 @@ TEST_P(HybridExactness, DegeneratesToDenseAttention)
 
     const auto hybrid = attn.computeHead(q, cache, 0);
     const float scale = 1.0f / std::sqrt(static_cast<float>(kDim));
-    const auto dense =
-        denseAttention(q.data(), cache.keys(), cache.values(), scale);
+    const auto dense = denseAttention(q.data(), cache.keysStorage(),
+                                      cache.valuesStorage(), scale);
 
     EXPECT_EQ(hybrid.attended.size(), n)
         << "threshold 0 + unbounded k must attend to every token";
@@ -147,7 +147,7 @@ TEST(Hybrid, SelectionsAreHighestScoringSurvivors)
 
     const float scale = 1.0f / std::sqrt(static_cast<float>(kDim));
     const auto scores =
-        attentionScores(q.data(), cache.keys(), 0, n, scale);
+        attentionScores(q.data(), cache.keysStorage(), 0, n, scale);
     // Every sparse-region token NOT attended must score <= the worst
     // attended sparse token.
     float worst_attended = 1e30f;
@@ -194,7 +194,7 @@ TEST(Hybrid, ItqRotationLeavesExactnessIntact)
     // and unbounded k the output must still equal dense attention.
     Matrix train(n, kDim);
     for (size_t i = 0; i < n; ++i)
-        train.setRow(i, cache.keys().row(i));
+        train.setRow(i, cache.keysStorage().row(i));
     cache.setItqRotation(trainItqRotation(train, 10, rng));
 
     const auto q = rng.gaussianVec(kDim);
@@ -206,8 +206,8 @@ TEST(Hybrid, ItqRotationLeavesExactnessIntact)
     const auto hybrid = attn.computeHead(q, cache, 0);
 
     const float scale = 1.0f / std::sqrt(static_cast<float>(kDim));
-    const auto dense =
-        denseAttention(q.data(), cache.keys(), cache.values(), scale);
+    const auto dense = denseAttention(q.data(), cache.keysStorage(),
+                                      cache.valuesStorage(), scale);
     EXPECT_LT(maxDiff(hybrid.output, dense.output), 1e-4f);
 }
 

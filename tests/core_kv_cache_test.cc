@@ -32,8 +32,8 @@ TEST(KvCache, AppendStoresRows)
     c.append(k, v);
     ASSERT_EQ(c.size(), 1u);
     for (uint32_t i = 0; i < kDim; ++i) {
-        EXPECT_EQ(c.keys()(0, i), k[i]);
-        EXPECT_EQ(c.values()(0, i), v[i]);
+        EXPECT_EQ(c.keysStorage()(0, i), k[i]);
+        EXPECT_EQ(c.valuesStorage()(0, i), v[i]);
     }
 }
 
@@ -44,7 +44,7 @@ TEST(KvCache, RawSignsTrackKeys)
     for (int i = 0; i < 20; ++i)
         c.append(rng.gaussianVec(kDim), rng.gaussianVec(kDim));
     for (size_t i = 0; i < 20; ++i)
-        EXPECT_EQ(c.rawSigns(i), SignBits(c.keys().row(i), kDim));
+        EXPECT_EQ(c.rawSigns(i), SignBits(c.keysStorage().row(i), kDim));
 }
 
 TEST(KvCache, FilterSignsAreRawWithoutRotation)
@@ -61,14 +61,14 @@ TEST(KvCache, RotationChangesFilterSignsNotKeys)
     KvCache c(kDim);
     for (int i = 0; i < 10; ++i)
         c.append(rng.gaussianVec(kDim), rng.gaussianVec(kDim));
-    const float key_before = c.keys()(3, 5);
+    const float key_before = c.keysStorage()(3, 5);
     c.setItqRotation(randomOrthogonal(kDim, rng));
     EXPECT_TRUE(c.hasItqRotation());
-    EXPECT_EQ(c.keys()(3, 5), key_before) << "scoring keys untouched";
+    EXPECT_EQ(c.keysStorage()(3, 5), key_before) << "scoring keys untouched";
 
     // Rotated signs equal signs of k * R.
     for (size_t i = 0; i < 10; ++i) {
-        const auto rk = gemvT(c.itqRotation(), c.keys().rowVec(i));
+        const auto rk = gemvT(c.itqRotation(), c.keysStorage().rowVec(i));
         EXPECT_EQ(c.filterSigns(i), SignBits(rk.data(), kDim));
     }
 }
@@ -80,7 +80,7 @@ TEST(KvCache, AppendsAfterRotationStayRotated)
     c.append(rng.gaussianVec(kDim), rng.gaussianVec(kDim));
     c.setItqRotation(randomOrthogonal(kDim, rng));
     c.append(rng.gaussianVec(kDim), rng.gaussianVec(kDim));
-    const auto rk = gemvT(c.itqRotation(), c.keys().rowVec(1));
+    const auto rk = gemvT(c.itqRotation(), c.keysStorage().rowVec(1));
     EXPECT_EQ(c.filterSigns(1), SignBits(rk.data(), kDim));
 }
 
@@ -131,7 +131,7 @@ TEST(KvCache, AppendAllMatchesLoop)
     ASSERT_EQ(bulk.size(), loop.size());
     for (size_t i = 0; i < 7; ++i) {
         EXPECT_EQ(bulk.rawSigns(i), loop.rawSigns(i));
-        EXPECT_EQ(bulk.keys()(i, 3), loop.keys()(i, 3));
+        EXPECT_EQ(bulk.keysStorage()(i, 3), loop.keysStorage()(i, 3));
     }
 }
 

@@ -120,8 +120,8 @@ TEST(MultiHead, LayerExactnessDegeneration)
     for (uint32_t q = 0; q < 4; ++q) {
         const uint32_t kv = q / 2;
         const auto dense = denseAttention(queries.row(q),
-                                          caches[kv].keys(),
-                                          caches[kv].values(), scale);
+                                          caches[kv].keysStorage(),
+                                          caches[kv].valuesStorage(), scale);
         for (uint32_t d = 0; d < kDim; ++d)
             EXPECT_NEAR(layer.outputs(q, d), dense.output[d], 1e-4f);
     }

@@ -18,6 +18,7 @@
 #include "core/kv_cache.hh"
 #include "core/multi_head.hh"
 #include "tensor/kernels.hh"
+#include "tensor/linalg.hh"
 #include "util/rng.hh"
 
 namespace longsight {
@@ -155,9 +156,9 @@ TEST(PagedCache, SpanDriversMatchFlatIdentitySpan)
     std::vector<ScoredIndex> ref_sel(nq * kcap);
     std::vector<size_t> ref_sizes(nq), ref_surv(nq);
     batchScoreSelectMultiSpans(
-        qwords.data(), nq, flat.filterSignsAll(), &flat_span, 1, th,
-        queries.data(), kDim, flat.keys(), scale, k, ref_sel.data(), kcap,
-        ref_sizes.data(), ref_surv.data());
+        qwords.data(), nq, flat.filterSignsStorage(), &flat_span, 1, th,
+        queries.data(), kDim, flat.keysStorage(), scale, k, ref_sel.data(),
+        kcap, ref_sizes.data(), ref_surv.data());
 
     // The paged cache's block-table spans.
     std::vector<ScanSpan> spans(paged.maxSpans(lo, hi));
@@ -190,7 +191,7 @@ TEST(PagedCache, SpanDriversMatchFlatIdentitySpan)
     // Scan-only driver parity: survivors arrive as logical ids.
     std::vector<uint32_t> ref_ids(nq * n), got_ids(nq * n);
     std::vector<size_t> ref_counts(nq), got_counts(nq);
-    batchScanMultiSpans(qwords.data(), nq, flat.filterSignsAll(),
+    batchScanMultiSpans(qwords.data(), nq, flat.filterSignsStorage(),
                         &flat_span, 1, th, ref_ids.data(), n,
                         ref_counts.data());
     batchScanMultiSpans(qwords.data(), nq, paged.filterSignsStorage(),
@@ -320,6 +321,94 @@ TEST(PagedCache, ForkSharesFullBlocksAndIsolatesAppends)
     }
     EXPECT_EQ(pool.usedBlocks(), used_before);
 }
+
+/** Copy and move, the same in both modes: a copy reproduces rows,
+ *  filter signs and INT8 scores and diverges on append; a move leaves
+ *  the source an empty, reusable cache; no block outlives its caches. */
+class CacheCopyMove : public ::testing::TestWithParam<bool>
+{
+};
+
+TEST_P(CacheCopyMove, CopiesMatchAndMovesEmptyTheSource)
+{
+    const bool paged = GetParam();
+    const size_t n = 80; // paged: 2 full 32-token blocks + a 16 tail
+    TokenStream tokens(n);
+    const TokenStream extra(8, 11), other(8, 12);
+    KvBlockPool pool(kDim, 32, 32);
+    const uint32_t used_before = pool.usedBlocks();
+    const auto make = [&] { return paged ? KvCache(pool) : KvCache(kDim); };
+    Rng rng(21);
+    const Matrix rotation = randomOrthogonal(kDim, rng);
+    const auto q = rng.gaussianVec(kDim);
+    const auto build = [&] {
+        KvCache c = make();
+        c.setItqRotation(rotation);
+        c.enableKeyQuantization();
+        tokens.fill(c, 0, n);
+        return c;
+    };
+    {
+        KvCache src = build();
+        ASSERT_EQ(src.paged(), paged);
+        const auto expectSameAs = [&](const KvCache &want,
+                                      const KvCache &got) {
+            EXPECT_EQ(got.paged(), paged);
+            EXPECT_TRUE(got.hasItqRotation());
+            EXPECT_TRUE(got.keysQuantized());
+            expectRowsIdentical(want, got);
+            for (size_t i = 0; i < want.size(); ++i)
+                EXPECT_EQ(want.scoreKey(q.data(), i),
+                          got.scoreKey(q.data(), i))
+                    << "scoreKey " << i;
+        };
+
+        KvCache constructed(src);
+        expectSameAs(src, constructed);
+        KvCache assigned = make();
+        tokens.fill(assigned, 0, 5); // replaced by the assignment
+        assigned = src;
+        expectSameAs(src, assigned);
+
+        // Copies and source diverge: every append lands in rows only
+        // its own cache reads (the paged tail block is never shared).
+        extra.fill(constructed, 0, 8);
+        extra.fill(assigned, 0, 8);
+        other.fill(src, 0, 8);
+        KvCache want_copy = build();
+        extra.fill(want_copy, 0, 8);
+        KvCache want_src = build();
+        other.fill(want_src, 0, 8);
+        expectSameAs(want_src, src);
+        expectSameAs(want_copy, constructed);
+        expectSameAs(want_copy, assigned);
+
+        KvCache moved(std::move(constructed));
+        EXPECT_EQ(constructed.size(), 0u);
+        KvCache target = make();
+        tokens.fill(target, 0, 40);
+        target = std::move(moved);
+        EXPECT_EQ(moved.size(), 0u);
+        expectSameAs(want_copy, target);
+
+        // A moved-from cache is empty, unrotated and still appendable.
+        for (KvCache *c : {&constructed, &moved}) {
+            EXPECT_EQ(c->paged(), paged);
+            EXPECT_FALSE(c->hasItqRotation());
+            EXPECT_FALSE(c->keysQuantized());
+            tokens.fill(*c, 0, 3);
+            ASSERT_EQ(c->size(), 3u);
+            EXPECT_EQ(0, std::memcmp(c->keyRow(2), src.keyRow(2),
+                                     kDim * sizeof(float)));
+        }
+    }
+    EXPECT_EQ(pool.usedBlocks(), used_before);
+}
+
+INSTANTIATE_TEST_SUITE_P(FlatAndPaged, CacheCopyMove, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool> &p) {
+                             return p.param ? "Paged" : "Flat";
+                         });
 
 TEST(PagedCache, ItqInstallUnsharesBlocks)
 {

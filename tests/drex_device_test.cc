@@ -81,7 +81,7 @@ TEST(Device, ContextStorageRoundTrip)
     EXPECT_FALSE(dev.hasContext(1, 1, 1));
     const KvCache &c = dev.context(1, 0, 1);
     EXPECT_EQ(c.size(), 50u);
-    EXPECT_EQ(c.keys()(10, 3), keys(10, 3));
+    EXPECT_EQ(c.keysStorage()(10, 3), keys(10, 3));
 }
 
 TEST(Device, IncrementalWritesAppend)

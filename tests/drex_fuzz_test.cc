@@ -88,7 +88,7 @@ TEST_P(DrexFuzz, DeviceAgreesWithSoftwareReference)
         std::vector<uint32_t> survivors;
         // Scalar reference on purpose: extract() + SignBits keeps this
         // check independent of the batch kernels the device now uses.
-        const SignMatrix &signs = cache.filterSignsAll();
+        const SignMatrix &signs = cache.filterSignsStorage();
         for (uint64_t i = begin; i < end; ++i)
             if (qs.concordance(signs.extract(i)) >= threshold)
                 survivors.push_back(static_cast<uint32_t>(i));
@@ -96,7 +96,7 @@ TEST_P(DrexFuzz, DeviceAgreesWithSoftwareReference)
         for (size_t j = 0; j < survivors.size(); ++j) {
             scores[j] = quantized
                 ? cache.scoreKey(queries.row(q), survivors[j]) * scale
-                : dot(queries.row(q), cache.keys().row(survivors[j]),
+                : dot(queries.row(q), cache.keysStorage().row(survivors[j]),
                       dim) * scale;
         }
         const auto expect = topkSelect(scores, survivors, k);

@@ -78,10 +78,10 @@ TEST_P(NmaEquivalence, MatchesSoftwareReference)
 
     // Software reference: SCF filter -> score -> top-k.
     const auto survivors = scfFilterRows(
-        f.query.row(0), f.cache->keys(), 0, n, threshold);
+        f.query.row(0), f.cache->keysStorage(), 0, n, threshold);
     const float scale = 1.0f / std::sqrt(static_cast<float>(dim));
-    const auto scores = attentionScoresAt(f.query.row(0), f.cache->keys(),
-                                          survivors, scale);
+    const auto scores = attentionScoresAt(
+        f.query.row(0), f.cache->keysStorage(), survivors, scale);
     const auto expect = topkSelect(scores, survivors, k);
 
     EXPECT_EQ(r.survivors, survivors.size());
@@ -119,9 +119,9 @@ TEST(Nma, MultiQueryGroupRanksPerQuery)
     const float scale = 1.0f / std::sqrt(static_cast<float>(dim));
     for (uint32_t q = 0; q < 4; ++q) {
         const auto survivors = scfFilterRows(
-            queries.row(q), f.cache->keys(), 0, n, 14);
+            queries.row(q), f.cache->keysStorage(), 0, n, 14);
         const auto scores = attentionScoresAt(
-            queries.row(q), f.cache->keys(), survivors, scale);
+            queries.row(q), f.cache->keysStorage(), survivors, scale);
         const auto expect = topkSelect(scores, survivors, 16);
         ASSERT_EQ(r.topk[q].size(), expect.size()) << "query " << q;
         for (size_t i = 0; i < expect.size(); ++i)
@@ -241,6 +241,21 @@ TEST(Nma, HardwareTopKCapEnforced)
     spec.filterQueries = &q;
     const auto r = dev.nma(0).process(0, spec);
     EXPECT_EQ(r.topk[0].size(), 16u);
+}
+
+TEST(NmaDeathTest, PagedCacheIsRejected)
+{
+    // The NMA indexes sign and key rows by token id, which only a flat
+    // cache's rows are; a paged cache must die, not read wrong rows.
+    NmaFixture f(256, 64, 31);
+    KvBlockPool pool(64, 32, 8);
+    KvCache paged(pool);
+    for (size_t i = 0; i < f.cache->size(); ++i)
+        paged.append(f.cache->keyRow(i), f.cache->valueRow(i));
+    OffloadSpec spec = f.spec(0, 256, 16, 30);
+    spec.cache = &paged;
+    EXPECT_DEATH({ f.device.nma(0).process(0, spec); },
+                 "functional offload needs a flat cache");
 }
 
 } // namespace

@@ -47,7 +47,7 @@ struct Pipeline
         const size_t nq = 128;
         Matrix train(nk + nq, kDim);
         for (size_t i = 0; i < nk; ++i)
-            train.setRow(i, cache->keys().row(i));
+            train.setRow(i, cache->keysStorage().row(i));
         for (size_t i = 0; i < nq; ++i) {
             const auto q = wl.drawQuery();
             train.setRow(nk + i, q.data());
@@ -67,7 +67,7 @@ struct Pipeline
             const auto q = wl.drawQuery();
             const auto r = attn.computeHead(q, *cache, 0);
             const auto dense = denseAttention(
-                q.data(), cache->keys(), cache->values(), scale);
+                q.data(), cache->keysStorage(), cache->valuesStorage(), scale);
             proxy.record(dense.probs, r.attended, dense.output, r.output);
             LongSightAttn::recordStats(r, fs);
         }

@@ -80,8 +80,8 @@ TEST(QuantizedCache, ScoreKeyMatchesQuantizedDot)
     cache.enableKeyQuantization();
     const auto q = rng.gaussianVec(32);
     for (size_t i = 0; i < 50; ++i)
-        EXPECT_FLOAT_EQ(cache.scoreKey(q.data(), i),
-                        dotQuantized(cache.quantizedKey(i), q.data()));
+        EXPECT_EQ(cache.scoreKey(q.data(), i),
+                  dotQuantized(quantizeInt8(cache.keyRow(i), 32), q.data()));
 }
 
 TEST(QuantizedCache, LateEnableQuantizesExistingAndFuture)
@@ -91,8 +91,10 @@ TEST(QuantizedCache, LateEnableQuantizesExistingAndFuture)
     cache.append(rng.gaussianVec(16), rng.gaussianVec(16));
     cache.enableKeyQuantization();
     cache.append(rng.gaussianVec(16), rng.gaussianVec(16));
-    EXPECT_EQ(cache.quantizedKey(0).data.size(), 16u);
-    EXPECT_EQ(cache.quantizedKey(1).data.size(), 16u);
+    const auto q = rng.gaussianVec(16);
+    for (size_t i = 0; i < 2; ++i)
+        EXPECT_EQ(cache.scoreKey(q.data(), i),
+                  dotQuantized(quantizeInt8(cache.keyRow(i), 16), q.data()));
 }
 
 TEST(QuantizedHybrid, SelectionNearFullPrecision)

@@ -9,16 +9,20 @@
  * the span drivers (every call over one identity span of the flat key
  * set) on every backend this host supports: the one-query scan and
  * fused scan->score->select, survivor scoring, the same scan and
- * fused select for a four-query GQA group in one pass, and INT8
+ * fused select for a four-query GQA group in one pass, INT8
  * quantized scoring (quant_dot, int8_dot, fused int8_score_select —
- * scalar / AVX2 maddubs / AVX-512 VNNI). It verifies the results are
+ * scalar / AVX2 maddubs / AVX-512 VNNI), and the prefill attend's
+ * kernels: eight queries over one gathered token list as eight
+ * one-query calls (dot_q8_loop) and as one queries-in-lanes call
+ * (dot_multi_q8), rates in key-query pairs, plus the weighted value
+ * sum (weighted_sum). It verifies the results are
  * bit-identical to the scalar backend (the fused select against the
  * unfused scan + dot + topkSelect pipeline, and every grouped output
  * against the scalar one-query call for the same query), and writes
  * BENCH_kernels.json. Exits nonzero if any backend's survivor set,
- * score vector, fused top-k, or grouped per-query result differs from
- * scalar — this is the bit-identity gate CI's bench-smoke job
- * enforces.
+ * score vector, fused top-k, grouped per-query result, or weighted sum
+ * differs from scalar — this is the bit-identity gate CI's bench-smoke
+ * job enforces.
  *
  * Run:  ./build/bench/micro_kernels
  *       ./build/bench/micro_kernels --keys 4096 --reps 3 \
@@ -441,9 +445,28 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
         std::vector<ScoredIndex> ref_isel(kcap);
         ref_isel.resize(int8SelectOne(ref_isel.data()));
 
+        // Prefill attend shape: eight consecutive queries over one
+        // gathered token list (query 0's survivors), scored per query
+        // by the scalar backend, and the probability-weighted value sum
+        // over the same list by a plain scalar loop (the keys double as
+        // values).
+        const size_t nq8 = kDotMultiQueries;
+        const size_t nsurv = ref_survivors.size();
+        const Matrix qm8(nq8, dim, rng.gaussianVec(nq8 * dim));
+        std::vector<float> ref_mdot(nq8 * nsurv);
+        for (size_t g = 0; g < nq8; ++g)
+            batchDotScaleAt(qm8.row(g), key_mat, ref_survivors.data(),
+                            nsurv, scale, ref_mdot.data() + g * nsurv);
+        const auto wprobs = rng.gaussianVec(nsurv);
+        std::vector<float> ref_wsum(dim, 0.0f);
+        for (size_t j = 0; j < nsurv; ++j)
+            for (size_t d = 0; d < dim; ++d)
+                ref_wsum[d] += wprobs[j] * key_mat(ref_survivors[j], d);
+
         double scalar_scan = 0.0, scalar_dot = 0.0, scalar_fused = 0.0;
         double scalar_mscan = 0.0, scalar_mfused = 0.0;
         double scalar_qdot = 0.0, scalar_idot = 0.0, scalar_isel = 0.0;
+        double scalar_ldot = 0.0, scalar_mdot = 0.0, scalar_wsum = 0.0;
         for (KernelBackend b : availableBackends()) {
             setKernelBackend(b);
 
@@ -535,7 +558,36 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
                 isel_same = isel[i].score == ref_isel[i].score &&
                     isel[i].index == ref_isel[i].index;
 
+            // Eight one-query calls vs one queries-in-lanes call; rates
+            // count key-query pairs.
+            std::vector<float> ldot(nq8 * nsurv), mdot(nq8 * nsurv);
+            const double ldot_rate = bestKeysPerSec(nq8 * nsurv, reps, [&] {
+                for (size_t g = 0; g < nq8; ++g)
+                    batchDotScaleAt(qm8.row(g), key_mat,
+                                    ref_survivors.data(), nsurv, scale,
+                                    ldot.data() + g * nsurv);
+            });
+            const bool ldot_same = ldot == ref_mdot;
+            const double mdot_rate = bestKeysPerSec(nq8 * nsurv, reps, [&] {
+                batchDotScaleMulti(qm8.row(0), dim, nq8, key_mat,
+                                   ref_survivors.data(), nsurv, scale,
+                                   mdot.data(), nsurv);
+            });
+            const bool mdot_same = mdot == ref_mdot;
+
+            std::vector<float> wsum(dim);
+            const double wsum_rate = bestKeysPerSec(nsurv, reps, [&] {
+                std::fill(wsum.begin(), wsum.end(), 0.0f);
+                batchWeightedSum(wprobs.data(), key_mat,
+                                 ref_survivors.data(), 0, nsurv,
+                                 wsum.data());
+            });
+            const bool wsum_same = wsum == ref_wsum;
+
             if (b == KernelBackend::Scalar) {
+                scalar_ldot = ldot_rate;
+                scalar_mdot = mdot_rate;
+                scalar_wsum = wsum_rate;
                 scalar_scan = scan_rate;
                 scalar_dot = dot_rate;
                 scalar_fused = fused_rate;
@@ -547,7 +599,8 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
             }
             all_identical = all_identical && scan_same && dot_same &&
                 fused_same && mscan_same && mfused_same && qdot_same &&
-                idot_same && isel_same;
+                idot_same && isel_same && ldot_same && mdot_same &&
+                wsum_same;
             rows.push_back({"scan", dim, keys, b, scan_rate,
                             scan_rate / scalar_scan, scan_same});
             rows.push_back({"dot", dim, ref_survivors.size(), b,
@@ -566,6 +619,12 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
             rows.push_back({"int8_score_select", dim, keys, b,
                             isel_rate, isel_rate / scalar_isel,
                             isel_same});
+            rows.push_back({"dot_q8_loop", dim, nsurv, b, ldot_rate,
+                            ldot_rate / scalar_ldot, ldot_same});
+            rows.push_back({"dot_multi_q8", dim, nsurv, b, mdot_rate,
+                            mdot_rate / scalar_mdot, mdot_same});
+            rows.push_back({"weighted_sum", dim, nsurv, b, wsum_rate,
+                            wsum_rate / scalar_wsum, wsum_same});
             if (!scan_same)
                 std::cerr << "FAIL: " << kernelBackendName(b)
                           << " scan survivors differ from scalar (dim "
@@ -604,6 +663,16 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
                           << " fused int8_score_select differs from "
                              "scalar (dim "
                           << dim << ")\n";
+            if (!ldot_same || !mdot_same)
+                std::cerr << "FAIL: " << kernelBackendName(b)
+                          << " eight-query dot differs per query from "
+                             "the scalar one-query dot (dim "
+                          << dim << ")\n";
+            if (!wsum_same)
+                std::cerr << "FAIL: " << kernelBackendName(b)
+                          << " weighted_sum differs from the scalar "
+                             "loop (dim "
+                          << dim << ")\n";
         }
     }
     setKernelBackend(active);
@@ -625,13 +694,19 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
 
     std::cout << "\nscalar-vs-SIMD (" << keys << " keys, best of "
               << reps << "):\n";
-    for (const KernelRow &r : rows)
+    for (size_t i = 0; i < rows.size(); ++i) {
+        const KernelRow &r = rows[i];
         std::cout << "  " << r.kernel << " d" << r.dim << " "
                   << kernelBackendName(r.backend) << ": "
                   << static_cast<uint64_t>(r.keysPerSec / 1e6)
                   << " Mkeys/s (" << r.speedup << "x scalar, "
-                  << (r.bitIdentical ? "bit-identical" : "MISMATCH")
-                  << ")\n";
+                  << (r.bitIdentical ? "bit-identical" : "MISMATCH");
+        // dot_q8_loop is pushed right before its dot_multi_q8 row.
+        if (r.kernel == "dot_multi_q8")
+            std::cout << ", " << r.keysPerSec / rows[i - 1].keysPerSec
+                      << "x eight one-query calls";
+        std::cout << ")\n";
+    }
     std::cout << "wrote " << out_path << "\n";
     return all_identical ? 0 : 1;
 }

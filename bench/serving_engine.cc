@@ -66,7 +66,7 @@ struct LongSightCosts
     uint64_t kvBytesPerToken = 0;
     double cxlGBps = 56.0;
     uint64_t contextBucket = 4096;
-    mutable std::map<std::pair<uint64_t, uint32_t>, Tick> memo;
+    mutable std::map<std::pair<uint64_t, uint32_t>, Tick> memo{};
 
     Tick decodeStep(const std::vector<uint64_t> &contexts) const
     {

@@ -26,9 +26,10 @@
  *    = 1 pair; one block-signature concordance = 1/16 pair, generous
  *    for d=128 where XOR+popcount touches 2 words vs 128 FMAs).
  *
- * 3. Wall-clock spot check — dense vs sparse prompt pass, real
- *    attention, at a reduced context (scaling honesty: see
- *    bench_util.hh); reported but never gated.
+ * 3. Wall-clock spot check — dense (knob = Dense) vs sparse prompt
+ *    pass through the same attend kernels, real attention, at a
+ *    reduced context (scaling honesty: see bench_util.hh); reported
+ *    but never gated.
  *
  * 4. TTFT — the ServingEngine runs the same Poisson trace under the
  *    dense prefill cost model and under sparsePrefillChunkTime wired
@@ -166,6 +167,21 @@ struct SweepRow
  * probe quality on `samples` query positions per head: lost dense
  * softmax mass outside the attended set, and dense top-k recall.
  */
+/**
+ * Sweep-row name "b<block><knob><value>", built by appends: GCC 12's
+ * -O3 inlining of `const char * + std::string` trips a false
+ * -Wrestrict in its own headers under -Werror.
+ */
+std::string
+knobName(size_t block, const char *knob, int value)
+{
+    std::string name = "b";
+    name += std::to_string(block);
+    name += knob;
+    name += std::to_string(value);
+    return name;
+}
+
 SweepRow
 runSweepPoint(const std::string &name, PrefillSparsityConfig cfg,
               const std::vector<HeadStream> &streams, size_t n,
@@ -362,6 +378,12 @@ struct TimedResult
     double measuredSpeedup = 0.0;
 };
 
+/**
+ * Both sides run BlockSparsePrefill with the same attend kernels — the
+ * dense side at knob = Dense, which section 1 proves equal to
+ * densePrefillReference — so the ratio measures sparsity alone, not a
+ * difference between the reference loop and the grouped attend.
+ */
 TimedResult
 runTimed(const HeadStream &s, size_t n, const PrefillSparsityConfig &best)
 {
@@ -369,13 +391,17 @@ runTimed(const HeadStream &s, size_t n, const PrefillSparsityConfig &best)
     r.context = n;
     Matrix out(n, s.keys.cols());
 
-    auto t0 = std::chrono::steady_clock::now();
-    densePrefillReference(s.keys, s.keys, s.values, s.scale, n, out);
-    r.denseSec = secondsSince(t0);
-
     PrefillSparsityConfig cfg = best;
     cfg.estimateOnly = false;
     cfg.recordDecisions = false;
+    PrefillSparsityConfig dense_cfg = cfg;
+    dense_cfg.mode = PrefillSparsityMode::Dense;
+
+    BlockSparsePrefill dense(s.keys.cols(), dense_cfg);
+    auto t0 = std::chrono::steady_clock::now();
+    dense.advance(s.keys, s.keys, s.values, s.scale, n, true, out);
+    r.denseSec = secondsSince(t0);
+
     BlockSparsePrefill pass(s.keys.cols(), cfg);
     t0 = std::chrono::steady_clock::now();
     pass.advance(s.keys, s.keys, s.values, s.scale, n, true, out);
@@ -620,9 +646,8 @@ main(int argc, char **argv)
         cfg.blockTokens = B;
         cfg.mode = PrefillSparsityMode::Threshold;
         cfg.threshold = thr;
-        sweep.push_back(runSweepPoint(
-            "b" + std::to_string(B) + "_thr" + std::to_string(thr), cfg,
-            streams, context, samples));
+        sweep.push_back(runSweepPoint(knobName(B, "_thr", thr), cfg,
+                                      streams, context, samples));
     };
     const auto topFractionPoint = [&](size_t B, double f) {
         PrefillSparsityConfig cfg;
@@ -630,9 +655,8 @@ main(int argc, char **argv)
         cfg.mode = PrefillSparsityMode::TopFraction;
         cfg.keepFraction = f;
         sweep.push_back(runSweepPoint(
-            "b" + std::to_string(B) + "_top" +
-                std::to_string(static_cast<int>(f * 100)),
-            cfg, streams, context, samples));
+            knobName(B, "_top", static_cast<int>(f * 100)), cfg, streams,
+            context, samples));
     };
     // Threshold knob around the random-sign midpoint d/2, across the
     // block-size octaves; two TopFraction points for the other mode.

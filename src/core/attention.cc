@@ -78,14 +78,8 @@ denseAttentionInto(const float *q, const Matrix &keys, const Matrix &values,
     LS_NO_LOCK();
     batchDotScaleRange(q, keys, 0, keys.rows(), scale, probs);
     softmaxInPlace(probs, keys.rows());
-    for (size_t d = 0; d < values.cols(); ++d)
-        out[d] = 0.0f;
-    for (size_t i = 0; i < keys.rows(); ++i) {
-        const float p = probs[i];
-        const float *v = values.row(i);
-        for (size_t d = 0; d < values.cols(); ++d)
-            out[d] += p * v[d];
-    }
+    std::fill_n(out, values.cols(), 0.0f);
+    batchWeightedSum(probs, values, nullptr, 0, keys.rows(), out);
 }
 
 void
@@ -122,16 +116,11 @@ denseAttentionInto(const float *q, const KvCache &cache, float scale,
         at += sp.count;
     }
     softmaxInPlace(probs, n);
-    for (size_t d = 0; d < values.cols(); ++d)
-        out[d] = 0.0f;
+    std::fill_n(out, values.cols(), 0.0f);
     for (size_t at = 0; at < n;) {
         const ScanSpan sp = cache.spanAt(at, n);
-        for (size_t i = 0; i < sp.count; ++i) {
-            const float p = probs[sp.logicalBase + i];
-            const float *v = values.row(sp.physBegin + i);
-            for (size_t d = 0; d < values.cols(); ++d)
-                out[d] += p * v[d];
-        }
+        batchWeightedSum(probs + sp.logicalBase, values, nullptr,
+                         sp.physBegin, sp.count, out);
         at += sp.count;
     }
 }
@@ -158,17 +147,11 @@ subsetAttentionInto(const float *q, const KvCache &cache,
         batchDotScaleAt(q, keys, phys, m, scale, probs + at);
     }
     softmaxInPlace(probs, count);
-    for (size_t d = 0; d < values.cols(); ++d)
-        out[d] = 0.0f;
+    std::fill_n(out, values.cols(), 0.0f);
     for (size_t at = 0; at < count; at += kChunk) {
         const size_t m = std::min(kChunk, count - at);
         cache.mapToPhysical(indices + at, m, phys);
-        for (size_t j = 0; j < m; ++j) {
-            const float p = probs[at + j];
-            const float *v = values.row(phys[j]);
-            for (size_t d = 0; d < values.cols(); ++d)
-                out[d] += p * v[d];
-        }
+        batchWeightedSum(probs + at, values, phys, 0, m, out);
     }
 }
 
@@ -179,14 +162,8 @@ weightedValueSumInto(const Matrix &values, const uint32_t *indices,
     LS_HOT_PATH();
     LS_DETERMINISTIC();
     LS_NO_LOCK();
-    for (size_t d = 0; d < values.cols(); ++d)
-        out[d] = 0.0f;
-    for (size_t j = 0; j < count; ++j) {
-        const float *v = values.row(indices[j]);
-        const float p = probs[j];
-        for (size_t d = 0; d < values.cols(); ++d)
-            out[d] += p * v[d];
-    }
+    std::fill_n(out, values.cols(), 0.0f);
+    batchWeightedSum(probs, values, indices, 0, count, out);
 }
 
 } // namespace longsight

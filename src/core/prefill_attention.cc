@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/attention.hh"
 #include "tensor/kernels.hh"
 #include "tensor/softmax.hh"
 #include "tensor/topk_heap.hh"
@@ -203,17 +202,37 @@ BlockSparsePrefill::runTask(const QBlockTask &t, const Matrix &queries,
          kb <= t.block; ++kb)
         add_block(kb);
 
-    float *probs =
-        cfg_.estimateOnly ? nullptr : frame.alloc<float>(ntok);
+    // Query i attends to tokens[0, cut_i), its causal cut. Consecutive
+    // queries go through the scorer in groups of kDotMultiQueries, one
+    // pass over the shared list up to the group's largest cut (the last
+    // query's); a query ignores the scores past its own cut. Softmax
+    // and the value sum then run per query over exactly its cut, so
+    // each output is subsetAttentionInto's bit for bit.
+    constexpr size_t G = kDotMultiQueries;
+    float *scores =
+        cfg_.estimateOnly ? nullptr : frame.alloc<float>(G * ntok);
+    size_t cuts[G] = {};
     size_t cut = 0;
-    for (size_t i = t.qBegin; i < t.qEnd; ++i) {
-        while (cut < ntok && tokens[cut] <= i)
-            ++cut;
-        if (!cfg_.estimateOnly)
-            subsetAttentionInto(queries.row(i), keys, values, tokens,
-                                cut, scale, probs, out.row(i));
-        stats.attendedTokens += cut;
-        stats.denseTokens += i + 1;
+    for (size_t g0 = t.qBegin; g0 < t.qEnd; g0 += G) {
+        const size_t nq = std::min<size_t>(G, t.qEnd - g0);
+        for (size_t qi = 0; qi < nq; ++qi) {
+            while (cut < ntok && tokens[cut] <= g0 + qi)
+                ++cut;
+            cuts[qi] = cut;
+            stats.attendedTokens += cut;
+            stats.denseTokens += g0 + qi + 1;
+        }
+        if (cfg_.estimateOnly)
+            continue;
+        batchDotScaleMulti(queries.row(g0), queries.cols(), nq, keys,
+                           tokens, cut, scale, scores, cut);
+        for (size_t qi = 0; qi < nq; ++qi) {
+            float *probs = scores + qi * cut;
+            float *o = out.row(g0 + qi);
+            softmaxInPlace(probs, cuts[qi]);
+            std::fill_n(o, values.cols(), 0.0f);
+            batchWeightedSum(probs, values, tokens, 0, cuts[qi], o);
+        }
     }
 }
 

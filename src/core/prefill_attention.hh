@@ -10,12 +10,14 @@
  * always dense; the remaining candidates pass through a per-head
  * accuracy knob (concordance threshold or top-fraction). Inside the
  * surviving blocks the math is the exact subsetAttentionInto
- * composition, so knob = Dense degenerates BIT-IDENTICALLY to the
+ * composition, run for up to kDotMultiQueries queries at a time
+ * (batchDotScaleMulti scores the group in one pass over the shared
+ * token list), so knob = Dense degenerates BIT-IDENTICALLY to the
  * dense causal prompt pass (densePrefillReference): per query the
- * attended set becomes the full causal prefix, batchDotScaleAt over an
- * ascending identity index list is contractually the same math as
- * batchDotScaleRange, and softmax + weighted value accumulation are
- * shared code.
+ * attended set becomes the full causal prefix, every lane of the
+ * grouped dot over an ascending identity index list is contractually
+ * batchDotScaleRange's math, softmax is shared code, and the weighted
+ * value sum keeps the reference loop's float multiply-then-add order.
  *
  * Chunked prefill: advance() processes only COMPLETE Q-blocks eagerly
  * and defers the partial tail until a flush, so any chunking of the

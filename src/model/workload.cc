@@ -31,7 +31,8 @@ WorkloadConfig::wiki2Like(uint32_t head_dim)
 
 HeadWorkload::HeadWorkload(const WorkloadConfig &cfg, Rng rng)
     : cfg_(cfg), rng_(rng), identityRng_(rng_.fork()),
-      rope_(cfg.headDim, cfg.ropeTheta)
+      rope_(cfg.headDim, cfg.ropeTheta), keys_(0, cfg.headDim),
+      values_(0, cfg.headDim)
 {
     const uint32_t d = cfg_.headDim;
     const uint32_t half = d / 2;
@@ -133,7 +134,7 @@ HeadWorkload::advanceTopic()
 }
 
 void
-HeadWorkload::pushToken(Matrix &keys, Matrix &values, size_t pos)
+HeadWorkload::pushToken(size_t pos)
 {
     std::vector<float> k = sampleVector(
         currentTopic_, static_cast<int>(currentSegment_), cfg_.noiseScale);
@@ -145,8 +146,8 @@ HeadWorkload::pushToken(Matrix &keys, Matrix &values, size_t pos)
     // works.
     const std::vector<float> v = rng_.gaussianVec(cfg_.headDim);
 
-    keys.setRow(pos, k.data());
-    values.setRow(pos, v.data());
+    keys_.appendRow(k.data());
+    values_.appendRow(v.data());
     // LS_LINT_ALLOW(alloc): context history is the workload's product
     topics_.push_back(currentTopic_);
     // LS_LINT_ALLOW(alloc): context history is the workload's product
@@ -157,32 +158,28 @@ void
 HeadWorkload::generate(size_t n)
 {
     startContext();
-    const uint32_t d = cfg_.headDim;
-    Matrix keys(n, d), values(n, d);
+    keys_.resize(0, cfg_.headDim);
+    values_.resize(0, cfg_.headDim);
+    keys_.reserveRows(n);
+    values_.reserveRows(n);
     topics_.reserve(n);
     segments_.reserve(n);
     for (size_t t = 0; t < n; ++t) {
         if (t > 0)
             advanceTopic();
-        pushToken(keys, values, t);
+        pushToken(t);
     }
-    keys_ = std::move(keys);
-    values_ = std::move(values);
 }
 
 void
 HeadWorkload::appendToken()
 {
+    // Rows grow in place (amortized), so a decode-time append costs one
+    // row, not a copy of the whole history.
     const size_t pos = keys_.rows();
-    const uint32_t d = cfg_.headDim;
-    Matrix keys(pos + 1, d), values(pos + 1, d);
-    std::copy(keys_.data(), keys_.data() + pos * d, keys.data());
-    std::copy(values_.data(), values_.data() + pos * d, values.data());
     if (pos > 0)
         advanceTopic();
-    pushToken(keys, values, pos);
-    keys_ = std::move(keys);
-    values_ = std::move(values);
+    pushToken(pos);
 }
 
 std::vector<float>

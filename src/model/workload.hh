@@ -133,7 +133,8 @@ class HeadWorkload
                                     double noise_scale);
 
     void startContext();
-    void pushToken(Matrix &keys, Matrix &values, size_t pos);
+    /** Sample token `pos` (the next row) and append it to the context. */
+    void pushToken(size_t pos);
     void advanceTopic();
     const std::vector<float> &segmentIdentity(uint32_t segment);
 

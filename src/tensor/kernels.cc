@@ -168,10 +168,44 @@ scalarInt8DotAt(const int8_t *q, const int8_t *keys, size_t stride,
     }
 }
 
+void
+scalarDotMulti(const float *qs, size_t q_stride, size_t num_queries,
+               const float *keys, size_t stride, size_t dim,
+               const uint32_t *idx, size_t count, float scale, float *out,
+               size_t out_stride)
+{
+    LS_HOT_PATH();
+    LS_DETERMINISTIC();
+    LS_NO_LOCK();
+    for (size_t j = 0; j < count; ++j) {
+        const float *k = keys + idx[j] * stride;
+        for (size_t q = 0; q < num_queries; ++q)
+            out[q * out_stride + j] =
+                dotRowScaled(qs + q * q_stride, k, dim, scale);
+    }
+}
+
+void
+scalarWeightedSum(const float *p, const float *values, size_t stride,
+                  size_t dim, const uint32_t *idx, size_t first,
+                  size_t count, float *out)
+{
+    LS_HOT_PATH();
+    LS_DETERMINISTIC();
+    LS_NO_LOCK();
+    for (size_t j = 0; j < count; ++j) {
+        const float *v = values + (idx ? idx[j] : first + j) * stride;
+        const float pj = p[j];
+        for (size_t d = 0; d < dim; ++d)
+            out[d] += pj * v[d];
+    }
+}
+
 const KernelOps kScalarOps = {scalarConcordance, scalarDotAt,
-                              scalarScanMulti, scalarBitmapMulti,
-                              scalarSignReduce, scalarQuantDotAt,
-                              scalarInt8DotAt};
+                              scalarScanMulti,   scalarBitmapMulti,
+                              scalarSignReduce,  scalarQuantDotAt,
+                              scalarInt8DotAt,   scalarDotMulti,
+                              scalarWeightedSum};
 
 } // namespace
 
@@ -360,6 +394,60 @@ batchDotScaleRange(const float *q, const Matrix &keys, size_t begin,
         return;
     ops().dotAt(q, keys.data(), keys.cols(), keys.cols(), nullptr, begin,
                 end - begin, scale, out);
+}
+
+void
+batchDotScaleMulti(const float *queries, size_t query_stride,
+                   size_t num_queries, const Matrix &keys,
+                   const uint32_t *indices, size_t count, float scale,
+                   float *out, size_t out_stride)
+{
+    LS_HOT_PATH();
+    LS_DETERMINISTIC();
+    LS_NO_LOCK();
+    for (size_t j = 0; j < count; ++j)
+        LS_ASSERT(indices[j] < keys.rows(), "score index ", indices[j],
+                  " out of ", keys.rows());
+    if (count == 0)
+        return;
+    const detail::KernelOps &o = ops();
+    const size_t dim = keys.cols();
+    // A lone query (or a row too wide for the op's tiles) gains nothing
+    // from lanes; dotAt is the same contract one query at a time.
+    const size_t lanes =
+        dim <= kDotMultiMaxDim ? kDotMultiQueries : size_t{1};
+    for (size_t q0 = 0; q0 < num_queries; q0 += lanes) {
+        const size_t nq = std::min(lanes, num_queries - q0);
+        if (nq == 1)
+            o.dotAt(queries + q0 * query_stride, keys.data(), dim, dim,
+                    indices, 0, count, scale, out + q0 * out_stride);
+        else
+            o.dotMulti(queries + q0 * query_stride, query_stride, nq,
+                       keys.data(), dim, dim, indices, count, scale,
+                       out + q0 * out_stride, out_stride);
+    }
+}
+
+void
+batchWeightedSum(const float *probs, const Matrix &values,
+                 const uint32_t *indices, size_t first, size_t count,
+                 float *out)
+{
+    LS_HOT_PATH();
+    LS_DETERMINISTIC();
+    LS_NO_LOCK();
+    if (indices) {
+        for (size_t j = 0; j < count; ++j)
+            LS_ASSERT(indices[j] < values.rows(), "value index ",
+                      indices[j], " out of ", values.rows());
+    } else {
+        LS_ASSERT(first + count <= values.rows(), "value range [", first,
+                  ",", first + count, ") out of ", values.rows());
+    }
+    if (count == 0)
+        return;
+    ops().weightedSum(probs, values.data(), values.cols(), values.cols(),
+                      indices, first, count, out);
 }
 
 void

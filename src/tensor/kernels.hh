@@ -3,10 +3,12 @@
  * Runtime-dispatched batch kernels for the SCF hot path: sign
  * concordance over packed SignMatrix rows (the software twin of the
  * PFU's 128-key popcount sweep), batched survivor scoring
- * (query . key dot products with a fused scale), and INT8 scoring
- * over the quantized key arenas — mixed float x int8 survivor scoring
- * (the dotQuantized contract) and exact int8 x int8 estimation dots
- * (scalar reference, AVX2 maddubs, AVX-512 VNNI vpdpbusd fast paths).
+ * (query . key dot products with a fused scale, one query or a
+ * queries-in-lanes group), the probability-weighted value sum, and
+ * INT8 scoring over the quantized key arenas — mixed float x int8
+ * survivor scoring (the dotQuantized contract) and exact int8 x int8
+ * estimation dots (scalar reference, AVX2 maddubs, AVX-512 VNNI
+ * vpdpbusd fast paths).
  *
  * Three backends share one contract and are selected once at startup:
  *
@@ -114,6 +116,39 @@ void batchDotScaleAt(const float *q, const Matrix &keys,
 /** Range flavour: out[i - begin] = (q . keys[i]) * scale. */
 void batchDotScaleRange(const float *q, const Matrix &keys, size_t begin,
                         size_t end, float scale, float *out);
+
+/** Queries one dotMulti op call scores at most (its SIMD lane
+ *  capacity); batchDotScaleMulti chunks larger groups. */
+inline constexpr size_t kDotMultiQueries = 8;
+
+/** Largest head dimension the dotMulti op's stack tiles hold; wider
+ *  rows fall back to one dotAt pass per query. */
+inline constexpr size_t kDotMultiMaxDim = 256;
+
+/**
+ * Multi-query gather scoring: out[q * out_stride + j] = (query_q .
+ * keys[indices[j]]) * scale for q in [0, num_queries), j in [0,
+ * count), where query_q starts at queries + q * query_stride. Every
+ * (query, key) score is exactly batchDotScaleAt's, so the result does
+ * not depend on num_queries or the chunking; each chunk of up to
+ * kDotMultiQueries queries reads the gathered key rows once.
+ */
+void batchDotScaleMulti(const float *queries, size_t query_stride,
+                        size_t num_queries, const Matrix &keys,
+                        const uint32_t *indices, size_t count, float scale,
+                        float *out, size_t out_stride);
+
+/**
+ * Weighted value accumulation into caller storage: out[d] += probs[j]
+ * * values_row_j[d] for j in [0, count) ascending, one float multiply
+ * then one float add per element (never fused). Row j is
+ * values.row(indices[j]) when indices is non-null, values.row(first +
+ * j) otherwise. out holds values.cols() floats and is NOT zeroed, so
+ * callers can accumulate span by span.
+ */
+void batchWeightedSum(const float *probs, const Matrix &values,
+                      const uint32_t *indices, size_t first, size_t count,
+                      float *out);
 
 /** Queries one multi-query kernel call serves at most; the public
  *  drivers below chunk larger groups transparently (each chunk is one
@@ -326,6 +361,22 @@ struct KernelOps
     void (*int8DotAt)(const int8_t *q, const int8_t *keys, size_t stride,
                       size_t dim, const uint32_t *idx, size_t first,
                       size_t count, int32_t *out);
+    /** Queries-in-lanes gather dot: out[q * out_stride + j] is
+     *  exactly dotAt's out[j] (row keys + idx[j]*stride) for query
+     *  qs + q * q_stride, for num_queries in [1, kDotMultiQueries] and
+     *  dim <= kDotMultiMaxDim. Each lane is one ascending double chain
+     *  (mul then add, never FMA), however the backend packs the
+     *  lanes. */
+    void (*dotMulti)(const float *qs, size_t q_stride, size_t num_queries,
+                     const float *keys, size_t stride, size_t dim,
+                     const uint32_t *idx, size_t count, float scale,
+                     float *out, size_t out_stride);
+    /** out[d] += p[j] * row_j[d] for j in [0, count) ascending and d in
+     *  [0, dim): float multiply then float add per element, never
+     *  fused; same idx/first row addressing as dotAt. */
+    void (*weightedSum)(const float *p, const float *values, size_t stride,
+                        size_t dim, const uint32_t *idx, size_t first,
+                        size_t count, float *out);
 };
 
 /**

@@ -17,7 +17,11 @@
  * blocks are transposed to dimension-major vectors and accumulated
  * with separate vmulpd/vaddpd (never FMA) so every key's sum is
  * evaluated in the same ascending-dimension double-precision order as
- * the scalar dot — scores are bit-identical across backends.
+ * the scalar dot — scores are bit-identical across backends. The
+ * multi-query dot instead puts up to eight queries in the lanes of two
+ * ymm and broadcasts each key element, so it needs no transpose; the
+ * weighted value sum keeps a 64-float slice of its output in eight ymm
+ * accumulators (float multiply, then float add).
  *
  * The multi-query scan additionally carries an AVX-512 VPOPCNTDQ fast
  * path (runtime-gated, 4 queries per vector) for the packed d <= 64
@@ -592,6 +596,170 @@ avx2DotAt(const float *q, const float *keys, size_t stride, size_t dim,
     }
 }
 
+/** Widen one key row to double so the dot loop broadcasts each element
+ *  straight from memory. */
+LS_AVX2 inline void
+widenRow(const float *k, size_t dim, double *out)
+{
+    size_t i = 0;
+    for (; i + 4 <= dim; i += 4)
+        _mm256_storeu_pd(out + i, _mm256_cvtps_pd(_mm_loadu_ps(k + i)));
+    for (; i < dim; ++i)
+        out[i] = static_cast<double>(k[i]);
+}
+
+/** Scale two 4-lane double sums (queries 0..3, 4..7) to float and
+ *  scatter lane q to out[q * out_stride]. */
+LS_AVX2 inline void
+storeLanes(__m256d lo, __m256d hi, float scale, size_t nq, float *out,
+           size_t out_stride)
+{
+    const __m128 s = _mm_set1_ps(scale);
+    alignas(32) float lanes[kDotMultiQueries];
+    _mm_store_ps(lanes, _mm_mul_ps(_mm256_cvtpd_ps(lo), s));
+    _mm_store_ps(lanes + 4, _mm_mul_ps(_mm256_cvtpd_ps(hi), s));
+    for (size_t q = 0; q < nq; ++q)
+        out[q * out_stride] = lanes[q];
+}
+
+/**
+ * Queries-in-lanes dot: the group's queries become a dim-major double
+ * tile (dimension i's eight query values in two ymm), so each key
+ * element is broadcast once and multiplied into every query's lane —
+ * no transpose. Four keys stay in flight (eight accumulators) so the
+ * dependent adds of one lane never stall the pipeline. Every lane is
+ * dotRowScaled's chain: ascending dimensions, double multiply then
+ * double add (never FMA), then one float conversion and one float
+ * multiply by scale. Lanes past num_queries hold zero queries and are
+ * never stored.
+ */
+LS_AVX2 void
+avx2DotMulti(const float *qs, size_t q_stride, size_t num_queries,
+             const float *keys, size_t stride, size_t dim,
+             const uint32_t *idx, size_t count, float scale, float *out,
+             size_t out_stride)
+{
+    constexpr size_t L = kDotMultiQueries;
+    alignas(32) double qt[kDotMultiMaxDim * L];
+    alignas(32) double kd[4][kDotMultiMaxDim];
+    for (size_t i = 0; i < dim; ++i)
+        for (size_t q = 0; q < L; ++q)
+            qt[i * L + q] = q < num_queries
+                ? static_cast<double>(qs[q * q_stride + i])
+                : 0.0;
+    size_t j = 0;
+    for (; j + 4 <= count; j += 4) {
+        for (size_t r = 0; r < 4; ++r)
+            widenRow(keys + idx[j + r] * stride, dim, kd[r]);
+        __m256d a0l = _mm256_setzero_pd(), a0h = _mm256_setzero_pd();
+        __m256d a1l = _mm256_setzero_pd(), a1h = _mm256_setzero_pd();
+        __m256d a2l = _mm256_setzero_pd(), a2h = _mm256_setzero_pd();
+        __m256d a3l = _mm256_setzero_pd(), a3h = _mm256_setzero_pd();
+        for (size_t i = 0; i < dim; ++i) {
+            const __m256d ql = _mm256_load_pd(qt + i * L);
+            const __m256d qh = _mm256_load_pd(qt + i * L + 4);
+            const __m256d b0 = _mm256_broadcast_sd(kd[0] + i);
+            a0l = _mm256_add_pd(a0l, _mm256_mul_pd(ql, b0));
+            a0h = _mm256_add_pd(a0h, _mm256_mul_pd(qh, b0));
+            const __m256d b1 = _mm256_broadcast_sd(kd[1] + i);
+            a1l = _mm256_add_pd(a1l, _mm256_mul_pd(ql, b1));
+            a1h = _mm256_add_pd(a1h, _mm256_mul_pd(qh, b1));
+            const __m256d b2 = _mm256_broadcast_sd(kd[2] + i);
+            a2l = _mm256_add_pd(a2l, _mm256_mul_pd(ql, b2));
+            a2h = _mm256_add_pd(a2h, _mm256_mul_pd(qh, b2));
+            const __m256d b3 = _mm256_broadcast_sd(kd[3] + i);
+            a3l = _mm256_add_pd(a3l, _mm256_mul_pd(ql, b3));
+            a3h = _mm256_add_pd(a3h, _mm256_mul_pd(qh, b3));
+        }
+        storeLanes(a0l, a0h, scale, num_queries, out + j, out_stride);
+        storeLanes(a1l, a1h, scale, num_queries, out + j + 1, out_stride);
+        storeLanes(a2l, a2h, scale, num_queries, out + j + 2, out_stride);
+        storeLanes(a3l, a3h, scale, num_queries, out + j + 3, out_stride);
+    }
+    for (; j < count; ++j) {
+        widenRow(keys + idx[j] * stride, dim, kd[0]);
+        __m256d al = _mm256_setzero_pd(), ah = _mm256_setzero_pd();
+        for (size_t i = 0; i < dim; ++i) {
+            const __m256d b = _mm256_broadcast_sd(kd[0] + i);
+            al = _mm256_add_pd(al,
+                               _mm256_mul_pd(_mm256_load_pd(qt + i * L), b));
+            ah = _mm256_add_pd(
+                ah, _mm256_mul_pd(_mm256_load_pd(qt + i * L + 4), b));
+        }
+        storeLanes(al, ah, scale, num_queries, out + j, out_stride);
+    }
+}
+
+/**
+ * out[d] += p[j] * v_j[d], j ascending: a 64-dimension slice of out
+ * lives in eight ymm accumulators for the whole key list (one
+ * broadcast of p[j], then a float multiply and a float add per
+ * element, never fused), so out is loaded and stored once per slice
+ * instead of once per key. Narrower remainders run one ymm, then
+ * scalar, per pass — the per-element order is the same either way.
+ */
+LS_AVX2 void
+avx2WeightedSum(const float *p, const float *values, size_t stride,
+                size_t dim, const uint32_t *idx, size_t first, size_t count,
+                float *out)
+{
+    // The eight accumulators are spelled out: -O2 does not unroll a
+    // register array's loop, and an unrolled-away array would live on
+    // the stack.
+    size_t d = 0;
+    for (; d + 64 <= dim; d += 64) {
+        float *o = out + d;
+        __m256 a0 = _mm256_loadu_ps(o), a1 = _mm256_loadu_ps(o + 8);
+        __m256 a2 = _mm256_loadu_ps(o + 16), a3 = _mm256_loadu_ps(o + 24);
+        __m256 a4 = _mm256_loadu_ps(o + 32), a5 = _mm256_loadu_ps(o + 40);
+        __m256 a6 = _mm256_loadu_ps(o + 48), a7 = _mm256_loadu_ps(o + 56);
+        for (size_t j = 0; j < count; ++j) {
+            const float *v =
+                values + (idx ? idx[j] : first + j) * stride + d;
+            const __m256 pj = _mm256_broadcast_ss(p + j);
+            a0 = _mm256_add_ps(a0, _mm256_mul_ps(pj, _mm256_loadu_ps(v)));
+            a1 = _mm256_add_ps(a1, _mm256_mul_ps(pj, _mm256_loadu_ps(v + 8)));
+            a2 = _mm256_add_ps(a2,
+                               _mm256_mul_ps(pj, _mm256_loadu_ps(v + 16)));
+            a3 = _mm256_add_ps(a3,
+                               _mm256_mul_ps(pj, _mm256_loadu_ps(v + 24)));
+            a4 = _mm256_add_ps(a4,
+                               _mm256_mul_ps(pj, _mm256_loadu_ps(v + 32)));
+            a5 = _mm256_add_ps(a5,
+                               _mm256_mul_ps(pj, _mm256_loadu_ps(v + 40)));
+            a6 = _mm256_add_ps(a6,
+                               _mm256_mul_ps(pj, _mm256_loadu_ps(v + 48)));
+            a7 = _mm256_add_ps(a7,
+                               _mm256_mul_ps(pj, _mm256_loadu_ps(v + 56)));
+        }
+        _mm256_storeu_ps(o, a0);
+        _mm256_storeu_ps(o + 8, a1);
+        _mm256_storeu_ps(o + 16, a2);
+        _mm256_storeu_ps(o + 24, a3);
+        _mm256_storeu_ps(o + 32, a4);
+        _mm256_storeu_ps(o + 40, a5);
+        _mm256_storeu_ps(o + 48, a6);
+        _mm256_storeu_ps(o + 56, a7);
+    }
+    for (; d + 8 <= dim; d += 8) {
+        __m256 acc = _mm256_loadu_ps(out + d);
+        for (size_t j = 0; j < count; ++j) {
+            const float *v =
+                values + (idx ? idx[j] : first + j) * stride + d;
+            acc = _mm256_add_ps(
+                acc,
+                _mm256_mul_ps(_mm256_broadcast_ss(p + j), _mm256_loadu_ps(v)));
+        }
+        _mm256_storeu_ps(out + d, acc);
+    }
+    for (; d < dim; ++d) {
+        float acc = out[d];
+        for (size_t j = 0; j < count; ++j)
+            acc += p[j] * values[(idx ? idx[j] : first + j) * stride + d];
+        out[d] = acc;
+    }
+}
+
 LS_AVX2 void
 avx2QuantDotAt(const float *q, const int8_t *keys, const float *scales,
                size_t stride, size_t dim, const uint32_t *idx,
@@ -640,7 +808,14 @@ int8Dot1Vnni(const int8_t *q, const int8_t *k, size_t dim)
             _mm512_mask_sub_epi8(kv, neg, _mm512_setzero_si512(), kv);
         acc = _mm512_dpbusd_epi32(acc, ua, sb);
     }
-    int32_t sum = _mm512_reduce_add_epi32(acc);
+    // A plain store-and-sum: GCC's _mm512_reduce_add_epi32 expansion
+    // trips -Wmaybe-uninitialized inside its own header under -Werror.
+    // Integer addition is exact, so the order cannot change the sum.
+    alignas(64) int32_t lanes[16];
+    _mm512_store_si512(lanes, acc);
+    int32_t sum = 0;
+    for (int32_t lane : lanes)
+        sum += lane;
     for (; i < dim; ++i)
         sum += static_cast<int32_t>(q[i]) * static_cast<int32_t>(k[i]);
     return sum;
@@ -766,9 +941,9 @@ avx2SignReduce(const uint64_t *signs, size_t wpr, size_t rows,
         out[w] = signReduceColumnCsa(signs, wpr, rows, w);
 }
 
-const KernelOps kAvx2Ops = {avx2Concordance, avx2DotAt, avx2ScanMulti,
-                            avx2BitmapMulti, avx2SignReduce,
-                            avx2QuantDotAt, avx2Int8DotAt};
+const KernelOps kAvx2Ops = {avx2Concordance, avx2DotAt,      avx2ScanMulti,
+                            avx2BitmapMulti, avx2SignReduce, avx2QuantDotAt,
+                            avx2Int8DotAt,   avx2DotMulti,   avx2WeightedSum};
 
 bool
 cpuHasAvx2()

@@ -193,9 +193,31 @@ neonInt8DotAt(const int8_t *q, const int8_t *keys, size_t stride,
     }
 }
 
-const KernelOps kNeonOps = {neonConcordance, neonDotAt, neonScanMulti,
-                            neonBitmapMulti, neonSignReduce,
-                            neonQuantDotAt, neonInt8DotAt};
+// The multi-query dot and the value sum wrap the scalar reference ops:
+// two-lane f64 gives no win under the ascending-chain contract (see
+// neonDotAt), and wrapping keeps parity by construction.
+void
+neonDotMulti(const float *qs, size_t q_stride, size_t num_queries,
+             const float *keys, size_t stride, size_t dim,
+             const uint32_t *idx, size_t count, float scale, float *out,
+             size_t out_stride)
+{
+    scalarKernelOps()->dotMulti(qs, q_stride, num_queries, keys, stride,
+                                dim, idx, count, scale, out, out_stride);
+}
+
+void
+neonWeightedSum(const float *p, const float *values, size_t stride,
+                size_t dim, const uint32_t *idx, size_t first, size_t count,
+                float *out)
+{
+    scalarKernelOps()->weightedSum(p, values, stride, dim, idx, first, count,
+                                   out);
+}
+
+const KernelOps kNeonOps = {neonConcordance, neonDotAt,      neonScanMulti,
+                            neonBitmapMulti, neonSignReduce, neonQuantDotAt,
+                            neonInt8DotAt,   neonDotMulti,   neonWeightedSum};
 
 } // namespace
 

@@ -131,8 +131,9 @@ TEST(Attention, ProbsAlignWithSubsetOrder)
     const auto s = attentionScoresAt(f.q.data(), f.keys, idx, f.scale);
     for (size_t a = 0; a < 3; ++a)
         for (size_t b = 0; b < 3; ++b)
-            if (s[a] > s[b])
+            if (s[a] > s[b]) {
                 EXPECT_GT(r.probs[a], r.probs[b]);
+            }
 }
 
 } // namespace

@@ -205,9 +205,10 @@ TEST(PrefillAttention, ChunkedMatchesMonolithic)
                             size_t{200}, size_t{201}, size_t{512}, n}) {
             chunked.advance(s.keys, s.keys, s.values, s.scale, upTo,
                             upTo == n, b);
-            if (upTo < n)
+            if (upTo < n) {
                 EXPECT_EQ(chunked.processedTokens(),
                           upTo / cfg.blockTokens * cfg.blockTokens);
+            }
         }
         EXPECT_EQ(std::memcmp(a.data(), b.data(),
                               n * dim * sizeof(float)),
@@ -216,6 +217,54 @@ TEST(PrefillAttention, ChunkedMatchesMonolithic)
         EXPECT_EQ(mono.stats().attendedTokens,
                   chunked.stats().attendedTokens);
         EXPECT_EQ(mono.stats().keptBlocks, chunked.stats().keptBlocks);
+    }
+}
+
+TEST(PrefillAttention, GroupedAttendIdentityAtOddBlockSizes)
+{
+    // The attend scores queries in groups of kDotMultiQueries, so block
+    // sizes that are not multiples of the group (and a partial tail
+    // Q-block) leave short groups; every backend must still reproduce
+    // the dense reference at knob = Dense and the monolithic pass under
+    // any chunking, for lane-friendly and ragged head dims.
+    const size_t n = 517;
+    for (uint32_t dim : {38u, 64u, 128u}) {
+        const Stream s = makeStream(dim, n, 31 + dim);
+        Matrix ref(n, dim);
+        densePrefillReference(s.keys, s.keys, s.values, s.scale, n, ref);
+        const size_t bytes = n * dim * sizeof(float);
+        for (KernelBackend kb : availableBackends()) {
+            ScopedBackend sb(kb);
+            for (size_t B : {size_t{12}, size_t{100}, size_t{129}}) {
+                for (auto mode : {PrefillSparsityMode::Dense,
+                                  PrefillSparsityMode::Threshold}) {
+                    PrefillSparsityConfig cfg = smallKnob(B);
+                    cfg.mode = mode;
+                    cfg.threshold = static_cast<int>(dim / 2 + 2);
+                    BlockSparsePrefill mono(dim, cfg);
+                    Matrix a(n, dim);
+                    mono.advance(s.keys, s.keys, s.values, s.scale, n,
+                                 true, a);
+                    if (mode == PrefillSparsityMode::Dense) {
+                        EXPECT_EQ(std::memcmp(ref.data(), a.data(), bytes),
+                                  0)
+                            << kernelBackendName(kb) << " dim " << dim
+                            << " B " << B;
+                    }
+                    BlockSparsePrefill chunked(dim, cfg);
+                    Matrix b(n, dim);
+                    for (size_t upTo : {size_t{1}, size_t{13}, size_t{100},
+                                        size_t{250}, size_t{400}, n})
+                        chunked.advance(s.keys, s.keys, s.values, s.scale,
+                                        upTo, upTo == n, b);
+                    EXPECT_EQ(std::memcmp(a.data(), b.data(), bytes), 0)
+                        << kernelBackendName(kb) << " dim " << dim
+                        << " B " << B << " mode " << int(mode);
+                    EXPECT_EQ(mono.stats().attendedTokens,
+                              chunked.stats().attendedTokens);
+                }
+            }
+        }
     }
 }
 

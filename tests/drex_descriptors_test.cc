@@ -56,8 +56,9 @@ TEST(Descriptors, Bf16RoundingIsIdempotent)
         const float r = toBf16(v);
         EXPECT_EQ(toBf16(r), r);
         // BF16 keeps ~3 significant decimal digits.
-        if (v != 0.0f)
+        if (v != 0.0f) {
             EXPECT_NEAR(r / v, 1.0, 0.01);
+        }
     }
 }
 

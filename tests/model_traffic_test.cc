@@ -60,8 +60,9 @@ TEST(Traffic, ArrivalsSortedIdsSequential)
     ASSERT_EQ(trace.size(), 256u);
     for (size_t i = 0; i < trace.size(); ++i) {
         EXPECT_EQ(trace[i].id, i);
-        if (i)
+        if (i) {
             EXPECT_GE(trace[i].arrival, trace[i - 1].arrival);
+        }
     }
 }
 

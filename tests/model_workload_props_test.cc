@@ -49,9 +49,10 @@ TEST_P(WorkloadProps, SegmentsAreMonotoneRuns)
     for (size_t i = 1; i < segs.size(); ++i) {
         EXPECT_GE(segs[i], segs[i - 1]);
         EXPECT_LE(segs[i], segs[i - 1] + 1);
-        if (segs[i] == segs[i - 1])
+        if (segs[i] == segs[i - 1]) {
             EXPECT_EQ(topics[i], topics[i - 1])
                 << "a segment never changes topic";
+        }
     }
 }
 
@@ -129,10 +130,45 @@ TEST_P(WorkloadProps, AppendMatchesGenerate)
     for (int i = 0; i < 5; ++i)
         grown.appendToken();
     EXPECT_EQ(full.topics(), grown.topics());
+    EXPECT_EQ(full.segments(), grown.segments());
+    ASSERT_EQ(grown.keys().rows(), 100u);
+    ASSERT_EQ(grown.values().rows(), 100u);
     for (size_t i = 0; i < 100; ++i)
-        for (uint32_t d = 0; d < cfg.headDim; ++d)
+        for (uint32_t d = 0; d < cfg.headDim; ++d) {
             ASSERT_EQ(full.keys()(i, d), grown.keys()(i, d))
                 << "token " << i;
+            ASSERT_EQ(full.values()(i, d), grown.values()(i, d))
+                << "token " << i;
+        }
+
+    // A workload that was never generated grows from an empty context.
+    HeadWorkload fresh(cfg, Rng(5));
+    for (int i = 0; i < 3; ++i)
+        fresh.appendToken();
+    EXPECT_EQ(fresh.contextLength(), 3u);
+    EXPECT_EQ(fresh.keys().cols(), cfg.headDim);
+    EXPECT_EQ(fresh.values().rows(), 3u);
+    EXPECT_EQ(fresh.values().cols(), cfg.headDim);
+    EXPECT_EQ(fresh.segments().size(), 3u);
+}
+
+TEST_P(WorkloadProps, AppendGrowsInPlace)
+{
+    // Appends extend the rows in place with amortized growth: once the
+    // first append past generate()'s reservation has grown the store,
+    // the next appends reuse it instead of rebuilding the history.
+    const auto cfg = configFor(GetParam());
+    HeadWorkload wl(cfg, Rng(7));
+    wl.generate(1000);
+    wl.appendToken();
+    const float *keys = wl.keys().data();
+    const float *values = wl.values().data();
+    for (int i = 0; i < 32; ++i) {
+        wl.appendToken();
+        ASSERT_EQ(wl.keys().data(), keys) << "append " << i;
+        ASSERT_EQ(wl.values().data(), values) << "append " << i;
+    }
+    EXPECT_EQ(wl.contextLength(), 1033u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

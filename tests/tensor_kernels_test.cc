@@ -7,8 +7,9 @@
  * multiple of 64, row counts that are not a multiple of the vector
  * width, nonzero begin offsets, and empty regions. Scans are checked
  * against a naive per-row loop and dot kernels bit-for-bit against the
- * scalar linalg dot(), which defines the accumulation contract. Also
- * pins the LONGSIGHT_KERNELS fallback.
+ * scalar linalg dot(), which defines the accumulation contract; the
+ * grouped dot and the weighted value sum are checked the same way.
+ * Also pins the LONGSIGHT_KERNELS fallback.
  */
 
 #include <gtest/gtest.h>
@@ -340,6 +341,96 @@ TEST(Kernels, DotHandlesEmptyAndTinyCounts)
             for (size_t i = 0; i < count; ++i)
                 EXPECT_EQ(got[i],
                           dot(qv.data(), keys.row(1 + i), dim) * 2.0f);
+        }
+    }
+}
+
+TEST(Kernels, DotMultiMatchesPerQueryDot)
+{
+    // Every (query, key) score of the grouped driver is the one-query
+    // dot bit for bit: query counts cross the 8-lane chunking, dims
+    // cross every vector width and the op's tile cap, and the gathered
+    // index list is unsorted with duplicates. Slots past `count` in each
+    // output row must stay untouched.
+    Rng rng(110);
+    const size_t rows = 90;
+    for (size_t dim : {size_t{1}, size_t{3}, size_t{4}, size_t{5},
+                       size_t{63}, size_t{64}, size_t{65}, size_t{128},
+                       size_t{129}, kDotMultiMaxDim, kDotMultiMaxDim + 1}) {
+        Matrix keys(rows, dim, rng.gaussianVec(rows * dim));
+        std::vector<uint32_t> idx;
+        for (size_t i = 0; i < 23; ++i)
+            idx.push_back(static_cast<uint32_t>((i * 41 + 7) % rows));
+        idx.push_back(idx.front());
+        const size_t count = idx.size(), stride = count + 3;
+        const float scale = 1.0f / std::sqrt(static_cast<float>(dim));
+        for (size_t nq : {size_t{1}, size_t{2}, size_t{7}, size_t{8},
+                          size_t{9}, size_t{17}}) {
+            const auto qs = rng.gaussianVec(nq * dim);
+            for (KernelBackend b : availableBackends()) {
+                ScopedBackend guard(b);
+                std::vector<float> got(nq * stride, -1e30f);
+                batchDotScaleMulti(qs.data(), dim, nq, keys, idx.data(),
+                                   count, scale, got.data(), stride);
+                for (size_t q = 0; q < nq; ++q) {
+                    for (size_t j = 0; j < count; ++j)
+                        EXPECT_EQ(got[q * stride + j],
+                                  dot(qs.data() + q * dim,
+                                      keys.row(idx[j]), dim) *
+                                      scale)
+                            << kernelBackendName(b) << " dim " << dim
+                            << " nq " << nq << " q " << q << " j " << j;
+                    for (size_t j = count; j < stride; ++j)
+                        EXPECT_EQ(got[q * stride + j], -1e30f);
+                }
+            }
+        }
+    }
+}
+
+TEST(Kernels, WeightedSumMatchesNaiveLoop)
+{
+    // out += sum_j p[j] * v_j, accumulated into a NONZERO out in both
+    // the gather and the range forms, against the naive ascending loop
+    // (float multiply then float add per element).
+    Rng rng(111);
+    const size_t rows = 70;
+    for (size_t dim : {size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                       size_t{63}, size_t{64}, size_t{65}, size_t{72},
+                       size_t{128}, size_t{129}, size_t{200}}) {
+        Matrix values(rows, dim, rng.gaussianVec(rows * dim));
+        const auto init = rng.gaussianVec(dim);
+        std::vector<uint32_t> idx;
+        for (size_t i = 0; i < 37; ++i)
+            idx.push_back(static_cast<uint32_t>((i * 29 + 3) % rows));
+        const auto probs = rng.gaussianVec(idx.size());
+        const size_t first = 5;
+
+        std::vector<float> ref_at = init, ref_range = init;
+        for (size_t j = 0; j < idx.size(); ++j)
+            for (size_t d = 0; d < dim; ++d) {
+                ref_at[d] += probs[j] * values(idx[j], d);
+                ref_range[d] += probs[j] * values(first + j, d);
+            }
+
+        for (KernelBackend b : availableBackends()) {
+            ScopedBackend guard(b);
+            std::vector<float> at = init, range = init;
+            batchWeightedSum(probs.data(), values, idx.data(), 0,
+                             idx.size(), at.data());
+            batchWeightedSum(probs.data(), values, nullptr, first,
+                             idx.size(), range.data());
+            for (size_t d = 0; d < dim; ++d) {
+                EXPECT_EQ(at[d], ref_at[d])
+                    << kernelBackendName(b) << " dim " << dim << " d " << d;
+                EXPECT_EQ(range[d], ref_range[d])
+                    << kernelBackendName(b) << " dim " << dim << " d " << d;
+            }
+            // An empty list leaves out alone.
+            std::vector<float> none = init;
+            batchWeightedSum(probs.data(), values, nullptr, 0, 0,
+                             none.data());
+            EXPECT_EQ(none, init);
         }
     }
 }

@@ -142,9 +142,10 @@ TEST(BatchScoreSelect, TiedScoresBreakTowardLowerIndex)
         for (size_t i = 1; i < m; ++i) {
             EXPECT_TRUE(sel[i - 1].betterThan(sel[i]))
                 << kernelBackendName(b) << " rank " << i;
-            if (sel[i - 1].score == sel[i].score)
+            if (sel[i - 1].score == sel[i].score) {
                 EXPECT_LT(sel[i - 1].index, sel[i].index)
                     << kernelBackendName(b) << " rank " << i;
+            }
         }
         // The winners are the 16 lowest indices of the best key class
         // (every 4th row scores identically).

@@ -5,16 +5,22 @@
  * EVERY compiled-in kernel backend (scalar, AVX2, NEON) and asserts
  * per-element bit identity of the outputs — concordance counts,
  * survivor sets, PFU bitmaps, scaled dot products, block sign
- * signatures, quantized-arena dots, and the fused float / quantized /
- * INT8 span selects. On every backend it also checks the span
- * family's two structural promises, query by query:
+ * signatures, quantized-arena dots, the fused float / quantized /
+ * INT8 span selects, the grouped (queries-in-lanes) dot and the
+ * weighted value sum. The lane ops run on full-mantissa values, so a
+ * reordered or fused accumulation changes bits. On every backend it
+ * also checks the span family's two structural promises, query by
+ * query:
  *
  *  - a one-query call equals that query's slice of a grouped call
  *    (2..17 queries, so the drivers' kMaxScanQueries chunking and
  *    every SIMD chunk width — including AVX2's one-query branch next
  *    to the AVX-512 4-query chunks — are crossed);
  *  - one identity span equals the same rows split into spans stored
- *    at shuffled physical rows (with unused rows in between).
+ *    at shuffled physical rows (with unused rows in between);
+ *  - each lane of a grouped dot (1..17 queries, crossing the 8-lane
+ *    chunk and the tile cap's one-query fallback) equals that query's
+ *    one-query batchDotScaleAt.
  *
  * This is the mechanized form of the SCF bit-exactness contract
  * documented in tensor/kernels.hh: results must not depend on which
@@ -93,6 +99,15 @@ check(bool ok, const char *what)
         fail(what);
 }
 
+uint64_t
+splitmix64(uint64_t &state)
+{
+    uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
 /** Deterministic byte-stream reader (FuzzedDataProvider-alike). */
 class Input
 {
@@ -129,6 +144,15 @@ class Input
         return static_cast<float>(static_cast<int32_t>(u32() % 4096) -
                                   2048) /
                256.0f;
+    }
+
+    /** Full-mantissa float in [-4, 4). Sums of products of these round,
+     *  so an accumulation-order or fused multiply-add deviation changes
+     *  bits where smallFloat's exact sums would hide it. */
+    float wideFloat()
+    {
+        return static_cast<float>(static_cast<int32_t>(u32())) *
+               (1.0f / 536870912.0f);
     }
 
   private:
@@ -511,6 +535,185 @@ shuffledLayout(Input &in, const Matrix &flat, size_t begin, size_t end,
     return Storage(std::move(keys));
 }
 
+/** Head dims the lane kernels treat specially: vector-width edges and
+ *  the dotMulti tile cap (the driver falls back one query at a time
+ *  past it). */
+constexpr size_t kLaneDims[] = {1,  3,   4,   5,
+                                63, 64,  65,  128,
+                                129, longsight::kDotMultiMaxDim,
+                                longsight::kDotMultiMaxDim + 1};
+
+/** One gathered key/value list plus a query group for the lane ops. */
+struct LaneCase
+{
+    Matrix rows;                  // keys, reused as values
+    std::vector<uint32_t> idx;    // gathered, unsorted, duplicates
+    std::vector<float> queries;   // nq * dim
+    std::vector<float> probs;     // max(idx.size(), range count)
+    std::vector<float> init;      // nonzero starting out
+    size_t nq = 0, first = 0, range_count = 0;
+    float scale = 1.0f;
+};
+
+struct LaneOutputs
+{
+    std::vector<float> multi;      // nq * (idx.size() + 1)
+    std::vector<float> wsum_at;    // init + gathered weighted sum
+    std::vector<float> wsum_range; // init + range weighted sum
+};
+
+/**
+ * The lane case's own byte stream: the main case usually exhausts the
+ * input (its rows alone take rows * dim draws), so the lane stages
+ * expand a hash of the whole input through splitmix64 instead. The
+ * input still determines every value, so replays reproduce.
+ */
+std::vector<uint8_t>
+laneBytes(const uint8_t *data, size_t size)
+{
+    uint64_t h = 0xcbf29ce484222325ull; // FNV-1a
+    for (size_t i = 0; i < size; ++i)
+        h = (h ^ data[i]) * 0x100000001b3ull;
+    // Enough for the largest shape: 96 rows x (cap + 1) dims of keys,
+    // 17 queries of the same width, the pair draws (one per dim plus
+    // one per row of each pair), and the index/weight lists.
+    std::vector<uint8_t> bytes(
+        4 * (162 * (longsight::kDotMultiMaxDim + 1) + 4 * 96 + 64));
+    for (size_t i = 0; i < bytes.size(); i += 8) {
+        const uint64_t w = splitmix64(h);
+        std::memcpy(bytes.data() + i, &w,
+                    std::min<size_t>(8, bytes.size() - i));
+    }
+    return bytes;
+}
+
+LaneCase
+makeLaneCase(Input &in)
+{
+    LaneCase c;
+    const size_t pick = in.range(0, 2 * std::size(kLaneDims) - 1);
+    const size_t dim = pick < std::size(kLaneDims)
+        ? kLaneDims[pick]
+        : in.range(1, longsight::kDotMultiMaxDim + 1);
+    const size_t rows = in.range(1, 96);
+    // 1..17 queries: past the 8-lane chunk so the driver's chunking and
+    // its one-query branch are both crossed.
+    c.nq = in.range(1, 2 * longsight::kDotMultiQueries + 1);
+    c.scale = in.smallFloat();
+    std::vector<float> data(rows * dim);
+    for (auto &v : data)
+        v = in.wideFloat();
+    c.queries.resize(c.nq * dim);
+    for (auto &v : c.queries)
+        v = in.wideFloat();
+    // Cancelling dimension pairs: every query repeats dim d at d + 1 and
+    // every key negates it there, often at 2^40 scale. The pair's
+    // products cancel exactly, so the score is small, yet the running
+    // double sum rounds while the big term is in it — a score then
+    // depends on the accumulation order, which random values alone
+    // would hide behind the final float rounding.
+    for (size_t d = 0; d + 1 < dim; ++d) {
+        if (in.range(0, 7) != 0)
+            continue;
+        for (size_t q = 0; q < c.nq; ++q)
+            c.queries[q * dim + d + 1] = c.queries[q * dim + d];
+        for (size_t r = 0; r < rows; ++r) {
+            float &k = data[r * dim + d];
+            if (in.range(0, 1))
+                k *= 1099511627776.0f; // 2^40
+            data[r * dim + d + 1] = -k;
+        }
+        ++d;
+    }
+    c.rows = Matrix(rows, dim, std::move(data));
+    c.idx.resize(in.range(0, 2 * rows));
+    for (auto &i : c.idx)
+        i = static_cast<uint32_t>(in.range(0, rows - 1));
+    c.range_count = in.range(0, rows);
+    c.first = in.range(0, rows - c.range_count);
+    c.probs.resize(std::max(c.idx.size(), c.range_count));
+    for (auto &p : c.probs)
+        p = in.wideFloat();
+    c.init.resize(dim);
+    for (auto &v : c.init)
+        v = in.wideFloat();
+
+    g_case = CaseInfo{g_case.seed};
+    g_case.dim = dim;
+    g_case.rows = rows;
+    g_case.begin = c.first;
+    g_case.end = c.first + c.range_count;
+    g_case.queries = c.nq;
+    g_case.k = c.idx.size();
+    return c;
+}
+
+/** The lane ops on the active backend, with the grouped dot checked
+ *  query by query against one-query batchDotScaleAt calls. */
+LaneOutputs
+runLanes(const LaneCase &c)
+{
+    const size_t dim = c.rows.cols();
+    const size_t count = c.idx.size();
+    const size_t stride = count + 1; // one sentinel slot per query
+    LaneOutputs o;
+
+    g_case.stage = "batchDotScaleMulti";
+    o.multi.assign(c.nq * stride, -7.0f);
+    longsight::batchDotScaleMulti(c.queries.data(), dim, c.nq, c.rows,
+                                  c.idx.data(), count, c.scale,
+                                  o.multi.data(), stride);
+    std::vector<float> one(std::max<size_t>(count, 1));
+    for (size_t q = 0; q < c.nq; ++q) {
+        longsight::batchDotScaleAt(c.queries.data() + q * dim, c.rows,
+                                   c.idx.data(), count, c.scale,
+                                   one.data());
+        check(count == 0 ||
+                  std::memcmp(one.data(), o.multi.data() + q * stride,
+                              count * sizeof(float)) == 0,
+              "grouped dot lane != one-query batchDotScaleAt");
+        check(o.multi[q * stride + count] == -7.0f,
+              "grouped dot wrote past count");
+    }
+
+    g_case.stage = "batchWeightedSum";
+    o.wsum_at = c.init;
+    longsight::batchWeightedSum(c.probs.data(), c.rows, c.idx.data(), 0,
+                                count, o.wsum_at.data());
+    o.wsum_range = c.init;
+    longsight::batchWeightedSum(c.probs.data(), c.rows, nullptr, c.first,
+                                c.range_count, o.wsum_range.data());
+    return o;
+}
+
+/** The lane stages on every backend; the first (scalar) backend's
+ *  outputs are the reference. */
+void
+runLaneCase(const uint8_t *data, size_t size)
+{
+    const std::vector<uint8_t> bytes = laneBytes(data, size);
+    Input in(bytes.data(), bytes.size());
+    const LaneCase c = makeLaneCase(in);
+    LaneOutputs ref;
+    bool have_ref = false;
+    for (KernelBackend b : availableBackends()) {
+        g_case.backend = longsight::kernelBackendName(b);
+        longsight::setKernelBackend(b);
+        LaneOutputs got = runLanes(c);
+        if (!have_ref) {
+            ref = std::move(got);
+            have_ref = true;
+            continue;
+        }
+        g_case.stage = "lane-cross-backend-compare";
+        checkEq(ref.multi, got.multi, "grouped dot scores differ");
+        checkEq(ref.wsum_at, got.wsum_at,
+                "gathered weighted sum differs from the scalar op");
+        checkEq(ref.wsum_range, got.wsum_range,
+                "range weighted sum differs from the scalar op");
+    }
+}
+
 void
 runCase(const uint8_t *data, size_t size)
 {
@@ -578,6 +781,7 @@ runCase(const uint8_t *data, size_t size)
             compareOutputs(ref, got);
         }
     }
+    runLaneCase(data, size);
     longsight::setKernelBackend(prev);
 }
 
@@ -595,15 +799,6 @@ LLVMFuzzerTestOneInput(const uint8_t *data, size_t size)
 #else // standalone driver
 
 namespace {
-
-uint64_t
-splitmix64(uint64_t &state)
-{
-    uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-}
 
 int
 replayFile(const char *path)

@@ -41,8 +41,10 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
+import tempfile
 
 # Bump when the compile flags or artifact set change: old cache entries
 # stop matching and the next prune_cache() sweeps them out.
@@ -352,27 +354,36 @@ def compile_tu(args, directory, cache_dir, verbose, stats=None):
         if stats is not None:
             stats.hits += 1
         return {"key": key, "ci": ci, "gimple": gimple}
-    asm = os.path.join(cache_dir, key + ".s")
-    cc = subprocess.run(lint_args +
-                        ["-fcallgraph-info=su,da",
-                         "-fdump-tree-gimple-lineno=" + gimple,
-                         "-S", "-o", asm],
-                        cwd=directory, stdout=subprocess.PIPE,
-                        stderr=subprocess.PIPE)
-    if cc.returncode != 0:
-        raise RuntimeError("lint compile failed: %s\n%s" %
-                           (" ".join(lint_args),
-                            cc.stderr.decode(errors="replace")))
-    produced = os.path.splitext(asm)[0] + ".ci"
-    if not os.path.exists(produced):
-        raise RuntimeError("no .ci produced for " + " ".join(lint_args))
-    if not os.path.exists(gimple):
-        raise RuntimeError("no GIMPLE dump produced for " +
-                           " ".join(lint_args))
+    # Compile into a private directory, then rename both artifacts into
+    # place. The contract and race lints share this cache and can both
+    # miss on one TU at the same moment (ctest -j); two compilers
+    # writing one dump path interleave their output into a corrupt
+    # GIMPLE file, while a rename publishes only a complete one.
+    work = tempfile.mkdtemp(prefix=key + ".", dir=cache_dir)
     try:
-        os.remove(asm)
-    except OSError:
-        pass
+        asm = os.path.join(work, key + ".s")
+        tmp_gimple = os.path.join(work, key + ".gimple")
+        cc = subprocess.run(lint_args +
+                            ["-fcallgraph-info=su,da",
+                             "-fdump-tree-gimple-lineno=" + tmp_gimple,
+                             "-S", "-o", asm],
+                            cwd=directory, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+        if cc.returncode != 0:
+            raise RuntimeError("lint compile failed: %s\n%s" %
+                               (" ".join(lint_args),
+                                cc.stderr.decode(errors="replace")))
+        produced = os.path.splitext(asm)[0] + ".ci"
+        if not os.path.exists(produced):
+            raise RuntimeError("no .ci produced for " +
+                               " ".join(lint_args))
+        if not os.path.exists(tmp_gimple):
+            raise RuntimeError("no GIMPLE dump produced for " +
+                               " ".join(lint_args))
+        os.replace(tmp_gimple, gimple)
+        os.replace(produced, ci)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
     if stats is not None:
         stats.misses += 1
     if verbose:

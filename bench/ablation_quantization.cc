@@ -7,7 +7,7 @@
  * The quality side of this ablation — selection overlap and retained
  * mass under INT8-perturbed scores, and where INT8 estimation lands
  * against the sign-plane scan — lives in bench/pareto_harness now,
- * which sweeps every FilterBackend on one corpus instead of
+ * which sweeps every filter family on one corpus instead of
  * duplicating a per-bench scoring loop here.
  */
 

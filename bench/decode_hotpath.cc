@@ -439,7 +439,7 @@ main(int argc, char **argv)
     sh.hybrid.sinkTokens =
         static_cast<uint32_t>(flags.getInt("sinks", 16));
     const auto threads =
-        static_cast<unsigned>(flags.getInt("threads", 0));
+        static_cast<unsigned>(flags.getCount("threads", 0));
     const std::string out =
         flags.getString("out", "BENCH_decode.json");
     const auto leftover = flags.unconsumed();

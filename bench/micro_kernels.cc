@@ -10,8 +10,8 @@
  * set) on every backend this host supports: the one-query scan and
  * fused scan->score->select, survivor scoring, the same scan and
  * fused select for a four-query GQA group in one pass, INT8
- * quantized scoring (quant_dot, int8_dot, fused int8_score_select —
- * scalar / AVX2 maddubs / AVX-512 VNNI), and the prefill attend's
+ * quantized scoring (quant_dot, int8_dot — scalar / AVX2 maddubs /
+ * AVX-512 VNNI), and the prefill attend's
  * kernels: eight queries over one gathered token list as eight
  * one-query calls (dot_q8_loop) and as one queries-in-lanes call
  * (dot_multi_q8), rates in key-query pairs, plus the weighted value
@@ -417,8 +417,8 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
 
         // INT8 arena (the KvCache enableKeyQuantization layout) plus
         // scalar references for the quantized-scoring kernels: the
-        // mixed float x int8 dot, the exact int8 x int8 estimation
-        // dot, and the fused estimate -> top-k select.
+        // mixed float x int8 dot and the exact int8 x int8 estimation
+        // dot.
         std::vector<int8_t> kq(keys * dim);
         std::vector<float> kscales(keys);
         for (size_t i = 0; i < keys; ++i)
@@ -427,14 +427,6 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
         std::vector<int8_t> q8(dim);
         float q8_scale = 0.0f;
         quantizeInt8Into(q.data(), dim, q8.data(), &q8_scale);
-        const auto int8SelectOne = [&](ScoredIndex *out) {
-            size_t n = 0;
-            batchInt8ScoreSelectMultiSpans(q8.data(), &q8_scale, 1,
-                                           kq.data(), kscales.data(), dim,
-                                           &all, 1, scale, k, out, kcap,
-                                           &n);
-            return n;
-        };
 
         std::vector<float> ref_qdot(keys);
         batchQuantDotRange(q.data(), kq.data(), kscales.data(), dim, 0,
@@ -442,8 +434,6 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
         std::vector<int32_t> ref_idot(keys);
         batchInt8DotRange(q8.data(), kq.data(), dim, 0, keys,
                           ref_idot.data());
-        std::vector<ScoredIndex> ref_isel(kcap);
-        ref_isel.resize(int8SelectOne(ref_isel.data()));
 
         // Prefill attend shape: eight consecutive queries over one
         // gathered token list (query 0's survivors), scored per query
@@ -465,7 +455,7 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
 
         double scalar_scan = 0.0, scalar_dot = 0.0, scalar_fused = 0.0;
         double scalar_mscan = 0.0, scalar_mfused = 0.0;
-        double scalar_qdot = 0.0, scalar_idot = 0.0, scalar_isel = 0.0;
+        double scalar_qdot = 0.0, scalar_idot = 0.0;
         double scalar_ldot = 0.0, scalar_mdot = 0.0, scalar_wsum = 0.0;
         for (KernelBackend b : availableBackends()) {
             setKernelBackend(b);
@@ -549,15 +539,6 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
             });
             const bool idot_same = idot == ref_idot;
 
-            std::vector<ScoredIndex> isel(kcap);
-            size_t nisel = 0;
-            const double isel_rate = bestKeysPerSec(
-                keys, reps, [&] { nisel = int8SelectOne(isel.data()); });
-            bool isel_same = nisel == ref_isel.size();
-            for (size_t i = 0; isel_same && i < nisel; ++i)
-                isel_same = isel[i].score == ref_isel[i].score &&
-                    isel[i].index == ref_isel[i].index;
-
             // Eight one-query calls vs one queries-in-lanes call; rates
             // count key-query pairs.
             std::vector<float> ldot(nq8 * nsurv), mdot(nq8 * nsurv);
@@ -595,12 +576,10 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
                 scalar_mfused = mfused_rate;
                 scalar_qdot = qdot_rate;
                 scalar_idot = idot_rate;
-                scalar_isel = isel_rate;
             }
             all_identical = all_identical && scan_same && dot_same &&
                 fused_same && mscan_same && mfused_same && qdot_same &&
-                idot_same && isel_same && ldot_same && mdot_same &&
-                wsum_same;
+                idot_same && ldot_same && mdot_same && wsum_same;
             rows.push_back({"scan", dim, keys, b, scan_rate,
                             scan_rate / scalar_scan, scan_same});
             rows.push_back({"dot", dim, ref_survivors.size(), b,
@@ -616,9 +595,6 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
                             qdot_rate / scalar_qdot, qdot_same});
             rows.push_back({"int8_dot", dim, keys, b, idot_rate,
                             idot_rate / scalar_idot, idot_same});
-            rows.push_back({"int8_score_select", dim, keys, b,
-                            isel_rate, isel_rate / scalar_isel,
-                            isel_same});
             rows.push_back({"dot_q8_loop", dim, nsurv, b, ldot_rate,
                             ldot_rate / scalar_ldot, ldot_same});
             rows.push_back({"dot_multi_q8", dim, nsurv, b, mdot_rate,
@@ -657,11 +633,6 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
                 std::cerr << "FAIL: " << kernelBackendName(b)
                           << " int8_dot differs from the scalar exact "
                              "integer dot (dim "
-                          << dim << ")\n";
-            if (!isel_same)
-                std::cerr << "FAIL: " << kernelBackendName(b)
-                          << " fused int8_score_select differs from "
-                             "scalar (dim "
                           << dim << ")\n";
             if (!ldot_same || !mdot_same)
                 std::cerr << "FAIL: " << kernelBackendName(b)

@@ -1,9 +1,9 @@
 /**
  * @file
- * Unified filter-backend Pareto harness — the merge of the old
+ * Unified filter-family Pareto harness — the merge of the old
  * fig4_pareto bench and the eval/sparse_baselines comparison into one
- * sweep. Every candidate-filter family the repo ships is evaluated on
- * the same 8B-shape 32K corpus and placed on two charts:
+ * sweep. Every candidate-filter family AlgoEvaluator models is
+ * evaluated on the same 8B-shape 32K corpus and placed on two charts:
  *
  *   1. accuracy vs simulated decode throughput (a deterministic,
  *      count-domain bandwidth model — no wall clock), and
@@ -26,7 +26,6 @@
  */
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -37,6 +36,7 @@
 #include "core/topk.hh"
 #include "eval/sparse_baselines.hh"
 #include "model/model_config.hh"
+#include "model/perplexity.hh"
 #include "model/workload.hh"
 #include "tensor/softmax.hh"
 #include "util/flags.hh"
@@ -293,7 +293,7 @@ annsPoints(uint32_t dim, size_t context, std::vector<Point> &out)
 
     for (const Acc &a : accs) {
         const double lost = a.lost / trials;
-        const double ppl = 100.0 * (std::exp(lost) - 1.0);
+        const double ppl = pplIncreasePct(lost);
         Point p;
         p.backend = a.backend;
         p.window = window;

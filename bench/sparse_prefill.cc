@@ -47,7 +47,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -58,6 +57,7 @@
 #include "core/prefill_attention.hh"
 #include "gpu/gpu_model.hh"
 #include "model/model_config.hh"
+#include "model/perplexity.hh"
 #include "model/traffic.hh"
 #include "model/workload.hh"
 #include "sim/serving_engine.hh"
@@ -158,7 +158,7 @@ struct SweepRow
 
     double pplIncreasePct() const
     {
-        return 100.0 * (std::exp(lostMass) - 1.0);
+        return longsight::pplIncreasePct(lostMass);
     }
 };
 

@@ -45,9 +45,8 @@ int
 cmdServe(const Flags &flags)
 {
     const auto model = modelFor(flags.getString("model", "8b"));
-    const auto ctx =
-        static_cast<uint64_t>(flags.getInt("context", 131072));
-    const auto users = static_cast<uint32_t>(flags.getInt("users", 8));
+    const uint64_t ctx = flags.getCount("context", 131072, 1);
+    const auto users = static_cast<uint32_t>(flags.getCount("users", 8, 1));
     const std::string system = flags.getString("system", "longsight");
 
     ServingResult r;
@@ -95,8 +94,7 @@ int
 cmdCapacity(const Flags &flags)
 {
     const auto model = modelFor(flags.getString("model", "8b"));
-    const auto ctx =
-        static_cast<uint64_t>(flags.getInt("context", 1'000'000));
+    const uint64_t ctx = flags.getCount("context", 1'000'000, 1);
     BaselineGpuSystem g1(GpuConfig::h100(), model, 1);
     BaselineGpuSystem g2(GpuConfig::h100(), model, 2);
     AttAccSystem aa(GpuConfig::h100(), model);
@@ -115,8 +113,7 @@ int
 cmdOffload(const Flags &flags)
 {
     const auto model = modelFor(flags.getString("model", "8b"));
-    const auto ctx =
-        static_cast<uint64_t>(flags.getInt("context", 131072));
+    const uint64_t ctx = flags.getCount("context", 131072, 1);
     LongSightSystem ls(LongSightSystemConfig{}, model);
     if (ls.sparseTokens(ctx) == 0) {
         std::cout << "context fits in the dense window; no offload\n";
@@ -161,15 +158,15 @@ int
 cmdQuality(const Flags &flags)
 {
     WorkloadConfig wcfg;
-    wcfg.headDim = static_cast<uint32_t>(flags.getInt("dim", 64));
-    const auto ctx = static_cast<size_t>(flags.getInt("context", 8192));
+    wcfg.headDim = static_cast<uint32_t>(flags.getCount("dim", 64, 1));
+    const auto ctx = static_cast<size_t>(flags.getCount("context", 8192, 1));
     AlgoEvaluator eval(wcfg, 2, ctx, 12,
                        static_cast<uint64_t>(flags.getInt("seed", 1)),
                        flags.getBool("itq") ? 20 : 0);
     EvalConfig cfg;
-    cfg.windowSize = static_cast<uint32_t>(flags.getInt("window", 1024));
-    cfg.topK = static_cast<uint32_t>(flags.getInt("k", 1024));
-    cfg.sinkTokens = static_cast<uint32_t>(flags.getInt("sinks", 16));
+    cfg.windowSize = static_cast<uint32_t>(flags.getCount("window", 1024));
+    cfg.topK = static_cast<uint32_t>(flags.getCount("k", 1024, 1));
+    cfg.sinkTokens = static_cast<uint32_t>(flags.getCount("sinks", 16));
     cfg.useItq = flags.getBool("itq");
     cfg.thresholds.assign(
         eval.numHeads(),
@@ -212,7 +209,7 @@ main(int argc, char **argv)
     // 0 = all hardware threads; 1 = exact serial execution. Results
     // are bit-identical for any value (see DESIGN.md).
     ThreadPool::configureGlobal(
-        static_cast<unsigned>(flags.getInt("threads", 0)));
+        static_cast<unsigned>(flags.getCount("threads", 0)));
     if (flags.positional().empty())
         return usage();
     const std::string cmd = flags.positional()[0];

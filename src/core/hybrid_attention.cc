@@ -115,34 +115,18 @@ LongSightAttn::computeGroupInto(const float *queries, size_t query_stride,
     }
 
     if (sparse_raw > 0) {
-        // The whole estimation → score → select decision lives behind
-        // the pluggable FilterBackend (core/filter_backend.hh): this
-        // module only partitions the context, supplies scratch, and
-        // merges the selected ids. FilterKind::Scf reproduces the
-        // pre-pluggable pipeline bit-exactly.
+        // SCF -> score -> top-k over the middle region (core/scf.hh):
+        // this module only partitions the context, supplies scratch,
+        // and merges the selected ids.
         const size_t kcap = std::min<size_t>(cfg_.topK, sparse_raw);
         ScoredIndex *selected =
             frame.alloc<ScoredIndex>(num_queries * kcap);
         size_t *nsel = frame.alloc<size_t>(num_queries);
         size_t *nsurv = frame.alloc<size_t>(num_queries);
-
-        FilterArgs fa;
-        fa.queries = queries;
-        fa.queryStride = query_stride;
-        fa.numQueries = num_queries;
-        fa.cache = &cache;
-        fa.lo = sinks;
-        fa.hi = win_start;
-        fa.threshold = thresholds_[kv_head];
-        fa.scale = scale;
-        fa.k = cfg_.topK;
-        fa.kcap = kcap;
-        fa.quantizedScoring = cfg_.quantizedScoring;
-        fa.centroidBlockTokens = cfg_.centroidBlockTokens;
-        fa.centroidKeepFraction = cfg_.centroidKeepFraction;
-
-        const FilterSelection sel_out{selected, nsel, nsurv};
-        filterBackendFor(cfg_.filter).select(fa, frame, sel_out);
+        scfSelect(queries, query_stride, num_queries, cache, sinks,
+                  win_start, thresholds_[kv_head], scale, cfg_.topK,
+                  cfg_.quantizedScoring, frame, selected, kcap, nsel,
+                  nsurv);
 
         for (uint32_t g = 0; g < num_queries; ++g) {
             HeadAttentionResult &r = rs[g];

@@ -13,9 +13,11 @@
  *   3. A single softmax over the combined candidate set produces the
  *      output (GPU-side step 5-7 of Figure 2b).
  *
- * This class is the functional reference: the DReX device model must
- * produce bit-identical selections, and the exactness property
- * (threshold 0 + unbounded k == dense attention) is tested against it.
+ * This class is the functional reference. Its sparse part is
+ * scfSelect (core/scf.hh), the same function the decode pipeline's
+ * verification A runs, so the DReX device model must produce
+ * bit-identical selections to it; the exactness property (threshold 0
+ * + unbounded k == dense attention) is tested against it too.
  */
 
 #ifndef LONGSIGHT_CORE_HYBRID_ATTENTION_HH
@@ -24,7 +26,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/filter_backend.hh"
 #include "core/filter_stats.hh"
 #include "core/kv_cache.hh"
 
@@ -47,21 +48,6 @@ struct LongSightConfig
      * full-precision keys. Requires KvCache::enableKeyQuantization().
      */
     bool quantizedScoring = false;
-
-    /**
-     * Candidate filter family for the sparse middle region (see
-     * core/filter_backend.hh). FilterKind::Scf is the paper's
-     * pipeline and reproduces the pre-pluggable behaviour
-     * bit-exactly; Int8 and Centroid are the estimation-family
-     * alternatives the Pareto harness sweeps against it.
-     */
-    FilterKind filter = FilterKind::Scf;
-
-    /** Centroid backend: logical tokens summarized per block. */
-    uint32_t centroidBlockTokens = 128;
-
-    /** Centroid backend: fraction of blocks descended into. */
-    double centroidKeepFraction = 0.25;
 
     /** Maximum k the DReX NMA hardware supports (§7.2). */
     static constexpr uint32_t kMaxHardwareTopK = 1024;

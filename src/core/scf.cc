@@ -1,7 +1,10 @@
 #include "core/scf.hh"
 
+#include "core/kv_cache.hh"
 #include "tensor/kernels.hh"
+#include "util/annotations.hh"
 #include "util/logging.hh"
+#include "util/scratch_arena.hh"
 
 namespace longsight {
 
@@ -57,6 +60,64 @@ scfFilterRows(const float *query, const Matrix &keys, size_t begin,
             survivors.push_back(static_cast<uint32_t>(i));
     }
     return survivors;
+}
+
+void
+scfSelect(const float *queries, size_t query_stride, uint32_t num_queries,
+          const KvCache &cache, size_t lo, size_t hi, int threshold,
+          float scale, size_t k, bool quantized_scoring,
+          ScratchFrame &frame, ScoredIndex *selected, size_t kcap,
+          size_t *num_selected, size_t *survivors)
+{
+    LS_HOT_PATH();
+    LS_DETERMINISTIC();
+    LS_NO_LOCK();
+    const size_t dim = cache.headDim();
+    const size_t wpr = (dim + 63) / 64;
+    const uint32_t nq = num_queries;
+
+    // Filter-space projections and packed signs for the whole group,
+    // in scratch (a SignBits would heap-allocate).
+    float *qf = frame.alloc<float>(dim);
+    uint64_t *q_words = frame.alloc<uint64_t>(nq * wpr);
+    for (uint32_t g = 0; g < nq; ++g) {
+        cache.toFilterSpace(queries + g * query_stride, qf);
+        packSigns(qf, dim, q_words + g * wpr);
+    }
+
+    // The filter region as physical spans (a paged cache's block
+    // table; the single identity span when flat) — both branches route
+    // through the span drivers, so flat and paged layouts run the same
+    // code and stay element-identical.
+    ScanSpan *spans = frame.alloc<ScanSpan>(cache.maxSpans(lo, hi));
+    const size_t nspans = cache.collectSpans(lo, hi, spans);
+    size_t *span_surv = frame.alloc<size_t>(nspans);
+    const SignMatrix &fsigns = cache.filterSignsStorage();
+
+    if (quantized_scoring && cache.keysQuantized()) {
+        batchQuantScoreSelectMultiSpans(
+            q_words, nq, fsigns, spans, nspans, threshold, queries,
+            query_stride, cache.quantizedStorage(),
+            cache.quantizedScalesStorage(), dim, scale, k, selected, kcap,
+            num_selected, survivors, span_surv);
+    } else {
+        // Fused SCF → score → select for the whole group: the sign
+        // rows and survivor key tiles are read once and stream through
+        // every query's concordance test and top-k heap.
+        batchScoreSelectMultiSpans(q_words, nq, fsigns, spans, nspans,
+                                   threshold, queries, query_stride,
+                                   cache.keysStorage(), scale, k, selected,
+                                   kcap, num_selected, survivors,
+                                   span_surv);
+    }
+
+    // Credit the pass to the pool's SCF residency counters: blocks
+    // whose keys keep surviving the filter earn the HBM window.
+    if (cache.paged())
+        for (size_t si = 0; si < nspans; ++si)
+            cache.recordFilterScan(spans[si],
+                                   uint64_t{nq} * spans[si].count,
+                                   span_surv[si]);
 }
 
 } // namespace longsight

@@ -6,12 +6,14 @@
 #include "core/attention.hh"
 #include "core/itq.hh"
 #include "core/topk.hh"
+#include "model/perplexity.hh"
 #include "tensor/kernels.hh"
 #include "tensor/quantized.hh"
 #include "tensor/linalg.hh"
 #include "tensor/sign_matrix.hh"
 #include "tensor/signbits.hh"
 #include "tensor/softmax.hh"
+#include "tensor/topk_heap.hh"
 #include "util/logging.hh"
 
 namespace longsight {
@@ -114,10 +116,9 @@ AlgoEvaluator::AlgoEvaluator(const WorkloadConfig &cfg, uint32_t num_heads,
             }
 
             // INT8 score estimates: exact integer dot through the
-            // dispatch layer, float estimate under the shared
-            // batchInt8ScoreSelectMultiSpans contract (one fixed
-            // multiply order), scaled like s.scores so the two are
-            // comparable.
+            // dispatch layer, float estimate under the
+            // batchInt8DotRange contract (one fixed multiply order),
+            // scaled like s.scores so the two are comparable.
             std::vector<int8_t> q8(headDim_);
             float q_scale = 0.0f;
             quantizeInt8Into(q.data(), headDim_, q8.data(), &q_scale);
@@ -274,7 +275,7 @@ AlgoEvaluator::evaluate(const EvalConfig &cfg) const
     }
 
     out.lostMass = lost_total / static_cast<double>(evals);
-    out.pplIncreasePct = 100.0 * (std::exp(out.lostMass) - 1.0);
+    out.pplIncreasePct = pplIncreasePct(out.lostMass);
     out.filterRatio = out.stats.filterRatio();
     out.sparsity = out.stats.sparsity();
     if (recall_evals > 0)

@@ -22,11 +22,23 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/filter_backend.hh"
 #include "core/filter_stats.hh"
 #include "model/workload.hh"
 
 namespace longsight {
+
+/**
+ * Candidate filter families the evaluator sweeps over the sparse
+ * region. Only Scf runs at decode time (core/scf.hh); Int8 and
+ * Centroid are the estimation-family alternatives the Pareto harness
+ * places against it.
+ */
+enum class FilterKind : uint8_t
+{
+    Scf,      //!< 1-bit sign-concordance scan (the paper's SCF)
+    Int8,     //!< INT8 quantized-score estimation over every key
+    Centroid, //!< block-centroid scoring, descend into winners
+};
 
 /**
  * One hybrid-attention configuration to score.
@@ -90,7 +102,7 @@ class AlgoEvaluator
                   int itq_iterations = 20);
 
     /** Block granularity of the Centroid filter's precomputed block
-     *  scores (the runtime backend's centroidBlockTokens default). */
+     *  scores; blocks are aligned to token 0. */
     static constexpr size_t kCentroidBlockTokens = 128;
 
     size_t context() const { return context_; }

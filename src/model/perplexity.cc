@@ -43,9 +43,15 @@ PerplexityProxy::recordLostMass(double lost_mass)
 }
 
 double
+pplIncreasePct(double lost_mass)
+{
+    return 100.0 * (std::exp(lost_mass) - 1.0);
+}
+
+double
 PerplexityProxy::relPplIncreasePct(double kappa) const
 {
-    return 100.0 * (std::exp(kappa * meanLostMass()) - 1.0);
+    return pplIncreasePct(kappa * meanLostMass());
 }
 
 void

@@ -31,6 +31,12 @@
 namespace longsight {
 
 /**
+ * The proxy's lost-mass -> quality mapping: relative perplexity
+ * increase in percent, 100 * (exp(lost_mass) - 1).
+ */
+double pplIncreasePct(double lost_mass);
+
+/**
  * Accumulates sparse-vs-dense attention fidelity across evaluation
  * steps and converts it to a relative-perplexity score.
  */

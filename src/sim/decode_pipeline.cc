@@ -4,8 +4,8 @@
 #include <cmath>
 
 #include "core/attention.hh"
-#include "core/filter_backend.hh"
 #include "core/itq.hh"
+#include "core/scf.hh"
 #include "util/annotations.hh"
 #include "util/logging.hh"
 #include "util/scratch_arena.hh"
@@ -458,7 +458,7 @@ DecodePipeline::stepCombineHead(
 
     // Verification A precompute, grouped: the software filter ->
     // score -> rank selection over the offloaded region [sinks,
-    // flushed_), through the same SCF backend LongSightAttn runs. ONE
+    // flushed_), through the same scfSelect LongSightAttn runs. ONE
     // fused scan serves the head's whole query group, and per query
     // the selection is bit-identical to a one-query call; paged scans
     // credit the pool's residency counters.
@@ -469,20 +469,10 @@ DecodePipeline::stepCombineHead(
         kcap = std::min<size_t>(cfg_.hybrid.topK, flushed_ - sinks);
         expect = frame.alloc<ScoredIndex>(group_ * kcap);
         expect_sizes = frame.alloc<size_t>(group_);
-        FilterArgs fa;
-        fa.queries = queries.row(0);
-        fa.queryStride = queries.cols();
-        fa.numQueries = group_;
-        fa.cache = &cache;
-        fa.lo = sinks;
-        fa.hi = flushed_;
-        fa.threshold = cfg_.hybrid.defaultThreshold;
-        fa.scale = scale;
-        fa.k = cfg_.hybrid.topK;
-        fa.kcap = kcap;
-        const FilterSelection out{expect, expect_sizes,
-                                  frame.alloc<size_t>(group_)};
-        filterBackendFor(FilterKind::Scf).select(fa, frame, out);
+        scfSelect(queries.row(0), queries.cols(), group_, cache, sinks,
+                  flushed_, cfg_.hybrid.defaultThreshold, scale,
+                  cfg_.hybrid.topK, /*quantized_scoring=*/false, frame,
+                  expect, kcap, expect_sizes, frame.alloc<size_t>(group_));
     }
 
     // GPU-side combine + verification, per query of the group. Lane

@@ -725,80 +725,4 @@ batchQuantScoreSelectMultiSpans(
         });
 }
 
-void
-batchInt8ScoreSelectMultiSpans(
-    const int8_t *q8s, const float *q_scales, size_t num_queries,
-    const int8_t *keys, const float *scales, size_t dim,
-    const ScanSpan *spans, size_t num_spans, float post_scale, size_t k,
-    ScoredIndex *out, size_t out_stride, size_t *out_sizes,
-    size_t *span_candidates)
-{
-    LS_HOT_PATH();
-    LS_DETERMINISTIC();
-    LS_NO_LOCK();
-    size_t total = 0;
-    size_t next_logical = 0;
-    for (size_t s = 0; s < num_spans; ++s) {
-        LS_ASSERT(s == 0 || spans[s].logicalBase >= next_logical,
-                  "int8 span ", s, " logical base ", spans[s].logicalBase,
-                  " overlaps previous span end ", next_logical);
-        next_logical = spans[s].logicalBase + spans[s].count;
-        total += spans[s].count;
-    }
-    LS_ASSERT(k > 0, "batchInt8ScoreSelectMultiSpans k must be positive");
-    LS_ASSERT(out_stride >= std::min(k, total),
-              "batchInt8ScoreSelectMultiSpans out_stride ", out_stride,
-              " < heap capacity ", std::min(k, total));
-
-    for (size_t q = 0; q < num_queries; ++q)
-        out_sizes[q] = 0;
-    for (size_t s = 0; s < num_spans; ++s)
-        if (span_candidates)
-            span_candidates[s] = num_queries * spans[s].count;
-    if (total == 0 || num_queries == 0)
-        return;
-
-    // Every row is a candidate: the estimation cost is the exact
-    // integer dot, so there is no cheap pre-filter to scan with. The
-    // float estimate is derived HERE, once, in driver code — the
-    // backends only supply the exact integer dots — so the
-    // multiplication order (qp * scales[row], then one multiply by the
-    // converted dot) is a single shared contract.
-    constexpr size_t kTile = 512;
-    int32_t idot[kTile];
-
-    const detail::KernelOps &o = ops();
-
-    for (size_t q = 0; q < num_queries; ++q) {
-        const int8_t *q8 = q8s + q * dim;
-        const float qp = q_scales[q] * post_scale;
-        ScoredIndex *heap = out + q * out_stride;
-        size_t hs = 0;
-        for (size_t s = 0; s < num_spans; ++s) {
-            const ScanSpan &sp = spans[s];
-            const int64_t delta =
-                static_cast<int64_t>(sp.logicalBase) -
-                static_cast<int64_t>(sp.physBegin);
-            for (size_t at = 0; at < sp.count; at += kTile) {
-                const size_t rows = std::min(kTile, sp.count - at);
-                const size_t phys = sp.physBegin + at;
-                o.int8DotAt(q8, keys, dim, dim, nullptr, phys, rows,
-                            idot);
-                for (size_t j = 0; j < rows; ++j) {
-                    const float est = static_cast<float>(idot[j]) *
-                        (qp * scales[phys + j]);
-                    hs = topk_heap::push(
-                        heap, hs, k,
-                        ScoredIndex{est,
-                                    static_cast<uint32_t>(
-                                        static_cast<int64_t>(phys + j) +
-                                        delta)});
-                }
-            }
-        }
-        out_sizes[q] = hs;
-        topk_heap::sortBestFirst(heap, hs);
-    }
-}
-
 } // namespace longsight

@@ -254,10 +254,9 @@ void batchQuantDotRange(const float *q, const int8_t *keys,
  * math — overflow-free for dim <= 2^17 at the +-127 range
  * quantizeInt8Into produces — so every backend (scalar, AVX2 maddubs,
  * AVX-512 VNNI) is bit-identical by construction. This is the INT8
- * filter's estimation primitive: both query and key are quantized, and
- * the float estimate float(out[j]) * (q_scale * key_scale) is derived
- * by the callers under one shared contract (see
- * batchInt8ScoreSelectMultiSpans).
+ * estimation primitive AlgoEvaluator's sweep ranks tokens with: both
+ * query and key are quantized, and the caller derives the float
+ * estimate float(out[j]) * ((q_scale * post_scale) * key_scale).
  */
 void batchInt8DotRange(const int8_t *q, const int8_t *keys, size_t dim,
                        size_t begin, size_t end, int32_t *out);
@@ -279,31 +278,6 @@ void batchQuantScoreSelectMultiSpans(
     float post_scale, size_t k, ScoredIndex *out, size_t out_stride,
     size_t *out_sizes, size_t *survivor_counts = nullptr,
     size_t *span_survivors = nullptr);
-
-/**
- * Fused INT8-estimation score -> select over a span list: EVERY row
- * is a candidate, scored with the exact integer dot
- * (batchInt8DotRange) and the float estimate float(idot) *
- * ((q_scale * post_scale) * scales[row]) — one fixed multiplication
- * order, so selections are deterministic and backend-independent.
- * Query q's int8 vector lives at q8s + q * dim with scale
- * q_scales[q]; its heap at out + q * out_stride (capacity >= min(k,
- * total span tokens)) and out_sizes[q] receives the entry count
- * (sorted best-first). Heap indices are logical token ids; estimation
- * reads the spans' physical arena rows. When span_candidates is
- * non-null, span_candidates[s] receives num_queries * spans[s].count —
- * every row is a candidate under estimation, the analogue of the SCF
- * span survivor counter for residency accounting. This is the INT8
- * FilterBackend's candidate selector: where SCF scans 1-bit
- * signatures and scores survivors, this estimates 8-bit scores for
- * every row and keeps the top k.
- */
-void batchInt8ScoreSelectMultiSpans(
-    const int8_t *q8s, const float *q_scales, size_t num_queries,
-    const int8_t *keys, const float *scales, size_t dim,
-    const ScanSpan *spans, size_t num_spans, float post_scale, size_t k,
-    ScoredIndex *out, size_t out_stride, size_t *out_sizes,
-    size_t *span_candidates = nullptr);
 
 namespace detail {
 

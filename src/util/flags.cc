@@ -57,6 +57,15 @@ Flags::getInt(const std::string &name, int64_t def) const
     return v;
 }
 
+uint64_t
+Flags::getCount(const std::string &name, uint64_t def, uint64_t min) const
+{
+    const int64_t v = getInt(name, static_cast<int64_t>(def));
+    if (v < 0 || static_cast<uint64_t>(v) < min)
+        fatal("flag --", name, " must be at least ", min, ", got ", v);
+    return static_cast<uint64_t>(v);
+}
+
 double
 Flags::getDouble(const std::string &name, double def) const
 {

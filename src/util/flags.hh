@@ -37,6 +37,15 @@ class Flags
     std::string getString(const std::string &name,
                           const std::string &def) const;
     int64_t getInt(const std::string &name, int64_t def) const;
+
+    /**
+     * A count flag (sizes, lengths, thread counts): getInt that
+     * fatal()s, naming the flag and its value, when the value is below
+     * `min`, so a negative count never wraps into a huge unsigned one.
+     */
+    uint64_t getCount(const std::string &name, uint64_t def,
+                      uint64_t min = 0) const;
+
     double getDouble(const std::string &name, double def) const;
     bool getBool(const std::string &name, bool def = false) const;
 

@@ -2,9 +2,10 @@
  * @file
  * Tests for the AlgoEvaluator sweep harness — the figures depend on
  * it, so its semantics are pinned here: degenerate exactness,
- * monotonicity in thresholds/k/W, ITQ fallback, determinism, and
+ * monotonicity in thresholds/k/W, ITQ fallback, determinism,
  * agreement between the sliding-window helper and a window-only
- * configuration.
+ * configuration, and the INT8 and centroid families' degenerate
+ * cases against unfiltered SCF.
  */
 
 #include <gtest/gtest.h>
@@ -163,6 +164,51 @@ TEST(Eval, RecallDegradesWithAggressiveFiltering)
     const double r_harsh = eval.evaluate(harsh).recallAtK;
     EXPECT_LT(r_harsh, r_gentle);
     EXPECT_GT(r_harsh, 0.0);
+}
+
+TEST(Eval, CentroidKeepAllEqualsUnfilteredScf)
+{
+    // Keeping every block makes every region token a candidate, so the
+    // centroid family keeps the same top-k as SCF at threshold 0 under
+    // the one (score, index) order, however the blocks were ranked.
+    AlgoEvaluator eval(smallWorkload(), 2, 2000, 6, 12, 0);
+    EvalConfig scf, centroid;
+    scf.windowSize = centroid.windowSize = 200; // region not block-aligned
+    scf.topK = centroid.topK = 64;
+    scf.thresholds = {0, 0};
+    centroid.filter = FilterKind::Centroid;
+    centroid.centroidKeepFraction = 1.0;
+    const EvalResult a = eval.evaluate(scf);
+    const EvalResult b = eval.evaluate(centroid);
+    EXPECT_EQ(a.lostMass, b.lostMass);
+    EXPECT_EQ(a.recallAtK, b.recallAtK);
+    EXPECT_EQ(a.stats.survivorKeys, b.stats.survivorKeys);
+    EXPECT_EQ(a.stats.selectedKeys, b.stats.selectedKeys);
+}
+
+TEST(Eval, Int8SelectsWithoutSurvivorScan)
+{
+    // INT8 estimation ranks every region token and retrieves only its
+    // selections, so survivors equal selections.
+    AlgoEvaluator eval(smallWorkload(), 2, 1500, 6, 13, 0);
+    EvalConfig est, scf;
+    est.filter = FilterKind::Int8;
+    est.windowSize = scf.windowSize = 256;
+    est.topK = 64;
+    const EvalResult r = eval.evaluate(est);
+    EXPECT_EQ(r.stats.survivorKeys, r.stats.selectedKeys);
+    EXPECT_EQ(r.stats.selectedKeys, r.stats.evaluations * 64);
+
+    // With k covering the region it selects the whole region, as
+    // unfiltered SCF does; only the order the retained mass is summed
+    // in differs.
+    est.topK = scf.topK = 2000;
+    scf.thresholds = {0, 0};
+    const EvalResult all = eval.evaluate(est);
+    const EvalResult ref = eval.evaluate(scf);
+    EXPECT_EQ(all.stats.survivorKeys, all.stats.selectedKeys);
+    EXPECT_EQ(all.stats.selectedKeys, ref.stats.selectedKeys);
+    EXPECT_NEAR(all.lostMass, ref.lostMass, 1e-12);
 }
 
 TEST(Eval, PplProxyConsistentWithLostMass)

@@ -86,6 +86,31 @@ TEST(Flags, BadIntegerDies)
     EXPECT_DEATH({ f.getInt("n", 0); }, "integer");
 }
 
+TEST(Flags, CountWithinRange)
+{
+    const Flags f = parse({"--k=3"});
+    EXPECT_EQ(f.getCount("k", 1024, 1), 3u);
+    EXPECT_EQ(f.getCount("missing", 9, 1), 9u);
+}
+
+TEST(Flags, NegativeCountIsFatal)
+{
+    // A negative count must not wrap into a huge unsigned one (a
+    // --threads of 2^32 - 1 would start that many workers).
+    const Flags f = parse({"--threads", "-1"});
+    EXPECT_EXIT({ f.getCount("threads", 0); },
+                ::testing::ExitedWithCode(1),
+                "fatal: flag --threads must be at least 0, got -1");
+}
+
+TEST(Flags, CountBelowMinimumIsFatal)
+{
+    const Flags f = parse({"--k=0"});
+    EXPECT_EXIT({ f.getCount("k", 1024, 1); },
+                ::testing::ExitedWithCode(1),
+                "fatal: flag --k must be at least 1, got 0");
+}
+
 TEST(Flags, NegativeNumberAsValue)
 {
     // "--n -3": -3 does not start with "--" so it binds as the value.

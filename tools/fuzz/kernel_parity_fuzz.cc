@@ -5,8 +5,8 @@
  * EVERY compiled-in kernel backend (scalar, AVX2, NEON) and asserts
  * per-element bit identity of the outputs — concordance counts,
  * survivor sets, PFU bitmaps, scaled dot products, block sign
- * signatures, quantized-arena dots, the fused float / quantized /
- * INT8 span selects, the grouped (queries-in-lanes) dot and the
+ * signatures, quantized-arena and INT8 dots, the fused float and
+ * quantized span selects, the grouped (queries-in-lanes) dot and the
  * weighted value sum. The lane ops run on full-mantissa values, so a
  * reordered or fused accumulation changes bits. On every backend it
  * also checks the span family's two structural promises, query by
@@ -197,10 +197,9 @@ struct Storage
 /** A query group in every form the drivers take. */
 struct Queries
 {
-    const uint64_t *words;  // nq * wpr packed signs
-    const float *floats;    // nq * dim
-    const int8_t *q8s;      // nq * dim
-    const float *q8_scales; // nq
+    const uint64_t *words; // nq * wpr packed signs
+    const float *floats;   // nq * dim
+    const int8_t *q8s;     // nq * dim
     size_t nq;
 };
 
@@ -209,7 +208,7 @@ Queries
 oneQuery(const Queries &g, size_t q, size_t wpr, size_t dim)
 {
     return Queries{g.words + q * wpr, g.floats + q * dim, g.q8s + q * dim,
-                   g.q8_scales + q, 1};
+                   1};
 }
 
 /** What the span drivers produce for one query group and span list. */
@@ -223,8 +222,6 @@ struct SpanOutputs
     std::vector<size_t> select_n, select_surv, select_span;
     std::vector<ScoredIndex> quant;
     std::vector<size_t> quant_n, quant_surv, quant_span;
-    std::vector<ScoredIndex> int8;
-    std::vector<size_t> int8_n, int8_cand;
 };
 
 SpanOutputs
@@ -268,19 +265,9 @@ runSpans(const Storage &st, const std::vector<ScanSpan> &spans,
         o.out_stride, o.quant_n.data(), o.quant_surv.data(),
         o.quant_span.data());
 
-    g_case.stage = "batchInt8ScoreSelectMultiSpans";
-    o.int8.assign(g.nq * o.out_stride, ScoredIndex{0.0f, 0});
-    o.int8_n.assign(g.nq, 777);
-    o.int8_cand.assign(std::max<size_t>(ns, 1), 777);
-    longsight::batchInt8ScoreSelectMultiSpans(
-        g.q8s, g.q8_scales, g.nq, st.kq.data(), st.kscales.data(), dim,
-        spans.data(), ns, scale, k, o.int8.data(), o.out_stride,
-        o.int8_n.data(), o.int8_cand.data());
-
     o.scan_span.resize(ns);
     o.select_span.resize(ns);
     o.quant_span.resize(ns);
-    o.int8_cand.resize(ns);
     return o;
 }
 
@@ -316,11 +303,6 @@ queryEq(const SpanOutputs &a, size_t qa, const SpanOutputs &b, size_t qb,
     check(std::equal(a.quant.begin() + qa * a.out_stride,
                      a.quant.begin() + qa * a.out_stride + a.quant_n[qa],
                      b.quant.begin() + qb * b.out_stride, scoredEq),
-          what);
-    check(a.int8_n[qa] == b.int8_n[qb], what);
-    check(std::equal(a.int8.begin() + qa * a.out_stride,
-                     a.int8.begin() + qa * a.out_stride + a.int8_n[qa],
-                     b.int8.begin() + qb * b.out_stride, scoredEq),
           what);
 }
 
@@ -423,8 +405,6 @@ runKernels(const Storage &flat, const Storage &split_store,
     check(s.scan_span == s.select_span && s.scan_span == s.quant_span &&
               s.scan_span[0] == sum(s.counts),
           "span survivor totals disagree");
-    check(s.int8_cand[0] == group.nq * span,
-          "INT8 span candidates != queries * span length");
 
     // One query alone == its slice of the group, on this backend.
     for (size_t q = 0; q < group.nq; ++q) {
@@ -450,9 +430,6 @@ runKernels(const Storage &flat, const Storage &split_store,
               split_out.select_span == split_out.scan_span &&
               split_out.quant_span == split_out.scan_span,
           "split span survivor totals disagree");
-    for (size_t si = 0; si < split.size(); ++si)
-        check(split_out.int8_cand[si] == group.nq * split[si].count,
-              "split INT8 candidates != queries * span length");
     return o;
 }
 
@@ -487,8 +464,6 @@ compareOutputs(const Outputs &ref, const Outputs &got)
     checkEq(ref.int8_range, got.int8_range, "int8 dotRange values differ");
     checkEq(ref.spans.scan_span, got.spans.scan_span,
             "span survivor totals differ");
-    checkEq(ref.spans.int8_cand, got.spans.int8_cand,
-            "int8 candidate counts differ");
     for (size_t q = 0; q < ref.spans.nq; ++q)
         queryEq(ref.spans, q, got.spans, q,
                 "span driver outputs differ across backends");
@@ -753,14 +728,15 @@ runCase(const uint8_t *data, size_t size)
     for (size_t q = 0; q < num_queries; ++q)
         longsight::packSigns(all_queries.data() + q * dim, dim,
                              all_qwords.data() + q * wpr);
-    // Per-query INT8 quantization for the estimation kernels.
+    // Per-query INT8 quantization for the estimation dot.
     std::vector<int8_t> q8s(num_queries * dim);
-    std::vector<float> q8_scales(num_queries, 1.0f);
-    for (size_t q = 0; q < num_queries; ++q)
+    for (size_t q = 0; q < num_queries; ++q) {
+        float q8_scale = 1.0f;
         longsight::quantizeInt8Into(all_queries.data() + q * dim, dim,
-                                    q8s.data() + q * dim, &q8_scales[q]);
+                                    q8s.data() + q * dim, &q8_scale);
+    }
     const Queries group{all_qwords.data(), all_queries.data(), q8s.data(),
-                        q8_scales.data(), num_queries};
+                        num_queries};
 
     std::vector<ScanSpan> split;
     const Storage split_store =

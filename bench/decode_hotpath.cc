@@ -423,23 +423,31 @@ main(int argc, char **argv)
     using namespace longsight;
     Flags flags(argc, argv);
     BenchShape sh;
-    sh.context = static_cast<size_t>(flags.getInt("context", 32768));
-    sh.steps = static_cast<size_t>(flags.getInt("steps", 32));
-    sh.warmup = static_cast<size_t>(flags.getInt("warmup", 8));
-    sh.qheads = static_cast<uint32_t>(flags.getInt("qheads", 32));
-    sh.kvheads = static_cast<uint32_t>(flags.getInt("kvheads", 8));
-    sh.dim = static_cast<uint32_t>(flags.getInt("dim", 128));
+    sh.context = flags.getCount("context", 32768, 1);
+    sh.steps = flags.getCount("steps", 32, 1);
+    sh.warmup = flags.getCount("warmup", 8);
+    sh.qheads = static_cast<uint32_t>(
+        flags.getCount("qheads", 32, 1, UINT32_MAX));
+    sh.kvheads = static_cast<uint32_t>(
+        flags.getCount("kvheads", 8, 1, UINT32_MAX));
+    if (sh.qheads % sh.kvheads != 0)
+        fatal("flag --qheads (", sh.qheads, ") must be a multiple of "
+              "--kvheads (", sh.kvheads, ")");
+    sh.dim = static_cast<uint32_t>(flags.getCount("dim", 128, 2, UINT32_MAX));
+    if (sh.dim % 2 != 0)
+        fatal("flag --dim must be even (RoPE rotates pairs), got ", sh.dim);
     // d/2 + 4 keeps a realistic post-SCF survivor fraction on the
     // synthetic workload (roughly a quarter of the sparse region).
     sh.threshold = static_cast<int>(
         flags.getInt("threshold", static_cast<int64_t>(sh.dim) / 2 + 4));
-    sh.hybrid.topK = static_cast<uint32_t>(flags.getInt("topk", 1024));
+    sh.hybrid.topK = static_cast<uint32_t>(
+        flags.getCount("topk", 1024, 1, UINT32_MAX));
     sh.hybrid.windowSize =
-        static_cast<uint32_t>(flags.getInt("window", 1024));
-    sh.hybrid.sinkTokens =
-        static_cast<uint32_t>(flags.getInt("sinks", 16));
-    const auto threads =
-        static_cast<unsigned>(flags.getCount("threads", 0));
+        static_cast<uint32_t>(flags.getCount("window", 1024, 0, UINT32_MAX));
+    sh.hybrid.sinkTokens = static_cast<uint32_t>(
+        flags.getCount("sinks", 16, 0, UINT32_MAX));
+    const auto threads = static_cast<unsigned>(
+        flags.getCount("threads", 0, 0, kMaxFlagThreads));
     const std::string out =
         flags.getString("out", "BENCH_decode.json");
     const auto leftover = flags.unconsumed();

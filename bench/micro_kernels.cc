@@ -9,13 +9,12 @@
  * the span drivers (every call over one identity span of the flat key
  * set) on every backend this host supports: the one-query scan and
  * fused scan->score->select, survivor scoring, the same scan and
- * fused select for a four-query GQA group in one pass, INT8
- * quantized scoring (quant_dot, int8_dot — scalar / AVX2 maddubs /
- * AVX-512 VNNI), and the prefill attend's
- * kernels: eight queries over one gathered token list as eight
- * one-query calls (dot_q8_loop) and as one queries-in-lanes call
- * (dot_multi_q8), rates in key-query pairs, plus the weighted value
- * sum (weighted_sum). It verifies the results are
+ * fused select for a four-query GQA group in one pass, the INT8
+ * estimation dot (int8_dot — scalar / AVX2 maddubs / AVX-512 VNNI),
+ * and the prefill attend's kernels: eight queries over one gathered
+ * token list as eight one-query calls (dot_q8_loop) and as one
+ * queries-in-lanes call (dot_multi_q8), rates in key-query pairs, plus
+ * the weighted value sum (weighted_sum). It verifies the results are
  * bit-identical to the scalar backend (the fused select against the
  * unfused scan + dot + topkSelect pipeline, and every grouped output
  * against the scalar one-query call for the same query), and writes
@@ -415,22 +414,18 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
                           ref_msel[g].data()));
         }
 
-        // INT8 arena (the KvCache enableKeyQuantization layout) plus
-        // scalar references for the quantized-scoring kernels: the
-        // mixed float x int8 dot and the exact int8 x int8 estimation
-        // dot.
+        // INT8 arena (AlgoEvaluator's estimation layout: one
+        // quantizeInt8Into row per key) plus the scalar reference for
+        // the exact int8 x int8 estimation dot.
         std::vector<int8_t> kq(keys * dim);
-        std::vector<float> kscales(keys);
+        float kscale = 0.0f; // the integer dot ignores scales
         for (size_t i = 0; i < keys; ++i)
             quantizeInt8Into(key_mat.row(i), dim, kq.data() + i * dim,
-                             &kscales[i]);
+                             &kscale);
         std::vector<int8_t> q8(dim);
         float q8_scale = 0.0f;
         quantizeInt8Into(q.data(), dim, q8.data(), &q8_scale);
 
-        std::vector<float> ref_qdot(keys);
-        batchQuantDotRange(q.data(), kq.data(), kscales.data(), dim, 0,
-                           keys, scale, ref_qdot.data());
         std::vector<int32_t> ref_idot(keys);
         batchInt8DotRange(q8.data(), kq.data(), dim, 0, keys,
                           ref_idot.data());
@@ -455,7 +450,7 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
 
         double scalar_scan = 0.0, scalar_dot = 0.0, scalar_fused = 0.0;
         double scalar_mscan = 0.0, scalar_mfused = 0.0;
-        double scalar_qdot = 0.0, scalar_idot = 0.0;
+        double scalar_idot = 0.0;
         double scalar_ldot = 0.0, scalar_mdot = 0.0, scalar_wsum = 0.0;
         for (KernelBackend b : availableBackends()) {
             setKernelBackend(b);
@@ -523,15 +518,8 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
                 mfused_same = mfused_same && same;
             }
 
-            // INT8 scoring kernels (dispatch-routed: scalar contract
-            // reference, AVX2 maddubs, AVX-512 VNNI where available).
-            std::vector<float> qdot(keys);
-            const double qdot_rate = bestKeysPerSec(keys, reps, [&] {
-                batchQuantDotRange(q.data(), kq.data(), kscales.data(),
-                                   dim, 0, keys, scale, qdot.data());
-            });
-            const bool qdot_same = qdot == ref_qdot;
-
+            // INT8 estimation dot (dispatch-routed: scalar reference,
+            // AVX2 maddubs, AVX-512 VNNI where available).
             std::vector<int32_t> idot(keys);
             const double idot_rate = bestKeysPerSec(keys, reps, [&] {
                 batchInt8DotRange(q8.data(), kq.data(), dim, 0, keys,
@@ -574,12 +562,11 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
                 scalar_fused = fused_rate;
                 scalar_mscan = mscan_rate;
                 scalar_mfused = mfused_rate;
-                scalar_qdot = qdot_rate;
                 scalar_idot = idot_rate;
             }
             all_identical = all_identical && scan_same && dot_same &&
-                fused_same && mscan_same && mfused_same && qdot_same &&
-                idot_same && ldot_same && mdot_same && wsum_same;
+                fused_same && mscan_same && mfused_same && idot_same &&
+                ldot_same && mdot_same && wsum_same;
             rows.push_back({"scan", dim, keys, b, scan_rate,
                             scan_rate / scalar_scan, scan_same});
             rows.push_back({"dot", dim, ref_survivors.size(), b,
@@ -591,8 +578,6 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
             rows.push_back({"score_select_multi_q4", dim, keys, b,
                             mfused_rate, mfused_rate / scalar_mfused,
                             mfused_same});
-            rows.push_back({"quant_dot", dim, keys, b, qdot_rate,
-                            qdot_rate / scalar_qdot, qdot_same});
             rows.push_back({"int8_dot", dim, keys, b, idot_rate,
                             idot_rate / scalar_idot, idot_same});
             rows.push_back({"dot_q8_loop", dim, nsurv, b, ldot_rate,
@@ -623,11 +608,6 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
                 std::cerr << "FAIL: " << kernelBackendName(b)
                           << " grouped score_select differs per query "
                              "from the scalar one-query call (dim "
-                          << dim << ")\n";
-            if (!qdot_same)
-                std::cerr << "FAIL: " << kernelBackendName(b)
-                          << " quant_dot differs from the scalar "
-                             "dotQuantized contract (dim "
                           << dim << ")\n";
             if (!idot_same)
                 std::cerr << "FAIL: " << kernelBackendName(b)
@@ -693,9 +673,8 @@ main(int argc, char **argv)
     // whatever remains is ours.
     benchmark::Initialize(&argc, argv);
     Flags flags(argc, argv);
-    const auto keys =
-        static_cast<size_t>(flags.getInt("keys", 65536));
-    const int reps = static_cast<int>(flags.getInt("reps", 5));
+    const size_t keys = flags.getCount("keys", 65536, 1);
+    const int reps = static_cast<int>(flags.getCount("reps", 5, 1, INT32_MAX));
     const bool gbench = flags.getBool("gbench", true);
     const std::string out =
         flags.getString("out", "BENCH_kernels.json");

@@ -5,7 +5,7 @@
  * BENCH_paged.json.
  *
  * 1. Bit-identity — a paged cache run through full multi-head hybrid
- *    attention (ITQ rotation + INT8 scoring on) produces byte-for-byte
+ *    attention (ITQ rotation installed) produces byte-for-byte
  *    the outputs of the flat cache, at non-block-multiple contexts.
  *    Any divergence exits nonzero. Decode steps are also timed both
  *    ways so the span-indirection overhead is on record.
@@ -70,7 +70,7 @@ struct IdentityResult
 
 /**
  * Decode `steps` tokens over flat and paged cache fleets with the full
- * hybrid pipeline (rotation + INT8 scoring), comparing outputs
+ * hybrid pipeline (ITQ rotation installed), comparing outputs
  * byte-for-byte each step. The paged pool's scan counters then drive a
  * residency rebalance, which must not perturb the next step's output.
  */
@@ -87,7 +87,6 @@ runIdentity(uint32_t steps)
     cfg.sinkTokens = 8;
     cfg.topK = 128;
     cfg.defaultThreshold = kDim / 2;
-    cfg.quantizedScoring = true;
     MultiHeadLongSight mh(cfg, kQHeads, kKvHeads, kDim);
 
     const uint32_t blocks_per_cache =
@@ -106,7 +105,6 @@ runIdentity(uint32_t steps)
         paged.emplace_back(pool);
         for (auto *c : {&flat[h], &paged[h]}) {
             c->reserve(n + steps);
-            c->enableKeyQuantization();
             c->setItqRotation(Matrix::identity(kDim));
             for (size_t i = 0; i < n; ++i)
                 c->append(keys[i].data(), values[i].data());
@@ -354,7 +352,8 @@ main(int argc, char **argv)
 {
     using namespace longsight;
     Flags flags(argc, argv);
-    const auto steps = static_cast<uint32_t>(flags.getInt("steps", 24));
+    const auto steps = static_cast<uint32_t>(
+        flags.getCount("steps", 24, 1, UINT32_MAX));
     const std::string out = flags.getString("out", "BENCH_paged.json");
     const auto leftover = flags.unconsumed();
     LS_ASSERT(leftover.empty(), "unknown flag --", leftover.front());

@@ -174,8 +174,13 @@ main(int argc, char **argv)
         parseList(flags.getString("contexts", "8192,32768"));
     const auto thread_list =
         parseList(flags.getString("threads", "1,2,4,8"));
-    const auto steps =
-        static_cast<uint32_t>(flags.getInt("steps", 2));
+    // stoull wraps "-1" to 2^64 - 1; never build a pool that large.
+    for (uint64_t t : thread_list)
+        if (t > kMaxFlagThreads)
+            fatal("flag --threads entries must be at most ",
+                  kMaxFlagThreads, ", got ", t);
+    const auto steps = static_cast<uint32_t>(
+        flags.getCount("steps", 2, 1, UINT32_MAX));
     const bool train_itq = flags.getBool("itq", false);
     const std::string out =
         flags.getString("out", "BENCH_parallel.json");

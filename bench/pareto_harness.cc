@@ -323,12 +323,13 @@ main(int argc, char **argv)
 {
     using namespace longsight;
     Flags flags(argc, argv);
-    const auto context =
-        static_cast<size_t>(flags.getInt("context", 32768));
-    const auto heads =
-        static_cast<uint32_t>(flags.getInt("heads", 4));
+    // The ANNS reference points need a sparse region past their
+    // 1024-token window and 16 sinks.
+    const size_t context = flags.getCount("context", 32768, 2048);
+    const auto heads = static_cast<uint32_t>(
+        flags.getCount("heads", 4, 1, UINT32_MAX));
     const auto queries =
-        static_cast<uint32_t>(flags.getInt("queries", 16));
+        static_cast<uint32_t>(flags.getCount("queries", 16, 1, UINT32_MAX));
     const std::string out_path =
         flags.getString("out", "BENCH_pareto.json");
     const auto leftover = flags.unconsumed();

@@ -220,13 +220,12 @@ main(int argc, char **argv)
     using namespace longsight;
     Flags flags(argc, argv);
     const auto requests =
-        static_cast<uint32_t>(flags.getInt("requests", 2000));
+        static_cast<uint32_t>(flags.getCount("requests", 2000, 1, UINT32_MAX));
     const auto seed = static_cast<uint64_t>(flags.getInt("seed", 1));
     const double rate = flags.getDouble("rate", 2.0);
-    const auto chunk =
-        static_cast<uint32_t>(flags.getInt("chunk", 2048));
-    const auto budgetDiv =
-        static_cast<uint64_t>(flags.getInt("budget-div", 64));
+    const auto chunk = static_cast<uint32_t>(
+        flags.getCount("chunk", 2048, 1, UINT32_MAX));
+    const uint64_t budgetDiv = flags.getCount("budget-div", 64, 1);
     const double ttftSlo = flags.getDouble("ttft-slo-ms", 2000.0);
     const double tbtSlo = flags.getDouble("tbt-slo-ms", 150.0);
     const std::string out =

@@ -211,8 +211,9 @@ main(int argc, char **argv)
     using namespace longsight;
     Flags flags(argc, argv);
     const auto requests =
-        static_cast<uint32_t>(flags.getInt("requests", 4));
-    const auto fsteps = static_cast<uint32_t>(flags.getInt("steps", 6));
+        static_cast<uint32_t>(flags.getCount("requests", 4, 1, UINT32_MAX));
+    const auto fsteps = static_cast<uint32_t>(
+        flags.getCount("steps", 6, 1, UINT32_MAX));
     const std::string out =
         flags.getString("out", "BENCH_batch.json");
     const auto leftover = flags.unconsumed();

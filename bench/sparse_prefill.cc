@@ -609,16 +609,16 @@ main(int argc, char **argv)
 {
     using namespace longsight;
     Flags flags(argc, argv);
-    const auto context =
-        static_cast<size_t>(flags.getInt("context", 32768));
-    const auto samples =
-        static_cast<size_t>(flags.getInt("samples", 64));
-    const auto heads = static_cast<uint32_t>(flags.getInt("heads", 2));
+    // The sweep needs enough context to estimate block sparsity.
+    const size_t context = flags.getCount("context", 32768, 4096);
+    const size_t samples = flags.getCount("samples", 64, 1);
+    const auto heads = static_cast<uint32_t>(
+        flags.getCount("heads", 2, 1, UINT32_MAX));
     const auto seed = static_cast<uint64_t>(flags.getInt("seed", 1));
-    const auto timedContext =
-        static_cast<size_t>(flags.getInt("timed-context", 8192));
+    const size_t timedContext = flags.getCount("timed-context", 8192, 1);
     const auto ttftRequests =
-        static_cast<uint32_t>(flags.getInt("ttft-requests", 400));
+        static_cast<uint32_t>(
+            flags.getCount("ttft-requests", 400, 1, UINT32_MAX));
     const std::string out =
         flags.getString("out", "BENCH_prefill.json");
     const auto leftover = flags.unconsumed();
@@ -627,7 +627,6 @@ main(int argc, char **argv)
     const auto model = ModelConfig::llama3_8b();
     const BenchModelShape shape{model.numQueryHeads, model.numKvHeads,
                                 model.headDim};
-    LS_ASSERT(context >= 4096, "sweep context too small to estimate");
 
     // Identity + consistency at a small, awkward context (2113 is not
     // a multiple of any swept block size); sweep at the full shape.

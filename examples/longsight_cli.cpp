@@ -46,7 +46,8 @@ cmdServe(const Flags &flags)
 {
     const auto model = modelFor(flags.getString("model", "8b"));
     const uint64_t ctx = flags.getCount("context", 131072, 1);
-    const auto users = static_cast<uint32_t>(flags.getCount("users", 8, 1));
+    const auto users = static_cast<uint32_t>(
+        flags.getCount("users", 8, 1, UINT32_MAX));
     const std::string system = flags.getString("system", "longsight");
 
     ServingResult r;
@@ -158,15 +159,21 @@ int
 cmdQuality(const Flags &flags)
 {
     WorkloadConfig wcfg;
-    wcfg.headDim = static_cast<uint32_t>(flags.getCount("dim", 64, 1));
+    wcfg.headDim = static_cast<uint32_t>(
+        flags.getCount("dim", 64, 2, UINT32_MAX));
+    if (wcfg.headDim % 2 != 0)
+        fatal("flag --dim must be even (RoPE rotates pairs), got ",
+              wcfg.headDim);
     const auto ctx = static_cast<size_t>(flags.getCount("context", 8192, 1));
     AlgoEvaluator eval(wcfg, 2, ctx, 12,
                        static_cast<uint64_t>(flags.getInt("seed", 1)),
                        flags.getBool("itq") ? 20 : 0);
     EvalConfig cfg;
-    cfg.windowSize = static_cast<uint32_t>(flags.getCount("window", 1024));
-    cfg.topK = static_cast<uint32_t>(flags.getCount("k", 1024, 1));
-    cfg.sinkTokens = static_cast<uint32_t>(flags.getCount("sinks", 16));
+    cfg.windowSize = static_cast<uint32_t>(
+        flags.getCount("window", 1024, 0, UINT32_MAX));
+    cfg.topK = static_cast<uint32_t>(flags.getCount("k", 1024, 1, UINT32_MAX));
+    cfg.sinkTokens = static_cast<uint32_t>(
+        flags.getCount("sinks", 16, 0, UINT32_MAX));
     cfg.useItq = flags.getBool("itq");
     cfg.thresholds.assign(
         eval.numHeads(),
@@ -208,8 +215,8 @@ main(int argc, char **argv)
     Flags flags(argc, argv);
     // 0 = all hardware threads; 1 = exact serial execution. Results
     // are bit-identical for any value (see DESIGN.md).
-    ThreadPool::configureGlobal(
-        static_cast<unsigned>(flags.getCount("threads", 0)));
+    ThreadPool::configureGlobal(static_cast<unsigned>(
+        flags.getCount("threads", 0, 0, kMaxFlagThreads)));
     if (flags.positional().empty())
         return usage();
     const std::string cmd = flags.positional()[0];

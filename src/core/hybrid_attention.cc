@@ -59,20 +59,12 @@ LongSightAttn::computeHead(const std::vector<float> &q, const KvCache &cache,
                            uint32_t kv_head) const
 {
     LS_ASSERT(q.size() == cache.headDim(), "query dim mismatch");
-    HeadAttentionResult r;
-    computeHeadInto(q.data(), cache, kv_head, r);
-    return r;
-}
-
-void
-LongSightAttn::computeHeadInto(const float *q, const KvCache &cache,
-                               uint32_t kv_head,
-                               HeadAttentionResult &r) const
-{
     // The group path with one query IS the single-query path: per
     // query, the span drivers' output does not depend on the group
     // size, so there is exactly one implementation to keep correct.
-    computeGroupInto(q, cache.headDim(), 1, cache, kv_head, &r);
+    HeadAttentionResult r;
+    computeGroupInto(q.data(), cache.headDim(), 1, cache, kv_head, &r);
+    return r;
 }
 
 void
@@ -125,8 +117,7 @@ LongSightAttn::computeGroupInto(const float *queries, size_t query_stride,
         size_t *nsurv = frame.alloc<size_t>(num_queries);
         scfSelect(queries, query_stride, num_queries, cache, sinks,
                   win_start, thresholds_[kv_head], scale, cfg_.topK,
-                  cfg_.quantizedScoring, frame, selected, kcap, nsel,
-                  nsurv);
+                  frame, selected, kcap, nsel, nsurv);
 
         for (uint32_t g = 0; g < num_queries; ++g) {
             HeadAttentionResult &r = rs[g];

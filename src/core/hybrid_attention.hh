@@ -40,17 +40,6 @@ struct LongSightConfig
     uint32_t topK = 1024;       //!< k, per KV head
     uint32_t sinkTokens = 16;   //!< attention-sink prefix tokens
     int defaultThreshold = 0;   //!< SCF threshold when not set per head
-
-    /**
-     * Score SCF survivors against INT8-quantized keys (halves the
-     * NMA's per-survivor fetch). Selection may differ slightly from
-     * full precision; the combined softmax on the GPU still uses
-     * full-precision keys. Requires KvCache::enableKeyQuantization().
-     */
-    bool quantizedScoring = false;
-
-    /** Maximum k the DReX NMA hardware supports (§7.2). */
-    static constexpr uint32_t kMaxHardwareTopK = 1024;
 };
 
 /**
@@ -96,28 +85,19 @@ class LongSightAttn
                                     uint32_t kv_head) const;
 
     /**
-     * computeHead into an existing result — the decode hot-path form.
-     * `q` is a raw headDim span; `r`'s vectors are cleared and refilled
-     * in place (their capacity is reused, so repeated calls on the
-     * same result object are heap-allocation-free). All intermediate
-     * buffers live in the calling thread's scratch arena; the SCF →
-     * score → select stage runs through the fused span driver
-     * (batchScoreSelectMultiSpans, one query) without materializing
-     * survivor or score vectors.
-     */
-    void computeHeadInto(const float *q, const KvCache &cache,
-                         uint32_t kv_head, HeadAttentionResult &r) const;
-
-    /**
-     * Query-group form: evaluate num_queries queries that share one KV
-     * head's cache (the GQA group, or any batch of queries pinned to
-     * this KV head) in ONE pass over the cache. Query g's headDim
-     * vector is queries + g * query_stride; its result lands in rs[g].
-     * The sparse region's packed sign rows and survivor key tiles
-     * stream through every query's concordance test and top-k heap
-     * together (batchScoreSelectMultiSpans), so the cache is read once for
-     * the whole group instead of once per query — per query, results
-     * are bit-identical to computeHeadInto.
+     * Query-group form — the decode hot path: evaluate num_queries
+     * queries that share one KV head's cache (the GQA group, or any
+     * batch of queries pinned to this KV head) in ONE pass over the
+     * cache. Query g's headDim vector is queries + g * query_stride;
+     * its result lands in rs[g], whose vectors are cleared and refilled
+     * in place (their capacity is reused, so repeated calls on the same
+     * results are heap-allocation-free). The sparse region's packed
+     * sign rows and survivor key tiles stream through every query's
+     * concordance test and top-k heap together
+     * (batchScoreSelectMultiSpans), so the cache is read once for the
+     * whole group instead of once per query — per query, results are
+     * bit-identical to a one-query call, which is what computeHead
+     * makes.
      */
     void computeGroupInto(const float *queries, size_t query_stride,
                           uint32_t num_queries, const KvCache &cache,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "tensor/quantized.hh"
 #include "util/annotations.hh"
 #include "util/logging.hh"
 
@@ -25,10 +24,6 @@ KvRows::reserve(size_t n)
     rawSigns_.reserveRows(n);
     if (rotated_)
         rotatedSigns_.reserveRows(n);
-    if (quantized_) {
-        quantData_.reserve(n * headDim_);
-        quantScales_.reserve(n);
-    }
 }
 
 void
@@ -39,19 +34,6 @@ KvRows::ensureRotated()
     rotated_ = true;
     rotatedSigns_.reserveRows(std::max(reserved_, rows()));
     rotatedSigns_.resizeRows(rows());
-}
-
-void
-KvRows::ensureQuantized()
-{
-    if (quantized_)
-        return;
-    quantized_ = true;
-    const size_t ceiling = std::max(reserved_, rows());
-    quantData_.reserve(ceiling * headDim_);
-    quantScales_.reserve(ceiling);
-    quantData_.assign(rows() * headDim_, 0);
-    quantScales_.assign(rows(), 1.0f);
 }
 
 void
@@ -71,12 +53,6 @@ KvRows::writeToken(size_t row, const float *key, const float *value,
             LS_ASSERT(rotated_key, "new rotated-sign row needs a key");
             rotatedSigns_.appendRow(rotated_key);
         }
-        if (quantized_) {
-            // LS_LINT_ALLOW(alloc): amortized growth; reserve() preallocates
-            quantData_.resize(quantData_.size() + headDim_);
-            // LS_LINT_ALLOW(alloc): amortized growth; reserve() preallocates
-            quantScales_.push_back(0.0f);
-        }
     } else {
         keys_.setRow(row, key);
         values_.setRow(row, value);
@@ -84,8 +60,6 @@ KvRows::writeToken(size_t row, const float *key, const float *value,
         if (rotated_key)
             rotatedSigns_.setRow(row, rotated_key);
     }
-    if (quantized_)
-        writeQuantized(row, key);
 }
 
 void
@@ -95,17 +69,6 @@ KvRows::writeRotatedSigns(size_t row, const float *rotated_key)
     LS_DETERMINISTIC();
     LS_NO_LOCK();
     rotatedSigns_.setRow(row, rotated_key);
-}
-
-void
-KvRows::writeQuantized(size_t row, const float *key)
-{
-    LS_HOT_PATH();
-    LS_DETERMINISTIC();
-    LS_NO_LOCK();
-    LS_ASSERT(quantized_, "writeQuantized before ensureQuantized");
-    quantizeInt8Into(key, headDim_, quantData_.data() + row * headDim_,
-                     quantScales_.data() + row);
 }
 
 void
@@ -119,12 +82,6 @@ KvRows::copyRows(size_t src, size_t dst, size_t count)
     if (rotated_)
         std::copy_n(rotatedSigns_.data() + src * wpr, count * wpr,
                     rotatedSigns_.data() + dst * wpr);
-    if (quantized_) {
-        std::copy_n(quantData_.data() + src * headDim_, count * headDim_,
-                    quantData_.data() + dst * headDim_);
-        std::copy_n(quantScales_.data() + src, count,
-                    quantScales_.data() + dst);
-    }
 }
 
 KvBlockPool::KvBlockPool(uint32_t head_dim, uint32_t block_tokens,

@@ -2,9 +2,9 @@
  * @file
  * KvRows and KvBlockPool — the physical layer of the KV cache. §4's
  * "vector database" framing makes the KV cache an indexed store of
- * Key/Value Objects. KvRows is that store's row layout: keys, values,
- * packed raw/rotated sign rows and INT8 keys, one row per token, the
- * same for every cache. KvBlockPool is the shared paged arena: one
+ * Key/Value Objects. KvRows is that store's row layout: keys, values
+ * and packed raw/rotated sign rows, one row per token, the same for
+ * every cache. KvBlockPool is the shared paged arena: one
  * KvRows sized for a fixed budget of block-granular slots, a free-list
  * allocator, per-block reference counts for copy-on-write prefix
  * sharing, and a two-tier residency model.
@@ -55,13 +55,12 @@ enum class Tier : uint8_t
 inline constexpr uint32_t kInvalidBlock = UINT32_MAX;
 
 /**
- * Per-token row stores: keys, values, packed raw and ITQ-rotated sign
- * rows, and INT8 keys with one scale each. Row r of every store
- * belongs to the same token. A KvBlockPool holds one sized for its
- * whole budget and overwrites rows in place; a flat KvCache owns one
- * that grows by a row per append. The rotated-sign and INT8 stores
- * are allocated on demand (ensureRotated / ensureQuantized) for every
- * existing row and kept in step from then on.
+ * Per-token row stores: keys, values, and packed raw and ITQ-rotated
+ * sign rows. Row r of every store belongs to the same token. A
+ * KvBlockPool holds one sized for its whole budget and overwrites rows
+ * in place; a flat KvCache owns one that grows by a row per append.
+ * The rotated-sign store is allocated on demand (ensureRotated) for
+ * every existing row and kept in step from then on.
  */
 class KvRows
 {
@@ -76,15 +75,9 @@ class KvRows
     const SignMatrix &rawSigns() const { return rawSigns_; }
     const SignMatrix &rotatedSigns() const { return rotatedSigns_; }
 
-    /** INT8 store base pointers for the batch kernels: head_dim int8s
-     *  and one scale per row, row-major; valid once ensureQuantized()
-     *  ran. */
-    const int8_t *quantizedData() const { return quantData_.data(); }
-    const float *quantizedScales() const { return quantScales_.data(); }
-
     /**
-     * Reserve capacity for n rows in every store, including the ones
-     * ensureRotated() / ensureQuantized() allocate later, so writes
+     * Reserve capacity for n rows in every store, including the
+     * rotated-sign rows ensureRotated() allocates later, so writes
      * that grow the store up to n rows perform no heap allocation.
      */
     void reserve(size_t n);
@@ -92,25 +85,19 @@ class KvRows
     /** Allocate the rotated-sign rows (cold; idempotent). */
     void ensureRotated();
 
-    /** Allocate the INT8 store (cold; idempotent). */
-    void ensureQuantized();
-
     /**
-     * Store one token at `row`: key, value and raw-sign rows, the INT8
-     * key once ensureQuantized() ran, and the rotated-sign row when
-     * rotated_key is given (required once ensureRotated() ran and
-     * `row` is new). `row == rows()` grows every store by one row (a
-     * flat cache's amortized append); a lower row is overwritten in
-     * place. No locking: the writer has exclusive access to the row.
+     * Store one token at `row`: key, value and raw-sign rows, and the
+     * rotated-sign row when rotated_key is given (required once
+     * ensureRotated() ran and `row` is new). `row == rows()` grows
+     * every store by one row (a flat cache's amortized append); a
+     * lower row is overwritten in place. No locking: the writer has
+     * exclusive access to the row.
      */
     void writeToken(size_t row, const float *key, const float *value,
                     const float *rotated_key);
 
     /** Overwrite the rotated-sign row (ITQ install). */
     void writeRotatedSigns(size_t row, const float *rotated_key);
-
-    /** Quantize a key into the INT8 row (after ensureQuantized()). */
-    void writeQuantized(size_t row, const float *key);
 
     /** Copy rows [src, src + count) of every store onto [dst, dst +
      *  count); the two ranges must not overlap. */
@@ -123,10 +110,7 @@ class KvRows
     Matrix values_;
     SignMatrix rawSigns_;
     SignMatrix rotatedSigns_;
-    bool rotated_ = false;   //!< rotated-sign rows allocated
-    bool quantized_ = false; //!< INT8 store allocated
-    std::vector<int8_t> quantData_;
-    std::vector<float> quantScales_;
+    bool rotated_ = false; //!< rotated-sign rows allocated
 };
 
 /**
@@ -134,9 +118,8 @@ class KvRows
  *
  * One KvRows holds every block's rows — physical row
  * `b * blockTokens() + o` belongs to block b. It is sized once at
- * construction, rotated signs included (the INT8 store follows on the
- * first ensureQuantized()), so row pointers are stable and the decode
- * hot path stays allocation-free.
+ * construction, rotated signs included, so row pointers are stable and
+ * the decode hot path stays allocation-free.
  */
 class KvBlockPool
 {

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "tensor/linalg.hh"
-#include "tensor/quantized.hh"
 #include "util/annotations.hh"
 #include "util/logging.hh"
 
@@ -24,11 +23,11 @@ KvCache::~KvCache() { releaseAll(); }
 
 KvCache::KvCache(const KvCache &o) : KvCache(o.headDim_) { *this = o; }
 
-/** Reproduce o's rotation/quantization configuration first, then its
- *  rows: a paged copy shares o's full blocks by refcount, and whatever
- *  is left (the partial tail, or every row of a flat cache) is
- *  re-appended privately, so those rows are recomputed bit-identically
- *  and appends to either cache never touch the other's rows. */
+/** Reproduce o's rotation first, then its rows: a paged copy shares
+ *  o's full blocks by refcount, and whatever is left (the partial
+ *  tail, or every row of a flat cache) is re-appended privately, so
+ *  those rows are recomputed bit-identically and appends to either
+ *  cache never touch the other's rows. */
 KvCache &
 KvCache::operator=(const KvCache &o)
 {
@@ -39,11 +38,8 @@ KvCache::operator=(const KvCache &o)
     own_ = KvRows(headDim_);
     pool_ = o.pool_;
     rotation_ = o.rotation_;
-    quantizeKeys_ = o.quantizeKeys_;
     if (rotation_)
         rows().ensureRotated();
-    if (quantizeKeys_)
-        rows().ensureQuantized();
     reserved_ = 0;
     reserve(o.reserved_);
     if (pool_) {
@@ -75,7 +71,6 @@ KvCache::operator=(KvCache &&o) noexcept
     headDim_ = o.headDim_;
     own_ = std::exchange(o.own_, KvRows(o.headDim_));
     rotation_ = std::exchange(o.rotation_, std::nullopt);
-    quantizeKeys_ = std::exchange(o.quantizeKeys_, false);
     rotScratch_ = std::move(o.rotScratch_);
     pool_ = o.pool_;
     blocks_ = std::exchange(o.blocks_, {});
@@ -296,32 +291,6 @@ KvCache::itqRotation() const
 {
     LS_ASSERT(rotation_.has_value(), "no ITQ rotation installed");
     return *rotation_;
-}
-
-void
-KvCache::enableKeyQuantization()
-{
-    if (quantizeKeys_)
-        return;
-    quantizeKeys_ = true;
-    // No unshare needed: quantizeInt8Into is a pure function of the
-    // key bytes, so sharers write identical rows.
-    KvRows &r = rows();
-    r.ensureQuantized();
-    for (size_t i = 0; i < size_; ++i)
-        r.writeQuantized(physRow(i), keyRow(i));
-}
-
-float
-KvCache::scoreKey(const float *q, size_t i) const
-{
-    LS_ASSERT(i < size(), "scoreKey index out of range");
-    const KvRows &r = rows();
-    const size_t row = physRow(i);
-    if (quantizeKeys_)
-        return dotQuantized(r.quantizedData() + row * headDim_,
-                            r.quantizedScales()[row], q, headDim_);
-    return dot(q, r.keys().row(row), headDim_);
 }
 
 std::vector<float>

@@ -80,9 +80,8 @@ class KvCache
      * a paged cache's block table), so subsequent appends up to n
      * perform no heap allocation. Decode loops that know their context
      * ceiling call this once up front to keep the steady-state step
-     * allocation-free. The ceiling is remembered: enabling ITQ
-     * rotation or key quantization later re-applies it to the stores
-     * those features add.
+     * allocation-free. The ceiling is remembered: installing an ITQ
+     * rotation later re-applies it to the rotated-sign store.
      */
     void reserve(size_t n);
 
@@ -194,34 +193,6 @@ class KvCache
     /** toFilterSpace into caller storage (out: headDim() floats). */
     void toFilterSpace(const float *q, float *out) const;
 
-    /**
-     * Maintain INT8-quantized copies of the keys (one scale per key)
-     * so scoring can run on half-width fetches; quantizes existing
-     * keys and keeps future appends quantized. Safe on shared blocks:
-     * quantization is a deterministic function of the key bytes, so
-     * every sharer writes identical arena rows.
-     */
-    void enableKeyQuantization();
-
-    bool keysQuantized() const { return quantizeKeys_; }
-
-    /**
-     * q . key_i using the INT8 key when quantization is enabled,
-     * full precision otherwise.
-     */
-    float scoreKey(const float *q, size_t i) const;
-
-    /** Base pointers of the INT8 key arena the batch kernels score
-     *  against (index with physRow()). Valid once keysQuantized(). */
-    const int8_t *quantizedStorage() const
-    {
-        return rows().quantizedData();
-    }
-    const float *quantizedScalesStorage() const
-    {
-        return rows().quantizedScales();
-    }
-
     // ---- Paged-mode sharing ----------------------------------------
     /**
      * Become a copy-on-write fork of `parent` (paged, same pool; this
@@ -251,7 +222,6 @@ class KvCache
     uint32_t headDim_;
     KvRows own_;                    //!< flat mode's rows (unused paged)
     std::optional<Matrix> rotation_;
-    bool quantizeKeys_ = false;
     std::vector<float> rotScratch_; //!< reused rotated-key buffer
 
     KvBlockPool *pool_ = nullptr;   //!< non-null in paged mode

@@ -65,9 +65,9 @@ scfFilterRows(const float *query, const Matrix &keys, size_t begin,
 void
 scfSelect(const float *queries, size_t query_stride, uint32_t num_queries,
           const KvCache &cache, size_t lo, size_t hi, int threshold,
-          float scale, size_t k, bool quantized_scoring,
-          ScratchFrame &frame, ScoredIndex *selected, size_t kcap,
-          size_t *num_selected, size_t *survivors)
+          float scale, size_t k, ScratchFrame &frame,
+          ScoredIndex *selected, size_t kcap, size_t *num_selected,
+          size_t *survivors)
 {
     LS_HOT_PATH();
     LS_DETERMINISTIC();
@@ -86,30 +86,21 @@ scfSelect(const float *queries, size_t query_stride, uint32_t num_queries,
     }
 
     // The filter region as physical spans (a paged cache's block
-    // table; the single identity span when flat) — both branches route
-    // through the span drivers, so flat and paged layouts run the same
-    // code and stay element-identical.
+    // table; the single identity span when flat) — both layouts route
+    // through the span driver, so they run the same code and stay
+    // element-identical.
     ScanSpan *spans = frame.alloc<ScanSpan>(cache.maxSpans(lo, hi));
     const size_t nspans = cache.collectSpans(lo, hi, spans);
     size_t *span_surv = frame.alloc<size_t>(nspans);
-    const SignMatrix &fsigns = cache.filterSignsStorage();
 
-    if (quantized_scoring && cache.keysQuantized()) {
-        batchQuantScoreSelectMultiSpans(
-            q_words, nq, fsigns, spans, nspans, threshold, queries,
-            query_stride, cache.quantizedStorage(),
-            cache.quantizedScalesStorage(), dim, scale, k, selected, kcap,
-            num_selected, survivors, span_surv);
-    } else {
-        // Fused SCF → score → select for the whole group: the sign
-        // rows and survivor key tiles are read once and stream through
-        // every query's concordance test and top-k heap.
-        batchScoreSelectMultiSpans(q_words, nq, fsigns, spans, nspans,
-                                   threshold, queries, query_stride,
-                                   cache.keysStorage(), scale, k, selected,
-                                   kcap, num_selected, survivors,
-                                   span_surv);
-    }
+    // Fused SCF → score → select for the whole group: the sign rows
+    // and survivor key tiles are read once and stream through every
+    // query's concordance test and top-k heap.
+    batchScoreSelectMultiSpans(q_words, nq, cache.filterSignsStorage(),
+                               spans, nspans, threshold, queries,
+                               query_stride, cache.keysStorage(), scale, k,
+                               selected, kcap, num_selected, survivors,
+                               span_surv);
 
     // Credit the pass to the pool's SCF residency counters: blocks
     // whose keys keep surviving the filter earn the HBM window.

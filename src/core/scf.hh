@@ -71,9 +71,8 @@ std::vector<uint32_t> scfFilterRows(const float *query, const Matrix &keys,
  * SCF -> score -> top-k for a query group over the logical token range
  * [lo, hi) of one KV head's cache. Each query's signs are packed in
  * the cache's (ITQ-rotated) filter space and concordance-scanned
- * against the sign plane; survivors are scored as (q . key) * scale,
- * or against the INT8 key arena when quantized_scoring is set and the
- * cache has one, and the best k are kept.
+ * against the sign plane; survivors are scored against the
+ * full-precision keys as (q . key) * scale, and the best k are kept.
  *
  * Query g's headDim vector is queries + g * query_stride. Its
  * selections land at selected + g * kcap (kcap >= min(k, hi - lo)) as
@@ -88,9 +87,8 @@ std::vector<uint32_t> scfFilterRows(const float *query, const Matrix &keys,
 void scfSelect(const float *queries, size_t query_stride,
                uint32_t num_queries, const KvCache &cache, size_t lo,
                size_t hi, int threshold, float scale, size_t k,
-               bool quantized_scoring, ScratchFrame &frame,
-               ScoredIndex *selected, size_t kcap, size_t *num_selected,
-               size_t *survivors);
+               ScratchFrame &frame, ScoredIndex *selected, size_t kcap,
+               size_t *num_selected, size_t *survivors);
 
 } // namespace longsight
 

@@ -15,9 +15,9 @@
 #include <vector>
 
 // ScoredIndex and the bounded-heap primitives live in the tensor layer
-// so the fused span drivers (batchScoreSelectMultiSpans and its
-// quantized twin) share the exact same ordering implementation; this
-// header re-exports them for existing callers.
+// so the fused span driver (batchScoreSelectMultiSpans) shares the
+// exact same ordering implementation; this header re-exports them for
+// existing callers.
 #include "tensor/topk_heap.hh"
 
 namespace longsight {

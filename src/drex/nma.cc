@@ -94,6 +94,8 @@ Nma::process(Tick start, const OffloadSpec &spec)
                   "sparse region beyond cache");
         LS_ASSERT(!spec.cache->paged(), "functional offload needs a flat "
                   "cache: the NMA indexes rows by token id");
+        LS_ASSERT(!spec.quantizedScoring, "functional offload scores "
+                  "full-precision keys: quantizedScoring is timing-only");
     }
 
     OffloadResult r;
@@ -198,9 +200,6 @@ Nma::process(Tick start, const OffloadSpec &spec)
             : layout_.keyBytes();
         Tick mem_done = t;
         if (functional) {
-            LS_ASSERT(!spec.quantizedScoring ||
-                          spec.cache->keysQuantized(),
-                      "quantized scoring needs a quantized Key Object");
             // Union survivors drive memory traffic; each query ranks
             // only the keys its own bitmap kept.
             for (size_t i = 0; i < survivor_count; ++i) {
@@ -214,26 +213,16 @@ Nma::process(Tick start, const OffloadSpec &spec)
                 const size_t kept_n = per_query_counts[q];
                 ScoredIndex *heap = heaps + static_cast<size_t>(q) * k;
                 size_t &hs = heap_sizes[q];
-                if (spec.quantizedScoring) {
-                    for (size_t j = 0; j < kept_n; ++j) {
-                        const float s =
-                            spec.cache->scoreKey(spec.queries->row(q),
-                                                 kept[j]) * scale;
-                        hs = topk_heap::push(heap, hs, k,
-                                             ScoredIndex{s, kept[j]});
-                    }
-                } else {
-                    // Batched survivor scoring (vectorized fused
-                    // dot+scale; bit-identical to the scalar dot),
-                    // scores in epoch scratch.
-                    float *s = epoch_frame.alloc<float>(kept_n);
-                    batchDotScaleAt(spec.queries->row(q),
-                                    spec.cache->keysStorage(), kept,
-                                    kept_n, scale, s);
-                    for (size_t j = 0; j < kept_n; ++j)
-                        hs = topk_heap::push(heap, hs, k,
-                                             ScoredIndex{s[j], kept[j]});
-                }
+                // Batched survivor scoring (vectorized fused dot+scale;
+                // bit-identical to the scalar dot), scores in epoch
+                // scratch.
+                float *s = epoch_frame.alloc<float>(kept_n);
+                batchDotScaleAt(spec.queries->row(q),
+                                spec.cache->keysStorage(), kept, kept_n,
+                                scale, s);
+                for (size_t j = 0; j < kept_n; ++j)
+                    hs = topk_heap::push(heap, hs, k,
+                                         ScoredIndex{s[j], kept[j]});
             }
         } else {
             // Timing-only: survivors are spread uniformly over the

@@ -93,9 +93,10 @@ struct OffloadSpec
     double survivorFraction = 0.10;
 
     /**
-     * Score survivors from INT8 Key Objects (half the fetch bytes per
-     * survivor); requires the cache to have quantization enabled when
-     * running functionally.
+     * Timing-only model of INT8 Key/Value Objects: survivor fetches
+     * and value payloads carry head_dim + 4 bytes (INT8 payload plus a
+     * scale) instead of full precision. Functional offloads score
+     * full-precision keys and must leave this off.
      */
     bool quantizedScoring = false;
 };

@@ -40,12 +40,6 @@ PartitionManager::slotsForContext(uint64_t context_len) const
     return static_cast<uint32_t>(segments * numKvHeads_);
 }
 
-bool
-PartitionManager::canAdmit(uint64_t context_len) const
-{
-    return usedSlots_ + slotsForContext(context_len) <= totalSlots();
-}
-
 uint64_t
 PartitionManager::blockBudget(uint32_t block_tokens) const
 {
@@ -207,7 +201,6 @@ BlockLedger::reserve(uint64_t tokens, uint64_t shared_prefix_tokens)
     LS_ASSERT(inUse_ + need <= budget_, "block budget exceeded: ",
               inUse_, " + ", need, " > ", budget_);
     inUse_ += need;
-    peak_ = std::max(peak_, inUse_);
 }
 
 void

@@ -78,9 +78,6 @@ class PartitionManager
     /** Slots a context of this length needs. */
     uint32_t slotsForContext(uint64_t context_len) const;
 
-    /** Whether a new user at this context could be admitted now. */
-    bool canAdmit(uint64_t context_len) const;
-
     // Block-granular accounting (paged KV cache). The slot machinery
     // above carves DReX rows into 131K-token slices; a paged serving
     // stack instead reasons in KvBlockPool blocks of block_tokens
@@ -190,11 +187,6 @@ class BlockLedger
         MutexLock lock(mu_);
         return inUse_;
     }
-    uint64_t peakInUse() const
-    {
-        MutexLock lock(mu_);
-        return peak_;
-    }
     uint64_t freeBlocks() const
     {
         MutexLock lock(mu_);
@@ -208,7 +200,6 @@ class BlockLedger
     uint64_t budget_;
     mutable Mutex mu_;
     uint64_t inUse_ LS_GUARDED_BY(mu_) = 0;
-    uint64_t peak_ LS_GUARDED_BY(mu_) = 0;
 };
 
 } // namespace longsight

@@ -61,9 +61,9 @@ AlgoEvaluator::AlgoEvaluator(const WorkloadConfig &cfg, uint32_t num_heads,
             }
         }
 
-        // INT8 key arena (symmetric per-row quantization — the same
-        // scheme as KvCache::enableKeyQuantization) and fixed-block
-        // mean-key centroids, for the estimation-family filters.
+        // INT8 key arena (symmetric per-row quantization,
+        // quantizeInt8Into) and fixed-block mean-key centroids, for the
+        // estimation-family filters.
         std::vector<int8_t> kq(context * headDim_);
         std::vector<float> kscale(context);
         for (size_t i = 0; i < context; ++i)

@@ -21,6 +21,12 @@ DecodePipeline::DecodePipeline(const PipelineConfig &cfg, DrexDevice &device,
               "GQA requires query heads % KV heads == 0");
     LS_ASSERT(device.config().headDim == cfg.headDim,
               "device head dim mismatch");
+    // The NMA clamps k to its hardware cap while verification A
+    // selects the configured k, so a larger k would report a device
+    // mismatch on every offloading step.
+    LS_ASSERT(cfg.hybrid.topK <= device.config().nma.maxTopK,
+              "hybrid.topK ", cfg.hybrid.topK,
+              " exceeds the NMA top-k cap ", device.config().nma.maxTopK);
     // The query-head -> KV-head mapping is fixed for the pipeline's
     // lifetime; derive it once here, not per decode step.
     group_ = cfg_.numQueryHeads / cfg_.numKvHeads;
@@ -471,8 +477,8 @@ DecodePipeline::stepCombineHead(
         expect_sizes = frame.alloc<size_t>(group_);
         scfSelect(queries.row(0), queries.cols(), group_, cache, sinks,
                   flushed_, cfg_.hybrid.defaultThreshold, scale,
-                  cfg_.hybrid.topK, /*quantized_scoring=*/false, frame,
-                  expect, kcap, expect_sizes, frame.alloc<size_t>(group_));
+                  cfg_.hybrid.topK, frame, expect, kcap, expect_sizes,
+                  frame.alloc<size_t>(group_));
     }
 
     // GPU-side combine + verification, per query of the group. Lane

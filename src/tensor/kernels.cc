@@ -128,29 +128,6 @@ scalarSignReduce(const uint64_t *signs, size_t wpr, size_t rows,
 }
 
 void
-scalarQuantDotAt(const float *q, const int8_t *keys, const float *scales,
-                 size_t stride, size_t dim, const uint32_t *idx,
-                 size_t first, size_t count, float post_scale, float *out)
-{
-    LS_HOT_PATH();
-    LS_DETERMINISTIC();
-    LS_NO_LOCK();
-    // The dotQuantized rounding contract — double accumulation in
-    // ascending dimension order, ONE double multiply by the row scale,
-    // one cast to float — followed by one float multiply by
-    // post_scale (the attention scale the unfused path applied after
-    // scoreKey). Every backend reproduces this order exactly.
-    for (size_t j = 0; j < count; ++j) {
-        const size_t row = idx ? idx[j] : first + j;
-        const int8_t *k = keys + row * stride;
-        double acc = 0.0;
-        for (size_t i = 0; i < dim; ++i)
-            acc += static_cast<double>(k[i]) * q[i];
-        out[j] = static_cast<float>(acc * scales[row]) * post_scale;
-    }
-}
-
-void
 scalarInt8DotAt(const int8_t *q, const int8_t *keys, size_t stride,
                 size_t dim, const uint32_t *idx, size_t first,
                 size_t count, int32_t *out)
@@ -203,9 +180,8 @@ scalarWeightedSum(const float *p, const float *values, size_t stride,
 
 const KernelOps kScalarOps = {scalarConcordance, scalarDotAt,
                               scalarScanMulti,   scalarBitmapMulti,
-                              scalarSignReduce,  scalarQuantDotAt,
-                              scalarInt8DotAt,   scalarDotMulti,
-                              scalarWeightedSum};
+                              scalarSignReduce,  scalarInt8DotAt,
+                              scalarDotMulti,    scalarWeightedSum};
 
 } // namespace
 
@@ -503,101 +479,6 @@ checkSpans(const ScanSpan *spans, size_t num_spans, size_t phys_rows)
     return total;
 }
 
-/**
- * The fused scan -> score -> select tile loop both SCF drivers share;
- * they differ only in `score(q, rows, n, out)`, which scores query q
- * against the n PHYSICAL rows listed in `rows`. The heap sees each
- * query's survivors in ascending logical order (spans ascend
- * logically, the scan emits ascending rows), so the tile size cannot
- * change a selection: the scan emits survivors in order and every
- * key's score is computed independently. Within a tile the key rows a
- * group's survivors gather from overlap heavily, so the shared pass
- * reuses key tiles while they are hot, not just the packed sign rows.
- */
-template <class Score>
-void
-scoreSelectSpans(const char *who, const uint64_t *query_words,
-                 size_t num_queries, const SignMatrix &signs,
-                 const ScanSpan *spans, size_t num_spans, size_t total,
-                 int threshold, size_t k, ScoredIndex *out,
-                 size_t out_stride, size_t *out_sizes,
-                 size_t *survivor_counts, size_t *span_survivors,
-                 Score score)
-{
-    LS_ASSERT(k > 0, who, " k must be positive");
-    LS_ASSERT(out_stride >= std::min(k, total), who, " out_stride ",
-              out_stride, " < heap capacity ", std::min(k, total));
-
-    for (size_t q = 0; q < num_queries; ++q) {
-        out_sizes[q] = 0;
-        if (survivor_counts)
-            survivor_counts[q] = 0;
-    }
-    for (size_t s = 0; s < num_spans; ++s)
-        if (span_survivors)
-            span_survivors[s] = 0;
-    if (total == 0 || num_queries == 0)
-        return;
-
-    // Stack-local tiles keep the working set in L1 and off the heap.
-    // Tile size trades scan/score call overhead against the survivors
-    // living in cache while they are scored.
-    constexpr size_t kTile = 512;
-    uint32_t idx[kMaxScanQueries * kTile];
-    float scores[kTile];
-    size_t tile_counts[kMaxScanQueries];
-
-    const detail::KernelOps &o = ops();
-    const size_t wpr = signs.wordsPerRow();
-    const int dim = static_cast<int>(signs.dim());
-
-    for (size_t q0 = 0; q0 < num_queries; q0 += kMaxScanQueries) {
-        const size_t nq = std::min(kMaxScanQueries, num_queries - q0);
-        for (size_t s = 0; s < num_spans; ++s) {
-            const ScanSpan &sp = spans[s];
-            // logical = physical + delta for every row in this span.
-            const int64_t delta =
-                static_cast<int64_t>(sp.logicalBase) -
-                static_cast<int64_t>(sp.physBegin);
-            for (size_t at = 0; at < sp.count; at += kTile) {
-                const size_t rows = std::min(kTile, sp.count - at);
-                for (size_t qi = 0; qi < nq; ++qi)
-                    tile_counts[qi] = 0;
-                o.scanMulti(
-                    query_words + q0 * wpr, nq,
-                    signs.data() + (sp.physBegin + at) * wpr, wpr, rows,
-                    dim, threshold,
-                    static_cast<uint32_t>(sp.physBegin + at), idx, kTile,
-                    tile_counts);
-                for (size_t qi = 0; qi < nq; ++qi) {
-                    const size_t n = tile_counts[qi];
-                    if (n == 0)
-                        continue;
-                    const size_t q = q0 + qi;
-                    if (survivor_counts)
-                        survivor_counts[q] += n;
-                    if (span_survivors)
-                        span_survivors[s] += n;
-                    const uint32_t *qidx = idx + qi * kTile;
-                    score(q, qidx, n, scores);
-                    ScoredIndex *heap = out + q * out_stride;
-                    size_t hs = out_sizes[q];
-                    for (size_t j = 0; j < n; ++j)
-                        hs = topk_heap::push(
-                            heap, hs, k,
-                            ScoredIndex{scores[j],
-                                        static_cast<uint32_t>(
-                                            static_cast<int64_t>(qidx[j]) +
-                                            delta)});
-                    out_sizes[q] = hs;
-                }
-            }
-        }
-    }
-    for (size_t q = 0; q < num_queries; ++q)
-        topk_heap::sortBestFirst(out + q * out_stride, out_sizes[q]);
-}
-
 } // namespace
 
 void
@@ -662,30 +543,89 @@ batchScoreSelectMultiSpans(const uint64_t *query_words, size_t num_queries,
     const size_t total = checkSpans(spans, num_spans, signs.rows());
     LS_ASSERT(checkSpans(spans, num_spans, keys.rows()) == total,
               "batchScoreSelectMultiSpans sign/key row mismatch");
-    const detail::KernelOps &o = ops();
-    scoreSelectSpans(
-        "batchScoreSelectMultiSpans", query_words, num_queries, signs,
-        spans, num_spans, total, threshold, k, out, out_stride, out_sizes,
-        survivor_counts, span_survivors,
-        [&](size_t q, const uint32_t *rows, size_t n, float *scores) {
-            o.dotAt(queries + q * query_stride, keys.data(), keys.cols(),
-                    keys.cols(), rows, 0, n, scale, scores);
-        });
-}
+    LS_ASSERT(k > 0, "batchScoreSelectMultiSpans k must be positive");
+    LS_ASSERT(out_stride >= std::min(k, total),
+              "batchScoreSelectMultiSpans out_stride ", out_stride,
+              " < heap capacity ", std::min(k, total));
 
-void
-batchQuantDotRange(const float *q, const int8_t *keys, const float *scales,
-                   size_t dim, size_t begin, size_t end, float post_scale,
-                   float *out)
-{
-    LS_HOT_PATH();
-    LS_DETERMINISTIC();
-    LS_NO_LOCK();
-    LS_ASSERT(begin <= end, "quant score range [", begin, ",", end, ")");
-    if (begin == end)
+    for (size_t q = 0; q < num_queries; ++q) {
+        out_sizes[q] = 0;
+        if (survivor_counts)
+            survivor_counts[q] = 0;
+    }
+    for (size_t s = 0; s < num_spans; ++s)
+        if (span_survivors)
+            span_survivors[s] = 0;
+    if (total == 0 || num_queries == 0)
         return;
-    ops().quantDotAt(q, keys, scales, dim, dim, nullptr, begin,
-                     end - begin, post_scale, out);
+
+    // Stack-local tiles keep the working set in L1 and off the heap.
+    // Tile size trades scan/score call overhead against the survivors
+    // living in cache while they are scored. The heap sees each
+    // query's survivors in ascending logical order (spans ascend
+    // logically, the scan emits ascending rows), so the tile size
+    // cannot change a selection: every key's score is computed
+    // independently. Within a tile the key rows a group's survivors
+    // gather from overlap heavily, so the shared pass reuses key tiles
+    // while they are hot, not just the packed sign rows.
+    constexpr size_t kTile = 512;
+    uint32_t idx[kMaxScanQueries * kTile];
+    float scores[kTile];
+    size_t tile_counts[kMaxScanQueries];
+
+    const detail::KernelOps &o = ops();
+    const size_t wpr = signs.wordsPerRow();
+    const int dim = static_cast<int>(signs.dim());
+
+    for (size_t q0 = 0; q0 < num_queries; q0 += kMaxScanQueries) {
+        const size_t nq = std::min(kMaxScanQueries, num_queries - q0);
+        for (size_t s = 0; s < num_spans; ++s) {
+            const ScanSpan &sp = spans[s];
+            // logical = physical + delta for every row in this span.
+            const int64_t delta =
+                static_cast<int64_t>(sp.logicalBase) -
+                static_cast<int64_t>(sp.physBegin);
+            for (size_t at = 0; at < sp.count; at += kTile) {
+                const size_t rows = std::min(kTile, sp.count - at);
+                for (size_t qi = 0; qi < nq; ++qi)
+                    tile_counts[qi] = 0;
+                o.scanMulti(
+                    query_words + q0 * wpr, nq,
+                    signs.data() + (sp.physBegin + at) * wpr, wpr, rows,
+                    dim, threshold,
+                    static_cast<uint32_t>(sp.physBegin + at), idx, kTile,
+                    tile_counts);
+                for (size_t qi = 0; qi < nq; ++qi) {
+                    const size_t n = tile_counts[qi];
+                    if (n == 0)
+                        continue;
+                    const size_t q = q0 + qi;
+                    if (survivor_counts)
+                        survivor_counts[q] += n;
+                    if (span_survivors)
+                        span_survivors[s] += n;
+                    // Score the n PHYSICAL survivor rows; the heap
+                    // gets their logical ids.
+                    const uint32_t *qidx = idx + qi * kTile;
+                    o.dotAt(queries + q * query_stride, keys.data(),
+                            keys.cols(), keys.cols(), qidx, 0, n, scale,
+                            scores);
+                    ScoredIndex *heap = out + q * out_stride;
+                    size_t hs = out_sizes[q];
+                    for (size_t j = 0; j < n; ++j)
+                        hs = topk_heap::push(
+                            heap, hs, k,
+                            ScoredIndex{scores[j],
+                                        static_cast<uint32_t>(
+                                            static_cast<int64_t>(qidx[j]) +
+                                            delta)});
+                    out_sizes[q] = hs;
+                }
+            }
+        }
+    }
+    for (size_t q = 0; q < num_queries; ++q)
+        topk_heap::sortBestFirst(out + q * out_stride, out_sizes[q]);
 }
 
 void
@@ -699,30 +639,6 @@ batchInt8DotRange(const int8_t *q, const int8_t *keys, size_t dim,
     if (begin == end)
         return;
     ops().int8DotAt(q, keys, dim, dim, nullptr, begin, end - begin, out);
-}
-
-void
-batchQuantScoreSelectMultiSpans(
-    const uint64_t *query_words, size_t num_queries,
-    const SignMatrix &signs, const ScanSpan *spans, size_t num_spans,
-    int threshold, const float *queries, size_t query_stride,
-    const int8_t *keys, const float *scales, size_t dim,
-    float post_scale, size_t k, ScoredIndex *out, size_t out_stride,
-    size_t *out_sizes, size_t *survivor_counts, size_t *span_survivors)
-{
-    LS_HOT_PATH();
-    LS_DETERMINISTIC();
-    LS_NO_LOCK();
-    const size_t total = checkSpans(spans, num_spans, signs.rows());
-    const detail::KernelOps &o = ops();
-    scoreSelectSpans(
-        "batchQuantScoreSelectMultiSpans", query_words, num_queries, signs,
-        spans, num_spans, total, threshold, k, out, out_stride, out_sizes,
-        survivor_counts, span_survivors,
-        [&](size_t q, const uint32_t *rows, size_t n, float *scores) {
-            o.quantDotAt(queries + q * query_stride, keys, scales, dim, dim,
-                         rows, 0, n, post_scale, scores);
-        });
 }
 
 } // namespace longsight

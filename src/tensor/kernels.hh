@@ -5,10 +5,8 @@
  * PFU's 128-key popcount sweep), batched survivor scoring
  * (query . key dot products with a fused scale, one query or a
  * queries-in-lanes group), the probability-weighted value sum, and
- * INT8 scoring over the quantized key arenas — mixed float x int8
- * survivor scoring (the dotQuantized contract) and exact int8 x int8
- * estimation dots (scalar reference, AVX2 maddubs, AVX-512 VNNI
- * vpdpbusd fast paths).
+ * exact int8 x int8 estimation dots (scalar reference, AVX2 maddubs,
+ * AVX-512 VNNI vpdpbusd fast paths).
  *
  * Three backends share one contract and are selected once at startup:
  *
@@ -31,18 +29,18 @@
  * one KV head (plus, optionally, queries from other batched requests
  * pinned to it); a flat cache is one identity span
  * ScanSpan{begin, end - begin, begin}, and a single query is
- * num_queries = 1. Each packed sign row (and, in the fused drivers,
+ * num_queries = 1. Each packed sign row (and, in the fused driver,
  * each survivor key tile) is loaded once per chunk of kMaxScanQueries
  * queries and run through every query's concordance test / top-k heap
  * before the stream advances. Per query the survivors, scores, and
  * selections do not depend on the group size, the chunking, or how the
  * rows are split into spans — only the memory-traffic shape changes.
  *
- * The fused scan -> score -> select drivers stream survivors tile by
+ * The fused scan -> score -> select driver streams survivors tile by
  * tile from the concordance scan straight through scoring into bounded
  * top-k heaps (early-rejecting against the current k-th score), never
- * materializing the full survivor or score vectors. They are
- * backend-agnostic — they compose the dispatched scan and dot ops — so
+ * materializing the full survivor or score vectors. It is
+ * backend-agnostic — it composes the dispatched scan and dot ops — so
  * every backend gets the fused path with identical results.
  *
  * The backend can be forced (tests, benchmarks, A/B timing) with
@@ -233,22 +231,6 @@ void batchScoreSelectMultiSpans(
     size_t *survivor_counts = nullptr, size_t *span_survivors = nullptr);
 
 /**
- * Mixed-precision scoring over INT8 key arena rows [begin, end):
- * out[i - begin] = float(acc * scales[i]) * post_scale, where acc is
- * the ascending double-precision sum of q[d] * int8 key row d (the
- * dotQuantized contract). `keys` is a row-major arena of dim int8s
- * per row with one float scale per row — exactly the layout
- * KvCache::enableKeyQuantization / KvBlockPool::ensureQuantized
- * maintain. post_scale folds the attention scale into the same float
- * multiply the unfused scoreKey path performs; pass 1.0f for the bare
- * dotQuantized result (x * 1.0f is exact). Bit-identical across
- * backends.
- */
-void batchQuantDotRange(const float *q, const int8_t *keys,
-                        const float *scales, size_t dim, size_t begin,
-                        size_t end, float post_scale, float *out);
-
-/**
  * Exact INT8 x INT8 batch dot over arena rows [begin, end):
  * out[i - begin] = sum_d q[d] * key_row_i[d] in int32. Pure integer
  * math — overflow-free for dim <= 2^17 at the +-127 range
@@ -260,24 +242,6 @@ void batchQuantDotRange(const float *q, const int8_t *keys,
  */
 void batchInt8DotRange(const int8_t *q, const int8_t *keys, size_t dim,
                        size_t begin, size_t end, int32_t *out);
-
-/**
- * batchScoreSelectMultiSpans with quantized scoring: survivors of the
- * sign-concordance scan are scored against the INT8 key arena
- * (batchQuantDotRange contract: float(acc * scales[row]) * post_scale)
- * instead of the float key matrix. Sign rows, arena rows, and scales
- * share the physical layout; heap indices are logical token ids. Per
- * query the selection is element-identical to scanning and scoring
- * the equivalent flat layout, on every backend.
- */
-void batchQuantScoreSelectMultiSpans(
-    const uint64_t *query_words, size_t num_queries,
-    const SignMatrix &signs, const ScanSpan *spans, size_t num_spans,
-    int threshold, const float *queries, size_t query_stride,
-    const int8_t *keys, const float *scales, size_t dim,
-    float post_scale, size_t k, ScoredIndex *out, size_t out_stride,
-    size_t *out_sizes, size_t *survivor_counts = nullptr,
-    size_t *span_survivors = nullptr);
 
 namespace detail {
 
@@ -318,16 +282,6 @@ struct KernelOps
      *  words_per_row words, fully overwritten. rows >= 1. */
     void (*signReduce)(const uint64_t *signs, size_t words_per_row,
                        size_t rows, uint64_t *out);
-    /** Mixed float-query x INT8-key scoring: out[j] = float(acc *
-     *  scales[row]) * post_scale with acc the ascending double sum of
-     *  q[d] * key_row[d]; row is keys + idx[j]*stride when idx,
-     *  keys + (first+j)*stride else (scales indexed the same way).
-     *  Exactly dotQuantized's rounding followed by one float multiply
-     *  — every backend preserves this order bit-for-bit. */
-    void (*quantDotAt)(const float *q, const int8_t *keys,
-                       const float *scales, size_t stride, size_t dim,
-                       const uint32_t *idx, size_t first, size_t count,
-                       float post_scale, float *out);
     /** Exact int32 dot of an int8 query against int8 key rows; same
      *  idx/first row addressing as dotAt. Integer math — backends are
      *  free to reassociate (maddubs / vpdpbusd) because the result is

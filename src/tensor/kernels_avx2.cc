@@ -760,29 +760,6 @@ avx2WeightedSum(const float *p, const float *values, size_t stride,
     }
 }
 
-LS_AVX2 void
-avx2QuantDotAt(const float *q, const int8_t *keys, const float *scales,
-               size_t stride, size_t dim, const uint32_t *idx,
-               size_t first, size_t count, float post_scale, float *out)
-{
-    // Deliberately the scalar double-accumulation loop: the
-    // dotQuantized contract pins ascending-order double accumulation
-    // per row, and at head dims 64/128 the int8->double widening
-    // sequence AVX2 would need (cvtepi8_epi32 + cvtepi32_pd per
-    // quarter-vector) buys nothing over the compiler's scalar
-    // pipeline — mirroring neonDotAt's reasoning. The INT8 win on
-    // this backend is int8DotAt below, where integer math permits
-    // real vectorization.
-    for (size_t j = 0; j < count; ++j) {
-        const size_t row = idx ? idx[j] : first + j;
-        const int8_t *k = keys + row * stride;
-        double acc = 0.0;
-        for (size_t i = 0; i < dim; ++i)
-            acc += static_cast<double>(k[i]) * q[i];
-        out[j] = static_cast<float>(acc * scales[row]) * post_scale;
-    }
-}
-
 #define LS_AVXVNNI \
     __attribute__((target("avx512f,avx512bw,avx512vl,avx512vnni")))
 
@@ -942,8 +919,8 @@ avx2SignReduce(const uint64_t *signs, size_t wpr, size_t rows,
 }
 
 const KernelOps kAvx2Ops = {avx2Concordance, avx2DotAt,      avx2ScanMulti,
-                            avx2BitmapMulti, avx2SignReduce, avx2QuantDotAt,
-                            avx2Int8DotAt,   avx2DotMulti,   avx2WeightedSum};
+                            avx2BitmapMulti, avx2SignReduce, avx2Int8DotAt,
+                            avx2DotMulti,    avx2WeightedSum};
 
 bool
 cpuHasAvx2()

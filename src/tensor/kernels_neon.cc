@@ -8,10 +8,10 @@
  * once the bit-identity contract rules out reassociation), so scores
  * are trivially identical too.
  *
- * The fused span drivers (batchScoreSelectMultiSpans and its
- * quantized twin) compose this backend's scan and dot ops, so aarch64
- * gets the fused decode hot path at full feature parity with AVX2 —
- * no scalar-only fallback is involved.
+ * The fused span driver (batchScoreSelectMultiSpans) composes this
+ * backend's scan and dot ops, so aarch64 gets the fused decode hot
+ * path at full feature parity with AVX2 — no scalar-only fallback is
+ * involved.
  */
 
 #include "tensor/kernels.hh"
@@ -146,23 +146,6 @@ neonSignReduce(const uint64_t *signs, size_t wpr, size_t rows,
 }
 
 void
-neonQuantDotAt(const float *q, const int8_t *keys, const float *scales,
-               size_t stride, size_t dim, const uint32_t *idx,
-               size_t first, size_t count, float post_scale, float *out)
-{
-    // Scalar ascending double accumulation — the dotQuantized rounding
-    // contract; same reasoning as neonDotAt.
-    for (size_t j = 0; j < count; ++j) {
-        const size_t row = idx ? idx[j] : first + j;
-        const int8_t *k = keys + row * stride;
-        double acc = 0.0;
-        for (size_t i = 0; i < dim; ++i)
-            acc += static_cast<double>(k[i]) * q[i];
-        out[j] = static_cast<float>(acc * scales[row]) * post_scale;
-    }
-}
-
-void
 neonInt8DotAt(const int8_t *q, const int8_t *keys, size_t stride,
               size_t dim, const uint32_t *idx, size_t first,
               size_t count, int32_t *out)
@@ -216,8 +199,8 @@ neonWeightedSum(const float *p, const float *values, size_t stride,
 }
 
 const KernelOps kNeonOps = {neonConcordance, neonDotAt,      neonScanMulti,
-                            neonBitmapMulti, neonSignReduce, neonQuantDotAt,
-                            neonInt8DotAt,   neonDotMulti,   neonWeightedSum};
+                            neonBitmapMulti, neonSignReduce, neonInt8DotAt,
+                            neonDotMulti,    neonWeightedSum};
 
 } // namespace
 

@@ -1,58 +1,30 @@
 /**
  * @file
- * Symmetric INT8 row quantization for key vectors. §4 notes that
- * DReX's in-memory filtering "is compatible with any signed data
- * type"; this module provides the complementary *scoring-side*
- * reduction: storing Key Objects as INT8 (one scale per vector)
- * halves the bytes the NMA fetches per survivor, trading a bounded
- * score error — the same lever DynaX pulls with 4/6-bit keys (§3.2).
+ * Symmetric INT8 row quantization. §4 notes that DReX's in-memory
+ * filtering "is compatible with any signed data type"; this is the
+ * low-bit *estimation* side of that lever (the one DynaX pulls with
+ * 4/6-bit keys, §3.2): AlgoEvaluator's INT8 filter family quantizes
+ * queries and keys with it and ranks tokens by the exact int8 x int8
+ * dot (batchInt8DotRange). The runtime scores survivors at full
+ * precision; the DReX timing model's INT8 Key/Value Objects only count
+ * bytes.
  */
 
 #ifndef LONGSIGHT_TENSOR_QUANTIZED_HH
 #define LONGSIGHT_TENSOR_QUANTIZED_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
-
-#include "tensor/tensor.hh"
 
 namespace longsight {
 
 /**
- * An INT8-quantized vector: v[i] ≈ data[i] * scale.
- */
-struct QuantizedVector
-{
-    std::vector<int8_t> data;
-    float scale = 1.0f;
-
-    /** Stored bytes (payload + scale). */
-    size_t byteSize() const { return data.size() + sizeof(float); }
-};
-
-/** Symmetric per-vector quantization (max-abs scaling). */
-QuantizedVector quantizeInt8(const float *v, size_t n);
-
-/**
- * quantizeInt8 into caller storage (out: n int8s, scale: one float) —
- * the block-pool append path, which writes into a preallocated INT8
- * arena and cannot afford the QuantizedVector allocation. Bit-identical
- * payload and scale to quantizeInt8.
+ * Symmetric per-vector quantization (max-abs scaling) into caller
+ * storage: out receives n int8s in [-127, 127] and *scale one float,
+ * with v[i] ≈ out[i] * *scale. An all-zero vector gets scale 1 and a
+ * zero payload.
  */
 void quantizeInt8Into(const float *v, size_t n, int8_t *out, float *scale);
-
-/** Dequantized copy (for tests and error analysis). */
-std::vector<float> dequantize(const QuantizedVector &q);
-
-/** Mixed dot product: sum_i q[i]*scale * b[i]. */
-float dotQuantized(const QuantizedVector &q, const float *b);
-
-/** Raw-span flavour over arena storage; identical accumulation. */
-float dotQuantized(const int8_t *data, float scale, const float *b,
-                   size_t n);
-
-/** Mean relative L2 error of quantizing each row of a matrix. */
-double quantizationError(const Matrix &rows);
 
 } // namespace longsight
 

@@ -58,11 +58,14 @@ Flags::getInt(const std::string &name, int64_t def) const
 }
 
 uint64_t
-Flags::getCount(const std::string &name, uint64_t def, uint64_t min) const
+Flags::getCount(const std::string &name, uint64_t def, uint64_t min,
+                uint64_t max) const
 {
     const int64_t v = getInt(name, static_cast<int64_t>(def));
     if (v < 0 || static_cast<uint64_t>(v) < min)
         fatal("flag --", name, " must be at least ", min, ", got ", v);
+    if (static_cast<uint64_t>(v) > max)
+        fatal("flag --", name, " must be at most ", max, ", got ", v);
     return static_cast<uint64_t>(v);
 }
 

@@ -41,10 +41,13 @@ class Flags
     /**
      * A count flag (sizes, lengths, thread counts): getInt that
      * fatal()s, naming the flag and its value, when the value is below
-     * `min`, so a negative count never wraps into a huge unsigned one.
+     * `min` or above `max`, so a negative count never wraps into a
+     * huge unsigned one and a bounded resource (threads) is never
+     * asked for more than its cap.
      */
     uint64_t getCount(const std::string &name, uint64_t def,
-                      uint64_t min = 0) const;
+                      uint64_t min = 0,
+                      uint64_t max = UINT64_MAX) const;
 
     double getDouble(const std::string &name, double def) const;
     bool getBool(const std::string &name, bool def = false) const;

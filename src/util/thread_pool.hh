@@ -38,6 +38,11 @@
 
 namespace longsight {
 
+/** Most lanes a `--threads N` flag may ask for: above any host this
+ *  simulator targets, and low enough that a mistyped count cannot
+ *  start a runaway number of workers. */
+inline constexpr unsigned kMaxFlagThreads = 1024;
+
 /**
  * Fixed-size worker pool with an index-range parallel-for helper.
  */

@@ -191,12 +191,12 @@ TEST(AllocRegression, PagedDecodeStepIsAllocationFreeParallel)
 }
 
 /**
- * reserve() before enabling ITQ rotation / key quantization must still
- * cover the stores those features add: the remembered ceiling is
- * re-applied inside both enable paths, so the reserve-then-enable
+ * reserve() before installing an ITQ rotation must still cover the
+ * rotated-sign store the rotation adds: the remembered ceiling is
+ * re-applied when the store is allocated, so the reserve-then-enable
  * ordering keeps steady-state appends allocation-free too. (The old
- * code reserved rotatedSigns_/quantizedKeys_ only when the feature was
- * already on, so this ordering used to reallocate on every append
+ * code reserved rotatedSigns_ only when the rotation was already
+ * installed, so this ordering used to reallocate on every append
  * window.)
  */
 TEST(AllocRegression, ReserveThenEnableOrderingStaysAllocationFree)
@@ -214,7 +214,6 @@ TEST(AllocRegression, ReserveThenEnableOrderingStaysAllocationFree)
     for (size_t i = 0; i < 8; ++i)
         cache.append(kv[i].data(), kv[i].data());
     cache.setItqRotation(Matrix::identity(dim));
-    cache.enableKeyQuantization();
 
     // Warmup one append (rotation scratch sizes itself once).
     cache.append(kv[8].data(), kv[8].data());

@@ -79,13 +79,6 @@ TEST(PagedCache, RowAccessMatchesFlatAcrossBlockSizes)
         tokens.fill(paged, 0, n);
         expectRowsIdentical(flat, paged);
 
-        // scoreKey parity (full precision).
-        Rng rng(99);
-        const auto q = rng.gaussianVec(kDim);
-        for (size_t i = 0; i < n; i += 17)
-            EXPECT_EQ(flat.scoreKey(q.data(), i),
-                      paged.scoreKey(q.data(), i));
-
         // The block table holds ceil(n / bt) blocks.
         EXPECT_EQ(pool.usedBlocks(), (n + bt - 1) / bt);
     }
@@ -205,9 +198,9 @@ TEST(PagedCache, SpanDriversMatchFlatIdentitySpan)
 }
 
 /** Hybrid attention outputs must be byte-identical flat vs. paged,
- *  across quantization and ITQ configurations. */
+ *  with and without ITQ. */
 void
-expectHybridIdentical(bool quantize, bool itq, uint32_t block_tokens)
+expectHybridIdentical(bool itq, uint32_t block_tokens)
 {
     const size_t n = 517;
     const uint32_t kv_heads = 2, q_heads = 4;
@@ -218,7 +211,6 @@ expectHybridIdentical(bool quantize, bool itq, uint32_t block_tokens)
     cfg.sinkTokens = 4;
     cfg.topK = 48;
     cfg.defaultThreshold = kDim / 2;
-    cfg.quantizedScoring = quantize;
     MultiHeadLongSight mh(cfg, q_heads, kv_heads, kDim);
 
     KvBlockPool pool(kDim, block_tokens, 64);
@@ -230,10 +222,6 @@ expectHybridIdentical(bool quantize, bool itq, uint32_t block_tokens)
     for (uint32_t h = 0; h < kv_heads; ++h) {
         tokens.fill(flat[h], 0, n);
         tokens.fill(paged[h], 0, n);
-        if (quantize) {
-            flat[h].enableKeyQuantization();
-            paged[h].enableKeyQuantization();
-        }
         if (itq) {
             // Any orthogonal rotation works; identity keeps the test
             // focused on plumbing (rotated path is still exercised).
@@ -261,23 +249,14 @@ expectHybridIdentical(bool quantize, bool itq, uint32_t block_tokens)
 
 TEST(PagedCache, HybridAttentionIdenticalPlain)
 {
-    expectHybridIdentical(false, false, 64);
-    expectHybridIdentical(false, false, 100);
-}
-
-TEST(PagedCache, HybridAttentionIdenticalQuantized)
-{
-    expectHybridIdentical(true, false, 64);
+    expectHybridIdentical(false, 64);
+    expectHybridIdentical(false, 100);
 }
 
 TEST(PagedCache, HybridAttentionIdenticalItq)
 {
-    expectHybridIdentical(false, true, 128);
-}
-
-TEST(PagedCache, HybridAttentionIdenticalQuantizedItq)
-{
-    expectHybridIdentical(true, true, 48);
+    expectHybridIdentical(true, 128);
+    expectHybridIdentical(true, 48);
 }
 
 TEST(PagedCache, ForkSharesFullBlocksAndIsolatesAppends)
@@ -322,9 +301,9 @@ TEST(PagedCache, ForkSharesFullBlocksAndIsolatesAppends)
     EXPECT_EQ(pool.usedBlocks(), used_before);
 }
 
-/** Copy and move, the same in both modes: a copy reproduces rows,
- *  filter signs and INT8 scores and diverges on append; a move leaves
- *  the source an empty, reusable cache; no block outlives its caches. */
+/** Copy and move, the same in both modes: a copy reproduces rows and
+ *  filter signs and diverges on append; a move leaves the source an
+ *  empty, reusable cache; no block outlives its caches. */
 class CacheCopyMove : public ::testing::TestWithParam<bool>
 {
 };
@@ -340,11 +319,9 @@ TEST_P(CacheCopyMove, CopiesMatchAndMovesEmptyTheSource)
     const auto make = [&] { return paged ? KvCache(pool) : KvCache(kDim); };
     Rng rng(21);
     const Matrix rotation = randomOrthogonal(kDim, rng);
-    const auto q = rng.gaussianVec(kDim);
     const auto build = [&] {
         KvCache c = make();
         c.setItqRotation(rotation);
-        c.enableKeyQuantization();
         tokens.fill(c, 0, n);
         return c;
     };
@@ -355,12 +332,7 @@ TEST_P(CacheCopyMove, CopiesMatchAndMovesEmptyTheSource)
                                       const KvCache &got) {
             EXPECT_EQ(got.paged(), paged);
             EXPECT_TRUE(got.hasItqRotation());
-            EXPECT_TRUE(got.keysQuantized());
             expectRowsIdentical(want, got);
-            for (size_t i = 0; i < want.size(); ++i)
-                EXPECT_EQ(want.scoreKey(q.data(), i),
-                          got.scoreKey(q.data(), i))
-                    << "scoreKey " << i;
         };
 
         KvCache constructed(src);
@@ -395,7 +367,6 @@ TEST_P(CacheCopyMove, CopiesMatchAndMovesEmptyTheSource)
         for (KvCache *c : {&constructed, &moved}) {
             EXPECT_EQ(c->paged(), paged);
             EXPECT_FALSE(c->hasItqRotation());
-            EXPECT_FALSE(c->keysQuantized());
             tokens.fill(*c, 0, 3);
             ASSERT_EQ(c->size(), 3u);
             EXPECT_EQ(0, std::memcmp(c->keyRow(2), src.keyRow(2),
@@ -495,7 +466,7 @@ TEST(PagedCache, RebalancePromotesHotBlocksWithoutChangingOutputs)
     const auto q = rng.gaussianVec(kDim);
     std::vector<float> before(n);
     for (size_t i = 0; i < n; ++i)
-        before[i] = cache.scoreKey(q.data(), i);
+        before[i] = dot(q.data(), cache.keyRow(i), kDim);
 
     EXPECT_EQ(pool.rebalance(), 2u);
     EXPECT_EQ(pool.promotions(), 2u);
@@ -506,7 +477,7 @@ TEST(PagedCache, RebalancePromotesHotBlocksWithoutChangingOutputs)
 
     // Residency is accounting only: every score is unchanged.
     for (size_t i = 0; i < n; ++i)
-        EXPECT_EQ(cache.scoreKey(q.data(), i), before[i]);
+        EXPECT_EQ(dot(q.data(), cache.keyRow(i), kDim), before[i]);
 
     // Popularity flips: block 0 becomes the hot one; 3 drops out.
     cache.recordFilterScan(spans[0], bt, 200);
@@ -515,7 +486,7 @@ TEST(PagedCache, RebalancePromotesHotBlocksWithoutChangingOutputs)
     EXPECT_EQ(pool.tier(cache.physRow(0) / bt), Tier::Hbm);
     EXPECT_EQ(pool.hbmResident(), 2u);
     for (size_t i = 0; i < n; ++i)
-        EXPECT_EQ(cache.scoreKey(q.data(), i), before[i]);
+        EXPECT_EQ(dot(q.data(), cache.keyRow(i), kDim), before[i]);
 }
 
 TEST(PagedCache, PoolExhaustionAndReuse)
@@ -533,29 +504,6 @@ TEST(PagedCache, PoolExhaustionAndReuse)
     pool.releaseBlock(held.back());
     held.pop_back();
     EXPECT_NE(pool.allocBlock(), kInvalidBlock);
-}
-
-TEST(PagedCache, QuantizedScoringMatchesFlat)
-{
-    const size_t n = 150;
-    TokenStream tokens(n);
-    KvCache flat(kDim);
-    KvBlockPool pool(kDim, 64, 8);
-    KvCache paged(pool);
-
-    // Enable BEFORE half the appends and AFTER the other half: both
-    // the backfill path and the append path must agree with flat.
-    tokens.fill(flat, 0, n);
-    flat.enableKeyQuantization();
-    tokens.fill(paged, 0, n / 2);
-    paged.enableKeyQuantization();
-    tokens.fill(paged, n / 2, n);
-
-    Rng rng(42);
-    const auto q = rng.gaussianVec(kDim);
-    for (size_t i = 0; i < n; ++i)
-        EXPECT_EQ(flat.scoreKey(q.data(), i), paged.scoreKey(q.data(), i))
-            << "row " << i;
 }
 
 } // namespace

@@ -3,10 +3,9 @@
  * scfSelect contract suite: the runtime's one sparse-region selector
  * must produce IDENTICAL survivor counts and selected sets across
  * kernel backends (scalar / AVX2 / NEON) and across flat vs paged KV
- * layouts, with full-precision and INT8 quantized scoring alike — on a
- * dimension that is not a multiple of 64, over sub-ranges, and with
- * empty sparse regions. It must also equal one raw call of the fused
- * span driver it wraps.
+ * layouts — on a dimension that is not a multiple of 64, over
+ * sub-ranges, and with empty sparse regions. It must also equal one
+ * raw call of the fused span driver it wraps.
  */
 
 #include <gtest/gtest.h>
@@ -42,7 +41,7 @@ availableBackends()
 }
 
 /** Two caches over one token stream: flat, and paged with an odd
- *  block size, both with the INT8 key arena enabled. */
+ *  block size. */
 struct CachePair
 {
     KvBlockPool pool{kDim, 48, 64};
@@ -58,8 +57,6 @@ struct CachePair
             flat.append(k.data(), v.data());
             paged.append(k.data(), v.data());
         }
-        flat.enableKeyQuantization();
-        paged.enableKeyQuantization();
     }
 };
 
@@ -85,7 +82,7 @@ struct SelectResult
 SelectResult
 runSelect(const KvCache &cache, const std::vector<float> &queries,
           uint32_t nq, size_t lo, size_t hi, int threshold, float scale,
-          size_t k, bool quantized_scoring)
+          size_t k)
 {
     SelectResult r;
     r.kcap = std::min(k, hi - lo);
@@ -94,8 +91,7 @@ runSelect(const KvCache &cache, const std::vector<float> &queries,
     r.surv.assign(nq, 0);
     ScratchFrame frame(ScratchArena::forThisThread());
     scfSelect(queries.data(), kDim, nq, cache, lo, hi, threshold, scale, k,
-              quantized_scoring, frame, r.sel.data(), r.kcap,
-              r.nsel.data(), r.surv.data());
+              frame, r.sel.data(), r.kcap, r.nsel.data(), r.surv.data());
     return r;
 }
 
@@ -119,8 +115,7 @@ expectSameSelection(const SelectResult &a, const SelectResult &b,
 
 /** Every kernel backend x flat/paged combination must agree with the
  *  scalar/flat reference, over a sub-range of an odd-sized context. */
-void
-expectParityAcrossBackends(bool quantized_scoring)
+TEST(ScfSelect, ParityAcrossKernelsAndLayouts)
 {
     const size_t n = 333;
     const uint32_t nq = 3;
@@ -133,8 +128,8 @@ expectParityAcrossBackends(bool quantized_scoring)
 
     const KernelBackend prev = activeKernelBackend();
     setKernelBackend(KernelBackend::Scalar);
-    const SelectResult ref = runSelect(caches.flat, queries, nq, lo, hi,
-                                       th, scale, k, quantized_scoring);
+    const SelectResult ref =
+        runSelect(caches.flat, queries, nq, lo, hi, th, scale, k);
     // A sub-range must never select outside [lo, hi).
     for (uint32_t g = 0; g < nq; ++g)
         for (size_t j = 0; j < ref.nsel[g]; ++j) {
@@ -144,29 +139,18 @@ expectParityAcrossBackends(bool quantized_scoring)
 
     for (KernelBackend b : availableBackends()) {
         setKernelBackend(b);
-        const SelectResult f = runSelect(caches.flat, queries, nq, lo, hi,
-                                         th, scale, k, quantized_scoring);
-        const SelectResult p = runSelect(caches.paged, queries, nq, lo,
-                                         hi, th, scale, k,
-                                         quantized_scoring);
+        const SelectResult f =
+            runSelect(caches.flat, queries, nq, lo, hi, th, scale, k);
+        const SelectResult p =
+            runSelect(caches.paged, queries, nq, lo, hi, th, scale, k);
         expectSameSelection(ref, f, kernelBackendName(b));
         expectSameSelection(ref, p, kernelBackendName(b));
     }
     setKernelBackend(prev);
 }
 
-TEST(ScfSelect, ParityAcrossKernelsAndLayouts)
-{
-    expectParityAcrossBackends(false);
-}
-
-TEST(ScfSelect, QuantizedParityAcrossKernelsAndLayouts)
-{
-    expectParityAcrossBackends(true);
-}
-
-/** scfSelect must equal the raw fused span-driver call it wraps, for
- *  full-precision and quantized scoring, on flat and paged caches. */
+/** scfSelect must equal the raw fused span-driver call it wraps, on
+ *  flat and paged caches. */
 TEST(ScfSelect, EqualsRawSpanDriver)
 {
     const size_t n = 290;
@@ -178,91 +162,70 @@ TEST(ScfSelect, EqualsRawSpanDriver)
     const float scale = 0.11f;
     const size_t k = 32, kcap = std::min(k, hi - lo);
 
-    for (bool quantized : {false, true})
-        for (const KvCache *cache : {&caches.flat, &caches.paged}) {
-            // Pack filter-space sign words, collect spans, one fused
-            // scan->score->select driver call.
-            const size_t wpr = (kDim + 63) / 64;
-            std::vector<float> fq(kDim);
-            std::vector<uint64_t> qwords(nq * wpr);
-            for (uint32_t g = 0; g < nq; ++g) {
-                cache->toFilterSpace(queries.data() + g * kDim, fq.data());
-                packSigns(fq.data(), kDim, qwords.data() + g * wpr);
-            }
-            std::vector<ScanSpan> spans(cache->maxSpans(lo, hi));
-            const size_t nspans =
-                cache->collectSpans(lo, hi, spans.data());
-            std::vector<ScoredIndex> want_sel(nq * kcap);
-            std::vector<size_t> want_n(nq), want_surv(nq);
-            if (quantized)
-                batchQuantScoreSelectMultiSpans(
-                    qwords.data(), nq, cache->filterSignsStorage(),
-                    spans.data(), nspans, th, queries.data(), kDim,
-                    cache->quantizedStorage(),
-                    cache->quantizedScalesStorage(), kDim, scale, k,
-                    want_sel.data(), kcap, want_n.data(),
-                    want_surv.data());
-            else
-                batchScoreSelectMultiSpans(
-                    qwords.data(), nq, cache->filterSignsStorage(),
-                    spans.data(), nspans, th, queries.data(), kDim,
-                    cache->keysStorage(), scale, k, want_sel.data(), kcap,
-                    want_n.data(), want_surv.data());
-
-            const SelectResult got = runSelect(*cache, queries, nq, lo,
-                                               hi, th, scale, k, quantized);
-            ASSERT_EQ(got.nsel, want_n);
-            EXPECT_EQ(got.surv, want_surv);
-            for (uint32_t g = 0; g < nq; ++g)
-                for (size_t j = 0; j < want_n[g]; ++j) {
-                    EXPECT_EQ(got.sel[g * kcap + j].index,
-                              want_sel[g * kcap + j].index);
-                    EXPECT_EQ(got.sel[g * kcap + j].score,
-                              want_sel[g * kcap + j].score);
-                }
+    for (const KvCache *cache : {&caches.flat, &caches.paged}) {
+        // Pack filter-space sign words, collect spans, one fused
+        // scan->score->select driver call.
+        const size_t wpr = (kDim + 63) / 64;
+        std::vector<float> fq(kDim);
+        std::vector<uint64_t> qwords(nq * wpr);
+        for (uint32_t g = 0; g < nq; ++g) {
+            cache->toFilterSpace(queries.data() + g * kDim, fq.data());
+            packSigns(fq.data(), kDim, qwords.data() + g * wpr);
         }
+        std::vector<ScanSpan> spans(cache->maxSpans(lo, hi));
+        const size_t nspans = cache->collectSpans(lo, hi, spans.data());
+        std::vector<ScoredIndex> want_sel(nq * kcap);
+        std::vector<size_t> want_n(nq), want_surv(nq);
+        batchScoreSelectMultiSpans(
+            qwords.data(), nq, cache->filterSignsStorage(), spans.data(),
+            nspans, th, queries.data(), kDim, cache->keysStorage(), scale,
+            k, want_sel.data(), kcap, want_n.data(), want_surv.data());
+
+        const SelectResult got =
+            runSelect(*cache, queries, nq, lo, hi, th, scale, k);
+        ASSERT_EQ(got.nsel, want_n);
+        EXPECT_EQ(got.surv, want_surv);
+        for (uint32_t g = 0; g < nq; ++g)
+            for (size_t j = 0; j < want_n[g]; ++j) {
+                EXPECT_EQ(got.sel[g * kcap + j].index,
+                          want_sel[g * kcap + j].index);
+                EXPECT_EQ(got.sel[g * kcap + j].score,
+                          want_sel[g * kcap + j].score);
+            }
+    }
 }
 
 /** Through the full hybrid-attention stack: an empty sparse region
- *  (window covers the whole context) must behave identically with and
- *  without quantized scoring. */
-TEST(ScfSelect, HybridEmptyRegionIdenticalAcrossScoring)
+ *  (window covers the whole context) attends every token densely. */
+TEST(ScfSelect, HybridEmptyRegionAttendsDensely)
 {
     const size_t n = 100;
     const uint32_t kv_heads = 1, q_heads = 2;
-    LongSightConfig base;
-    base.windowSize = 256; // > n: no sparse region at all
-    base.sinkTokens = 4;
-    base.topK = 16;
+    LongSightConfig cfg;
+    cfg.windowSize = 256; // > n: no sparse region at all
+    cfg.sinkTokens = 4;
+    cfg.topK = 16;
 
     Rng rng(3);
     Matrix queries(q_heads, kDim);
     for (uint32_t q = 0; q < q_heads; ++q)
         queries.setRow(q, rng.gaussianVec(kDim).data());
 
-    std::vector<LayerAttentionResult> results;
-    for (bool quantized : {false, true}) {
-        CachePair caches(n);
-        LongSightConfig cfg = base;
-        cfg.quantizedScoring = quantized;
-        MultiHeadLongSight mh(cfg, q_heads, kv_heads, kDim);
-        std::vector<KvCache> layer;
-        layer.emplace_back(caches.flat);
-        results.push_back(mh.compute(queries, layer));
-        for (uint32_t q = 0; q < q_heads; ++q) {
-            EXPECT_FALSE(results.back().perQuery[q].usedSparse);
-            EXPECT_EQ(results.back().perQuery[q].sparseSelected, 0u);
-        }
+    CachePair caches(n);
+    MultiHeadLongSight mh(cfg, q_heads, kv_heads, kDim);
+    std::vector<KvCache> layer;
+    layer.emplace_back(caches.flat);
+    const LayerAttentionResult r = mh.compute(queries, layer);
+    for (uint32_t q = 0; q < q_heads; ++q) {
+        EXPECT_FALSE(r.perQuery[q].usedSparse);
+        EXPECT_EQ(r.perQuery[q].sparseSelected, 0u);
+        EXPECT_EQ(r.perQuery[q].attended.size(), n);
     }
-    ASSERT_EQ(results[0].outputs.size(), results[1].outputs.size());
-    EXPECT_EQ(0, std::memcmp(results[0].outputs.data(),
-                             results[1].outputs.data(),
-                             results[0].outputs.size() * sizeof(float)));
 }
 
-/** End-to-end hybrid runs with and without quantized scoring: sane
- *  attended sets, flat == paged outputs byte-identical. */
-TEST(ScfSelect, HybridFlatPagedIdenticalPerScoring)
+/** End-to-end hybrid run: sane attended sets, flat == paged outputs
+ *  byte-identical. */
+TEST(ScfSelect, HybridFlatPagedIdentical)
 {
     const size_t n = 400;
     const uint32_t kv_heads = 2, q_heads = 4;
@@ -277,41 +240,32 @@ TEST(ScfSelect, HybridFlatPagedIdenticalPerScoring)
     for (uint32_t q = 0; q < q_heads; ++q)
         queries.setRow(q, rng.gaussianVec(kDim).data());
 
-    for (bool quantized : {false, true}) {
-        cfg.quantizedScoring = quantized;
-        MultiHeadLongSight mh(cfg, q_heads, kv_heads, kDim);
-        KvBlockPool pool(kDim, 48, 64);
-        std::vector<KvCache> flat, paged;
-        Rng toks(9);
+    MultiHeadLongSight mh(cfg, q_heads, kv_heads, kDim);
+    KvBlockPool pool(kDim, 48, 64);
+    std::vector<KvCache> flat, paged;
+    Rng toks(9);
+    for (uint32_t h = 0; h < kv_heads; ++h) {
+        flat.emplace_back(kDim);
+        paged.emplace_back(pool);
+    }
+    for (size_t i = 0; i < n; ++i) {
+        const auto kv = toks.gaussianVec(kDim);
+        const auto vv = toks.gaussianVec(kDim);
         for (uint32_t h = 0; h < kv_heads; ++h) {
-            flat.emplace_back(kDim);
-            paged.emplace_back(pool);
+            flat[h].append(kv.data(), vv.data());
+            paged[h].append(kv.data(), vv.data());
         }
-        for (size_t i = 0; i < n; ++i) {
-            const auto kv = toks.gaussianVec(kDim);
-            const auto vv = toks.gaussianVec(kDim);
-            for (uint32_t h = 0; h < kv_heads; ++h) {
-                flat[h].append(kv.data(), vv.data());
-                paged[h].append(kv.data(), vv.data());
-            }
-        }
-        for (uint32_t h = 0; h < kv_heads; ++h) {
-            flat[h].enableKeyQuantization();
-            paged[h].enableKeyQuantization();
-        }
+    }
 
-        const LayerAttentionResult a = mh.compute(queries, flat);
-        const LayerAttentionResult b = mh.compute(queries, paged);
-        ASSERT_EQ(a.outputs.size(), b.outputs.size()) << quantized;
-        EXPECT_EQ(0, std::memcmp(a.outputs.data(), b.outputs.data(),
-                                 a.outputs.size() * sizeof(float)))
-            << "quantized " << quantized;
-        for (uint32_t q = 0; q < q_heads; ++q) {
-            EXPECT_EQ(a.perQuery[q].attended, b.perQuery[q].attended)
-                << "quantized " << quantized;
-            EXPECT_TRUE(a.perQuery[q].usedSparse);
-            EXPECT_GT(a.perQuery[q].sparseSelected, 0u);
-        }
+    const LayerAttentionResult a = mh.compute(queries, flat);
+    const LayerAttentionResult b = mh.compute(queries, paged);
+    ASSERT_EQ(a.outputs.size(), b.outputs.size());
+    EXPECT_EQ(0, std::memcmp(a.outputs.data(), b.outputs.data(),
+                             a.outputs.size() * sizeof(float)));
+    for (uint32_t q = 0; q < q_heads; ++q) {
+        EXPECT_EQ(a.perQuery[q].attended, b.perQuery[q].attended);
+        EXPECT_TRUE(a.perQuery[q].usedSparse);
+        EXPECT_GT(a.perQuery[q].sparseSelected, 0u);
     }
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Randomized differential test: for many random configurations
- * (context length, threshold, k, query-group size, ITQ on/off,
- * quantized scoring on/off), the DReX device's functional offload
+ * (context length, threshold, k, query-group size, ITQ on/off),
+ * the DReX device's functional offload
  * must agree with the independent software reference (filter ->
  * score -> rank), and its timing must satisfy basic sanity
  * invariants. This is the broad-spectrum check behind the targeted
@@ -38,7 +38,6 @@ TEST_P(DrexFuzz, DeviceAgreesWithSoftwareReference)
     const uint32_t k = 1 + static_cast<uint32_t>(rng.below(200));
     const auto num_queries = 1 + static_cast<uint32_t>(rng.below(4));
     const bool use_itq = rng.uniform() < 0.4;
-    const bool quantized = rng.uniform() < 0.3;
     const uint64_t begin = rng.below(n / 2);
     const uint64_t end = begin + 1 + rng.below(n - begin);
 
@@ -52,8 +51,6 @@ TEST_P(DrexFuzz, DeviceAgreesWithSoftwareReference)
     KvCache &cache = dev.writeContext(0, 0, 0, keys, values);
     if (use_itq)
         cache.setItqRotation(trainItqRotation(keys, 5, rng));
-    if (quantized)
-        cache.enableKeyQuantization();
 
     Matrix queries(num_queries, dim, rng.gaussianVec(num_queries * dim));
     Matrix filter_queries(num_queries, dim);
@@ -71,7 +68,6 @@ TEST_P(DrexFuzz, DeviceAgreesWithSoftwareReference)
     spec.cache = &cache;
     spec.queries = &queries;
     spec.filterQueries = &filter_queries;
-    spec.quantizedScoring = quantized;
 
     const OffloadResult r = dev.nma(0).process(0, spec);
 
@@ -93,12 +89,10 @@ TEST_P(DrexFuzz, DeviceAgreesWithSoftwareReference)
             if (qs.concordance(signs.extract(i)) >= threshold)
                 survivors.push_back(static_cast<uint32_t>(i));
         std::vector<float> scores(survivors.size());
-        for (size_t j = 0; j < survivors.size(); ++j) {
-            scores[j] = quantized
-                ? cache.scoreKey(queries.row(q), survivors[j]) * scale
-                : dot(queries.row(q), cache.keysStorage().row(survivors[j]),
-                      dim) * scale;
-        }
+        for (size_t j = 0; j < survivors.size(); ++j)
+            scores[j] = dot(queries.row(q),
+                            cache.keysStorage().row(survivors[j]), dim) *
+                scale;
         const auto expect = topkSelect(scores, survivors, k);
         ASSERT_EQ(r.topk[q].size(), expect.size())
             << "seed " << GetParam() << " query " << q;

@@ -231,5 +231,17 @@ TEST(Pipeline, WriteTimingOffCriticalPathIsCheap)
     EXPECT_LT(t, 100 * kMicrosecond);
 }
 
+TEST(PipelineDeathTest, TopKAboveNmaCapIsRejected)
+{
+    // The NMA clamps k to its hardware cap and verification A does not,
+    // so a larger k would report a device mismatch on every offloading
+    // step; the constructor refuses the config instead.
+    DrexDevice dev(deviceConfig());
+    PipelineConfig cfg = pipelineConfig();
+    cfg.hybrid.topK = dev.config().nma.maxTopK + 1;
+    EXPECT_DEATH({ DecodePipeline pipe(cfg, dev, 0); },
+                 "hybrid.topK 1025 exceeds the NMA top-k cap 1024");
+}
+
 } // namespace
 } // namespace longsight

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/flags.hh"
+#include "util/thread_pool.hh"
 
 namespace longsight {
 namespace {
@@ -90,6 +93,7 @@ TEST(Flags, CountWithinRange)
 {
     const Flags f = parse({"--k=3"});
     EXPECT_EQ(f.getCount("k", 1024, 1), 3u);
+    EXPECT_EQ(f.getCount("k", 1024, 1, 3), 3u); // the bounds are inclusive
     EXPECT_EQ(f.getCount("missing", 9, 1), 9u);
 }
 
@@ -109,6 +113,17 @@ TEST(Flags, CountBelowMinimumIsFatal)
     EXPECT_EXIT({ f.getCount("k", 1024, 1); },
                 ::testing::ExitedWithCode(1),
                 "fatal: flag --k must be at least 1, got 0");
+}
+
+TEST(Flags, CountAboveMaximumIsFatal)
+{
+    // Parses argv only and never builds a pool: the cap must stop a
+    // runaway thread count before anything could start that many.
+    const Flags f = parse({"--threads", "100000"});
+    EXPECT_EXIT({ f.getCount("threads", 0, 0, kMaxFlagThreads); },
+                ::testing::ExitedWithCode(1),
+                "fatal: flag --threads must be at most " +
+                    std::to_string(kMaxFlagThreads) + ", got 100000");
 }
 
 TEST(Flags, NegativeNumberAsValue)

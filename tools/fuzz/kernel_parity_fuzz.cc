@@ -5,10 +5,10 @@
  * EVERY compiled-in kernel backend (scalar, AVX2, NEON) and asserts
  * per-element bit identity of the outputs — concordance counts,
  * survivor sets, PFU bitmaps, scaled dot products, block sign
- * signatures, quantized-arena and INT8 dots, the fused float and
- * quantized span selects, the grouped (queries-in-lanes) dot and the
- * weighted value sum. The lane ops run on full-mantissa values, so a
- * reordered or fused accumulation changes bits. On every backend it
+ * signatures, INT8 dots, the fused span select, the grouped
+ * (queries-in-lanes) dot and the weighted value sum. The lane ops run
+ * on full-mantissa values, so a reordered or fused accumulation
+ * changes bits. On every backend it
  * also checks the span family's two structural promises, query by
  * query:
  *
@@ -178,18 +178,17 @@ struct Storage
     Matrix keys;
     SignMatrix signs;
     std::vector<int8_t> kq;
-    std::vector<float> kscales;
 
     explicit Storage(Matrix k)
         : keys(std::move(k)), signs(keys.cols()),
-          kq(keys.rows() * keys.cols()),
-          kscales(std::max<size_t>(keys.rows(), 1), 1.0f)
+          kq(keys.rows() * keys.cols())
     {
         const size_t dim = keys.cols();
         for (size_t r = 0; r < keys.rows(); ++r) {
             signs.appendRow(keys.row(r));
+            float scale = 0.0f; // the int8 x int8 dot ignores scales
             longsight::quantizeInt8Into(keys.row(r), dim,
-                                        kq.data() + r * dim, &kscales[r]);
+                                        kq.data() + r * dim, &scale);
         }
     }
 };
@@ -220,8 +219,6 @@ struct SpanOutputs
     std::vector<size_t> scan_span;   // per-span survivors
     std::vector<ScoredIndex> select; // nq * out_stride
     std::vector<size_t> select_n, select_surv, select_span;
-    std::vector<ScoredIndex> quant;
-    std::vector<size_t> quant_n, quant_surv, quant_span;
 };
 
 SpanOutputs
@@ -254,20 +251,8 @@ runSpans(const Storage &st, const std::vector<ScanSpan> &spans,
         st.keys, scale, k, o.select.data(), o.out_stride,
         o.select_n.data(), o.select_surv.data(), o.select_span.data());
 
-    g_case.stage = "batchQuantScoreSelectMultiSpans";
-    o.quant.assign(g.nq * o.out_stride, ScoredIndex{0.0f, 0});
-    o.quant_n.assign(g.nq, 777);
-    o.quant_surv.assign(g.nq, 777);
-    o.quant_span.assign(std::max<size_t>(ns, 1), 777);
-    longsight::batchQuantScoreSelectMultiSpans(
-        g.words, g.nq, st.signs, spans.data(), ns, threshold, g.floats, dim,
-        st.kq.data(), st.kscales.data(), dim, scale, k, o.quant.data(),
-        o.out_stride, o.quant_n.data(), o.quant_surv.data(),
-        o.quant_span.data());
-
     o.scan_span.resize(ns);
     o.select_span.resize(ns);
-    o.quant_span.resize(ns);
     return o;
 }
 
@@ -297,13 +282,6 @@ queryEq(const SpanOutputs &a, size_t qa, const SpanOutputs &b, size_t qb,
                      a.select.begin() + qa * a.out_stride + a.select_n[qa],
                      b.select.begin() + qb * b.out_stride, scoredEq),
           what);
-    check(a.quant_n[qa] == b.quant_n[qb] &&
-              a.quant_surv[qa] == b.quant_surv[qb],
-          what);
-    check(std::equal(a.quant.begin() + qa * a.out_stride,
-                     a.quant.begin() + qa * a.out_stride + a.quant_n[qa],
-                     b.quant.begin() + qb * b.out_stride, scoredEq),
-          what);
 }
 
 size_t
@@ -321,7 +299,6 @@ struct Outputs
     std::vector<float> dot_range;        // query 0 over [begin, end)
     std::vector<uint64_t> sign_reduce;   // majority over rows [begin,end)
     std::vector<uint64_t> sign_reduce_q; // majority over the query rows
-    std::vector<float> quant_range;      // batchQuantDotRange [begin,end)
     std::vector<int32_t> int8_range;     // batchInt8DotRange [begin,end)
     SpanOutputs spans;                   // whole group, identity span
 };
@@ -385,25 +362,17 @@ runKernels(const Storage &flat, const Storage &split_store,
     longsight::blockSignReduce(group.words, wpr, group.nq,
                                o.sign_reduce_q.data());
 
-    g_case.stage = "batchQuantDotRange";
-    o.quant_range.assign(std::max<size_t>(span, 1), 0.0f);
-    longsight::batchQuantDotRange(group.floats, flat.kq.data(),
-                                  flat.kscales.data(), dim, begin, end,
-                                  scale, o.quant_range.data());
-    o.quant_range.resize(span);
-
     g_case.stage = "batchInt8DotRange";
     o.int8_range.assign(std::max<size_t>(span, 1), 0);
     longsight::batchInt8DotRange(group.q8s, flat.kq.data(), dim, begin, end,
                                  o.int8_range.data());
     o.int8_range.resize(span);
 
-    // The fused drivers scan exactly what the scan driver scans.
+    // The fused driver scans exactly what the scan driver scans.
     g_case.stage = "fused-vs-scan";
-    check(s.select_surv == s.counts && s.quant_surv == s.counts,
+    check(s.select_surv == s.counts,
           "fused survivor counts != scan counts");
-    check(s.scan_span == s.select_span && s.scan_span == s.quant_span &&
-              s.scan_span[0] == sum(s.counts),
+    check(s.scan_span == s.select_span && s.scan_span[0] == sum(s.counts),
           "span survivor totals disagree");
 
     // One query alone == its slice of the group, on this backend.
@@ -427,8 +396,7 @@ runKernels(const Storage &flat, const Storage &split_store,
     for (size_t q = 0; q < group.nq; ++q)
         queryEq(s, q, split_out, q, "split spans != identity span");
     check(sum(split_out.scan_span) == s.scan_span[0] &&
-              split_out.select_span == split_out.scan_span &&
-              split_out.quant_span == split_out.scan_span,
+              split_out.select_span == split_out.scan_span,
           "split span survivor totals disagree");
     return o;
 }
@@ -459,8 +427,6 @@ compareOutputs(const Outputs &ref, const Outputs &got)
             "block sign-reduce signature differs");
     checkEq(ref.sign_reduce_q, got.sign_reduce_q,
             "query-rows sign-reduce signature differs");
-    checkEq(ref.quant_range, got.quant_range,
-            "quant dotRange scores differ");
     checkEq(ref.int8_range, got.int8_range, "int8 dotRange values differ");
     checkEq(ref.spans.scan_span, got.spans.scan_span,
             "span survivor totals differ");

@@ -450,8 +450,7 @@ main(int argc, char **argv)
         flags.getCount("threads", 0, 0, kMaxFlagThreads));
     const std::string out =
         flags.getString("out", "BENCH_decode.json");
-    const auto leftover = flags.unconsumed();
-    LS_ASSERT(leftover.empty(), "unknown flag --", leftover.front());
+    flags.rejectUnconsumed();
     if (threads != 0)
         ThreadPool::configureGlobal(threads);
     return run(sh, out);

@@ -11,17 +11,22 @@
  * fused scan->score->select, survivor scoring, the same scan and
  * fused select for a four-query GQA group in one pass, the INT8
  * estimation dot (int8_dot — scalar / AVX2 maddubs / AVX-512 VNNI),
- * and the prefill attend's kernels: eight queries over one gathered
- * token list as eight one-query calls (dot_q8_loop) and as one
- * queries-in-lanes call (dot_multi_q8), rates in key-query pairs, plus
- * the weighted value sum (weighted_sum). It verifies the results are
- * bit-identical to the scalar backend (the fused select against the
- * unfused scan + dot + topkSelect pipeline, and every grouped output
- * against the scalar one-query call for the same query), and writes
- * BENCH_kernels.json. Exits nonzero if any backend's survivor set,
- * score vector, fused top-k, grouped per-query result, or weighted sum
- * differs from scalar — this is the bit-identity gate CI's bench-smoke
- * job enforces.
+ * the prefill attend's kernels: eight queries over one gathered token
+ * list as eight one-query calls (dot_q8_loop) and as one
+ * queries-in-lanes call (dot_multi_q8), the decode group's four queries
+ * as one call (dot_multi_q4), rates in key-query pairs, plus the
+ * weighted value sum (weighted_sum). Two ranking rows (dim 0: they
+ * rank scores, not keys) time one decode query's selection, k = 1024
+ * over 7,100 candidates, through the partial_sort oracle topkSelect
+ * (rank_topk_select) and the bounded selector every ranker runs
+ * (rank_selector). It verifies the results are bit-identical to the
+ * scalar backend (the fused select against the unfused scan + dot +
+ * topkSelect pipeline, every grouped output against the scalar
+ * one-query call for the same query, and the selector against
+ * topkSelect), and writes BENCH_kernels.json. Exits nonzero if any
+ * backend's survivor set, score vector, fused top-k, grouped per-query
+ * result, weighted sum or selection differs — this is the bit-identity
+ * gate CI's bench-smoke job enforces.
  *
  * Run:  ./build/bench/micro_kernels
  *       ./build/bench/micro_kernels --keys 4096 --reps 3 \
@@ -32,6 +37,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -442,6 +448,11 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
         for (size_t g = 0; g < nq8; ++g)
             batchDotScaleAt(qm8.row(g), key_mat, ref_survivors.data(),
                             nsurv, scale, ref_mdot.data() + g * nsurv);
+        // The decode group's four queries over the same list.
+        std::vector<float> ref_q4dot(nq * nsurv);
+        for (size_t g = 0; g < nq; ++g)
+            batchDotScaleAt(qm.row(g), key_mat, ref_survivors.data(), nsurv,
+                            scale, ref_q4dot.data() + g * nsurv);
         const auto wprobs = rng.gaussianVec(nsurv);
         std::vector<float> ref_wsum(dim, 0.0f);
         for (size_t j = 0; j < nsurv; ++j)
@@ -452,6 +463,7 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
         double scalar_mscan = 0.0, scalar_mfused = 0.0;
         double scalar_idot = 0.0;
         double scalar_ldot = 0.0, scalar_mdot = 0.0, scalar_wsum = 0.0;
+        double scalar_q4dot = 0.0;
         for (KernelBackend b : availableBackends()) {
             setKernelBackend(b);
 
@@ -539,10 +551,17 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
             const bool ldot_same = ldot == ref_mdot;
             const double mdot_rate = bestKeysPerSec(nq8 * nsurv, reps, [&] {
                 batchDotScaleMulti(qm8.row(0), dim, nq8, key_mat,
-                                   ref_survivors.data(), nsurv, scale,
+                                   ref_survivors.data(), 0, nsurv, scale,
                                    mdot.data(), nsurv);
             });
             const bool mdot_same = mdot == ref_mdot;
+            std::vector<float> q4dot(nq * nsurv);
+            const double q4dot_rate = bestKeysPerSec(nq * nsurv, reps, [&] {
+                batchDotScaleMulti(qm.row(0), dim, nq, key_mat,
+                                   ref_survivors.data(), 0, nsurv, scale,
+                                   q4dot.data(), nsurv);
+            });
+            const bool q4dot_same = q4dot == ref_q4dot;
 
             std::vector<float> wsum(dim);
             const double wsum_rate = bestKeysPerSec(nsurv, reps, [&] {
@@ -556,6 +575,7 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
             if (b == KernelBackend::Scalar) {
                 scalar_ldot = ldot_rate;
                 scalar_mdot = mdot_rate;
+                scalar_q4dot = q4dot_rate;
                 scalar_wsum = wsum_rate;
                 scalar_scan = scan_rate;
                 scalar_dot = dot_rate;
@@ -566,7 +586,7 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
             }
             all_identical = all_identical && scan_same && dot_same &&
                 fused_same && mscan_same && mfused_same && idot_same &&
-                ldot_same && mdot_same && wsum_same;
+                ldot_same && mdot_same && q4dot_same && wsum_same;
             rows.push_back({"scan", dim, keys, b, scan_rate,
                             scan_rate / scalar_scan, scan_same});
             rows.push_back({"dot", dim, ref_survivors.size(), b,
@@ -584,6 +604,8 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
                             ldot_rate / scalar_ldot, ldot_same});
             rows.push_back({"dot_multi_q8", dim, nsurv, b, mdot_rate,
                             mdot_rate / scalar_mdot, mdot_same});
+            rows.push_back({"dot_multi_q4", dim, nsurv, b, q4dot_rate,
+                            q4dot_rate / scalar_q4dot, q4dot_same});
             rows.push_back({"weighted_sum", dim, nsurv, b, wsum_rate,
                             wsum_rate / scalar_wsum, wsum_same});
             if (!scan_same)
@@ -619,6 +641,11 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
                           << " eight-query dot differs per query from "
                              "the scalar one-query dot (dim "
                           << dim << ")\n";
+            if (!q4dot_same)
+                std::cerr << "FAIL: " << kernelBackendName(b)
+                          << " four-query dot differs per query from "
+                             "the scalar one-query dot (dim "
+                          << dim << ")\n";
             if (!wsum_same)
                 std::cerr << "FAIL: " << kernelBackendName(b)
                           << " weighted_sum differs from the scalar "
@@ -627,6 +654,45 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
         }
     }
     setKernelBackend(active);
+
+    // Ranking: one decode query's selection (k = 1024 over 7,100
+    // survivor scores), the partial_sort oracle against the bounded
+    // selector. Neither is dispatched, so the rows carry the active
+    // backend; speedup_vs_scalar reads as "vs topkSelect".
+    {
+        const size_t n = 7100, k = 1024;
+        Rng rng(7);
+        std::vector<float> sc(n);
+        std::vector<uint32_t> ids(n);
+        for (size_t i = 0; i < n; ++i) {
+            sc[i] = static_cast<float>(rng.gaussian());
+            ids[i] = static_cast<uint32_t>(i);
+        }
+        std::vector<ScoredIndex> want;
+        const double oracle_rate = bestKeysPerSec(
+            n, reps, [&] { want = topkSelect(sc, ids, k); });
+        TopK ranker(k);
+        std::vector<ScoredIndex> got(k);
+        size_t ngot = 0;
+        const double sel_rate = bestKeysPerSec(n, reps, [&] {
+            for (size_t i = 0; i < n; ++i)
+                ranker.push(sc[i], ids[i]);
+            ngot = ranker.drainSorted(got.data());
+        });
+        bool same = ngot == want.size();
+        for (size_t i = 0; same && i < ngot; ++i)
+            same = got[i].index == want[i].index &&
+                std::memcmp(&got[i].score, &want[i].score,
+                            sizeof(float)) == 0;
+        all_identical = all_identical && same;
+        rows.push_back({"rank_topk_select", 0, n, active, oracle_rate, 1.0,
+                        true});
+        rows.push_back({"rank_selector", 0, n, active, sel_rate,
+                        sel_rate / oracle_rate, same});
+        if (!same)
+            std::cerr << "FAIL: the bounded selector's top-" << k
+                      << " differs from topkSelect\n";
+    }
 
     std::ofstream os(out_path);
     LS_ASSERT(os.good(), "cannot write ", out_path);
@@ -650,7 +716,8 @@ runKernelComparison(size_t keys, int reps, const std::string &out_path)
         std::cout << "  " << r.kernel << " d" << r.dim << " "
                   << kernelBackendName(r.backend) << ": "
                   << static_cast<uint64_t>(r.keysPerSec / 1e6)
-                  << " Mkeys/s (" << r.speedup << "x scalar, "
+                  << " Mkeys/s (" << r.speedup
+                  << (r.dim == 0 ? "x topkSelect, " : "x scalar, ")
                   << (r.bitIdentical ? "bit-identical" : "MISMATCH");
         // dot_q8_loop is pushed right before its dot_multi_q8 row.
         if (r.kernel == "dot_multi_q8")
@@ -678,8 +745,7 @@ main(int argc, char **argv)
     const bool gbench = flags.getBool("gbench", true);
     const std::string out =
         flags.getString("out", "BENCH_kernels.json");
-    const auto leftover = flags.unconsumed();
-    LS_ASSERT(leftover.empty(), "unknown flag --", leftover.front());
+    flags.rejectUnconsumed();
 
     if (gbench)
         benchmark::RunSpecifiedBenchmarks();

@@ -355,8 +355,7 @@ main(int argc, char **argv)
     const auto steps = static_cast<uint32_t>(
         flags.getCount("steps", 24, 1, UINT32_MAX));
     const std::string out = flags.getString("out", "BENCH_paged.json");
-    const auto leftover = flags.unconsumed();
-    LS_ASSERT(leftover.empty(), "unknown flag --", leftover.front());
+    flags.rejectUnconsumed();
 
     const IdentityResult id = runIdentity(steps);
     const CapacityResult cap = runCapacity();

@@ -21,7 +21,6 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -35,19 +34,6 @@
 
 namespace longsight {
 namespace {
-
-std::vector<uint64_t>
-parseList(const std::string &csv)
-{
-    std::vector<uint64_t> out;
-    std::stringstream ss(csv);
-    std::string item;
-    while (std::getline(ss, item, ','))
-        if (!item.empty())
-            out.push_back(std::stoull(item));
-    LS_ASSERT(!out.empty(), "empty list '", csv, "'");
-    return out;
-}
 
 /** What one (model, context, threads) run produced. */
 struct RunResult
@@ -170,30 +156,24 @@ main(int argc, char **argv)
     using namespace longsight;
     Flags flags(argc, argv);
     const std::string model_sel = flags.getString("model", "both");
-    const auto contexts =
-        parseList(flags.getString("contexts", "8192,32768"));
+    const auto contexts = flags.getCountList("contexts", "8192,32768", 1);
     const auto thread_list =
-        parseList(flags.getString("threads", "1,2,4,8"));
-    // stoull wraps "-1" to 2^64 - 1; never build a pool that large.
-    for (uint64_t t : thread_list)
-        if (t > kMaxFlagThreads)
-            fatal("flag --threads entries must be at most ",
-                  kMaxFlagThreads, ", got ", t);
+        flags.getCountList("threads", "1,2,4,8", 0, kMaxFlagThreads);
     const auto steps = static_cast<uint32_t>(
         flags.getCount("steps", 2, 1, UINT32_MAX));
     const bool train_itq = flags.getBool("itq", false);
     const std::string out =
         flags.getString("out", "BENCH_parallel.json");
-    const auto leftover = flags.unconsumed();
-    LS_ASSERT(leftover.empty(), "unknown flag --", leftover.front());
+    flags.rejectUnconsumed();
 
     std::vector<ModelConfig> models;
     if (model_sel == "1b" || model_sel == "both")
         models.push_back(ModelConfig::llama3_1b());
     if (model_sel == "8b" || model_sel == "both")
         models.push_back(ModelConfig::llama3_8b());
-    LS_ASSERT(!models.empty(), "unknown --model '", model_sel,
-              "' (use 1b, 8b, or both)");
+    if (models.empty())
+        fatal("flag --model expects 1b, 8b or both, got '", model_sel,
+              "'");
 
     std::vector<Row> rows;
     for (const auto &model : models) {

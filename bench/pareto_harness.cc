@@ -332,8 +332,7 @@ main(int argc, char **argv)
         static_cast<uint32_t>(flags.getCount("queries", 16, 1, UINT32_MAX));
     const std::string out_path =
         flags.getString("out", "BENCH_pareto.json");
-    const auto leftover = flags.unconsumed();
-    LS_ASSERT(leftover.empty(), "unknown flag --", leftover.front());
+    flags.rejectUnconsumed();
 
     const auto model = ModelConfig::llama3_8b();
     std::cout << "Building " << fmtTokens(context)

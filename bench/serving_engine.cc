@@ -222,16 +222,15 @@ main(int argc, char **argv)
     const auto requests =
         static_cast<uint32_t>(flags.getCount("requests", 2000, 1, UINT32_MAX));
     const auto seed = static_cast<uint64_t>(flags.getInt("seed", 1));
-    const double rate = flags.getDouble("rate", 2.0);
+    const double rate = flags.getPositive("rate", 2.0);
     const auto chunk = static_cast<uint32_t>(
         flags.getCount("chunk", 2048, 1, UINT32_MAX));
     const uint64_t budgetDiv = flags.getCount("budget-div", 64, 1);
-    const double ttftSlo = flags.getDouble("ttft-slo-ms", 2000.0);
-    const double tbtSlo = flags.getDouble("tbt-slo-ms", 150.0);
+    const double ttftSlo = flags.getPositive("ttft-slo-ms", 2000.0);
+    const double tbtSlo = flags.getPositive("tbt-slo-ms", 150.0);
     const std::string out =
         flags.getString("out", "BENCH_serving.json");
-    const auto leftover = flags.unconsumed();
-    LS_ASSERT(leftover.empty(), "unknown flag --", leftover.front());
+    flags.rejectUnconsumed();
 
     const auto model = ModelConfig::llama3_8b();
     LongSightSystem ls(LongSightSystemConfig{}, model);

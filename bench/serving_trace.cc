@@ -216,8 +216,7 @@ main(int argc, char **argv)
         flags.getCount("steps", 6, 1, UINT32_MAX));
     const std::string out =
         flags.getString("out", "BENCH_batch.json");
-    const auto leftover = flags.unconsumed();
-    LS_ASSERT(leftover.empty(), "unknown flag --", leftover.front());
+    flags.rejectUnconsumed();
     const auto model = ModelConfig::llama3_8b();
     const uint64_t prompt = 65536;
     GpuModel gpu_model(GpuConfig::h100(), model);

@@ -55,6 +55,7 @@
 
 #include "bench/bench_util.hh"
 #include "core/prefill_attention.hh"
+#include "core/topk.hh"
 #include "gpu/gpu_model.hh"
 #include "model/model_config.hh"
 #include "model/perplexity.hh"
@@ -63,7 +64,6 @@
 #include "sim/serving_engine.hh"
 #include "tensor/kernels.hh"
 #include "tensor/softmax.hh"
-#include "tensor/topk_heap.hh"
 #include "util/flags.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
@@ -196,7 +196,8 @@ runSweepPoint(const std::string &name, PrefillSparsityConfig cfg,
     double lost_total = 0.0, recall_total = 0.0;
     size_t evals = 0;
     std::vector<float> probs;
-    std::vector<ScoredIndex> top;
+    TopK ranker(kRecallK);
+    std::vector<ScoredIndex> top(kRecallK);
     for (const HeadStream &s : streams) {
         BlockSparsePrefill pass(s.keys.cols(), cfg);
         Matrix none(0, s.keys.cols());
@@ -232,13 +233,9 @@ runSweepPoint(const std::string &name, PrefillSparsityConfig cfg,
                     lost += probs[t];
             lost_total += lost;
             // Recall of the dense top-k inside the attended set.
-            top.clear();
-            top.resize(kRecallK);
-            size_t hs = 0;
             for (size_t t = 0; t <= i; ++t)
-                hs = topk_heap::push(
-                    top.data(), hs, kRecallK,
-                    ScoredIndex{probs[t], static_cast<uint32_t>(t)});
+                ranker.push(probs[t], static_cast<uint32_t>(t));
+            const size_t hs = ranker.drainSorted(top.data());
             size_t hit = 0;
             for (size_t j = 0; j < hs; ++j)
                 if (mem.attended(top[j].index, i))
@@ -621,8 +618,7 @@ main(int argc, char **argv)
             flags.getCount("ttft-requests", 400, 1, UINT32_MAX));
     const std::string out =
         flags.getString("out", "BENCH_prefill.json");
-    const auto leftover = flags.unconsumed();
-    LS_ASSERT(leftover.empty(), "unknown flag --", leftover.front());
+    flags.rejectUnconsumed();
 
     const auto model = ModelConfig::llama3_8b();
     const BenchModelShape shape{model.numQueryHeads, model.numKvHeads,

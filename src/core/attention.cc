@@ -103,19 +103,13 @@ denseAttentionInto(const float *q, const KvCache &cache, float scale,
     LS_DETERMINISTIC();
     LS_NO_LOCK();
     const size_t n = cache.size();
-    const Matrix &keys = cache.keysStorage();
     const Matrix &values = cache.valuesStorage();
-    // Score and accumulate span by span in ascending logical order (a
-    // flat cache is one identity span): each token's dot and its
-    // probs-weighted add happen in exactly the sequence the Matrix
-    // form uses, so the result is bit-identical for any block size.
-    for (size_t at = 0; at < n;) {
-        const ScanSpan sp = cache.spanAt(at, n);
-        batchDotScaleRange(q, keys, sp.physBegin, sp.physBegin + sp.count,
-                           scale, probs + sp.logicalBase);
-        at += sp.count;
-    }
-    softmaxInPlace(probs, n);
+    // Accumulate span by span in ascending logical order (a flat cache
+    // is one identity span): each token's probs-weighted add happens
+    // in exactly the sequence the Matrix form uses, so the result is
+    // bit-identical for any block size.
+    denseProbsInto(q, cache.keysStorage().cols(), 1, cache, scale, probs,
+                   n);
     std::fill_n(out, values.cols(), 0.0f);
     for (size_t at = 0; at < n;) {
         const ScanSpan sp = cache.spanAt(at, n);
@@ -123,6 +117,29 @@ denseAttentionInto(const float *q, const KvCache &cache, float scale,
                          sp.physBegin, sp.count, out);
         at += sp.count;
     }
+}
+
+void
+denseProbsInto(const float *queries, size_t query_stride,
+               size_t num_queries, const KvCache &cache, float scale,
+               float *probs, size_t probs_stride)
+{
+    LS_HOT_PATH();
+    LS_DETERMINISTIC();
+    LS_NO_LOCK();
+    const size_t n = cache.size();
+    LS_ASSERT(probs_stride >= n, "probs stride ", probs_stride,
+              " below context ", n);
+    const Matrix &keys = cache.keysStorage();
+    for (size_t at = 0; at < n;) {
+        const ScanSpan sp = cache.spanAt(at, n);
+        batchDotScaleMulti(queries, query_stride, num_queries, keys,
+                           nullptr, sp.physBegin, sp.count, scale,
+                           probs + sp.logicalBase, probs_stride);
+        at += sp.count;
+    }
+    for (size_t g = 0; g < num_queries; ++g)
+        softmaxInPlace(probs + g * probs_stride, n);
 }
 
 void

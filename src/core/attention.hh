@@ -100,6 +100,18 @@ void denseAttentionInto(const float *q, const KvCache &cache, float scale,
                         float *probs, float *out);
 
 /**
+ * The dense softmax alone, for a group of queries over tokens [0,
+ * cache.size()): query g starts at queries + g * query_stride and its
+ * probabilities land at probs + g * probs_stride (probs_stride >=
+ * cache.size()). One pass per span scores each key against the whole
+ * group; every row is bit-identical to a one-query denseAttentionInto's
+ * probs.
+ */
+void denseProbsInto(const float *queries, size_t query_stride,
+                    size_t num_queries, const KvCache &cache, float scale,
+                    float *probs, size_t probs_stride);
+
+/**
  * subsetAttentionInto over logical token ids `indices` (renormalized
  * softmax over the subset; probs[j] corresponds to indices[j]).
  */

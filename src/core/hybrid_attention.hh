@@ -92,8 +92,9 @@ class LongSightAttn
      * its result lands in rs[g], whose vectors are cleared and refilled
      * in place (their capacity is reused, so repeated calls on the same
      * results are heap-allocation-free). The sparse region's packed
-     * sign rows and survivor key tiles stream through every query's
-     * concordance test and top-k heap together
+     * sign rows stream through every query's concordance test and each
+     * survivor key is scored once for the whole group before every
+     * query's top-k selector sees its own survivors
      * (batchScoreSelectMultiSpans), so the cache is read once for the
      * whole group instead of once per query — per query, results are
      * bit-identical to a one-query call, which is what computeHead

@@ -5,7 +5,7 @@
 
 #include "tensor/kernels.hh"
 #include "tensor/softmax.hh"
-#include "tensor/topk_heap.hh"
+#include "tensor/topk_selector.hh"
 #include "util/annotations.hh"
 #include "util/logging.hh"
 #include "util/scratch_arena.hh"
@@ -133,7 +133,9 @@ BlockSparsePrefill::estimateTasks(const Matrix &queries)
             // best ceil(f * candidates) (ties -> lower block index),
             // then restore ascending block order for assembly.
             int32_t *conc = frame.alloc<int32_t>(max_cand);
-            ScoredIndex *heap = frame.alloc<ScoredIndex>(max_cand);
+            RankEntry *store =
+                frame.alloc<RankEntry>(TopKSelector::storageFor(max_cand));
+            ScoredIndex *best = frame.alloc<ScoredIndex>(max_cand);
             for (size_t qi = 0; qi < nq; ++qi) {
                 QBlockTask &t = tasks_[t0 + qi];
                 t.keptOffset = static_cast<uint32_t>(keptBuf_.size());
@@ -148,17 +150,14 @@ BlockSparsePrefill::estimateTasks(const Matrix &queries)
                     static_cast<double>(t.candidates)));
                 if (keep == 0)
                     continue;
-                size_t hs = 0;
+                TopKSelector sel(store, keep);
                 for (size_t j = 0; j < t.candidates; ++j)
-                    hs = topk_heap::push(
-                        heap, hs, keep,
-                        ScoredIndex{static_cast<float>(conc[j]),
-                                    static_cast<uint32_t>(
-                                        sink_blocks + j)});
-                topk_heap::sortBestFirst(heap, hs);
+                    sel.push(static_cast<float>(conc[j]),
+                             static_cast<uint32_t>(sink_blocks + j));
+                const size_t hs = sel.finish(best);
                 const size_t at = keptBuf_.size();
                 for (size_t j = 0; j < hs; ++j)
-                    keptBuf_.push_back(heap[j].index);
+                    keptBuf_.push_back(best[j].index);
                 std::sort(keptBuf_.begin() +
                               static_cast<ptrdiff_t>(at),
                           keptBuf_.end());
@@ -225,7 +224,7 @@ BlockSparsePrefill::runTask(const QBlockTask &t, const Matrix &queries,
         if (cfg_.estimateOnly)
             continue;
         batchDotScaleMulti(queries.row(g0), queries.cols(), nq, keys,
-                           tokens, cut, scale, scores, cut);
+                           tokens, 0, cut, scale, scores, cut);
         for (size_t qi = 0; qi < nq; ++qi) {
             float *probs = scores + qi * cut;
             float *o = out.row(g0 + qi);

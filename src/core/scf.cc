@@ -94,8 +94,8 @@ scfSelect(const float *queries, size_t query_stride, uint32_t num_queries,
     size_t *span_surv = frame.alloc<size_t>(nspans);
 
     // Fused SCF → score → select for the whole group: the sign rows
-    // and survivor key tiles are read once and stream through every
-    // query's concordance test and top-k heap.
+    // and survivor keys are read once, each survivor scored once for
+    // the whole group, and each query's selector offered its own.
     batchScoreSelectMultiSpans(q_words, nq, cache.filterSignsStorage(),
                                spans, nspans, threshold, queries,
                                query_stride, cache.keysStorage(), scale, k,

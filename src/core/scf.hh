@@ -26,7 +26,7 @@
 #include "tensor/sign_matrix.hh"
 #include "tensor/signbits.hh"
 #include "tensor/tensor.hh"
-#include "tensor/topk_heap.hh"
+#include "tensor/topk_selector.hh"
 
 namespace longsight {
 

@@ -25,60 +25,28 @@ topkSelect(const std::vector<float> &scores,
     return all;
 }
 
-TopK::TopK(size_t k) : k_(k)
+TopK::TopK(size_t k)
+    : buf_(TopKSelector::storageFor(k)), sel_(buf_.data(), k)
 {
     LS_ASSERT(k > 0, "TopK capacity must be positive");
-    heap_.reserve(k);
-}
-
-void
-TopK::push(float score, uint32_t index)
-{
-    const size_t old = heap_.size();
-    if (old < k_)
-        heap_.resize(old + 1); // room for the insert path
-    const size_t n = topk_heap::push(heap_.data(), old, k_,
-                                     ScoredIndex{score, index});
-    heap_.resize(n);
-}
-
-void
-TopK::merge(const TopK &other)
-{
-    // Self-merge is a no-op: pushing into heap_ while iterating it
-    // would invalidate the iterator on reallocation.
-    if (&other == this)
-        return;
-    for (const auto &e : other.heap_)
-        push(e.score, e.index);
 }
 
 float
 TopK::worstRetained() const
 {
-    LS_ASSERT(!heap_.empty(), "worstRetained on empty TopK");
-    return heap_[0].score;
+    LS_ASSERT(size() > 0, "worstRetained on empty TopK");
+    return sortedResults().back().score;
 }
 
 std::vector<ScoredIndex>
 TopK::sortedResults() const
 {
-    std::vector<ScoredIndex> out = heap_;
-    std::sort(out.begin(), out.end(),
-              [](const ScoredIndex &a, const ScoredIndex &b) {
-                  return a.betterThan(b);
-              });
+    // Drain a copy, so this accumulator keeps its candidates.
+    TopK copy(capacity());
+    copy.merge(*this);
+    std::vector<ScoredIndex> out(copy.size());
+    out.resize(copy.drainSorted(out.data()));
     return out;
-}
-
-size_t
-TopK::drainSorted(ScoredIndex *out)
-{
-    const size_t n = heap_.size();
-    std::copy(heap_.begin(), heap_.end(), out);
-    topk_heap::sortBestFirst(out, n);
-    heap_.clear(); // capacity stays; the accumulator is reusable
-    return n;
 }
 
 } // namespace longsight

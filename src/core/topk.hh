@@ -1,10 +1,11 @@
 /**
  * @file
  * Top-k selection over attention scores — the paper's §5 ranking
- * stage. Provides a one-shot selection over a score array and a
- * streaming accumulator (TopK) matching the NMA hardware behaviour,
- * which evaluates scores epoch by epoch and keeps a bounded partial
- * top-k list (hardware cap k <= 1024, §7.2).
+ * stage. Provides a one-shot selection over a score array (the
+ * reference every bounded ranker is tested against) and a streaming
+ * accumulator (TopK) matching the NMA hardware behaviour, which
+ * evaluates scores epoch by epoch and keeps a bounded partial top-k
+ * list (hardware cap k <= 1024, §7.2).
  */
 
 #ifndef LONGSIGHT_CORE_TOPK_HH
@@ -14,11 +15,11 @@
 #include <cstdint>
 #include <vector>
 
-// ScoredIndex and the bounded-heap primitives live in the tensor layer
-// so the fused span driver (batchScoreSelectMultiSpans) shares the
-// exact same ordering implementation; this header re-exports them for
-// existing callers.
-#include "tensor/topk_heap.hh"
+// ScoredIndex and the bounded selector live in the tensor layer so the
+// fused span driver (batchScoreSelectMultiSpans) shares the exact same
+// ordering implementation; this header re-exports them for existing
+// callers.
+#include "tensor/topk_selector.hh"
 
 namespace longsight {
 
@@ -32,21 +33,26 @@ std::vector<ScoredIndex> topkSelect(const std::vector<float> &scores,
                                     size_t k);
 
 /**
- * Streaming bounded top-k accumulator (min-heap of capacity k).
+ * Streaming bounded top-k accumulator: a TopKSelector that owns its
+ * storage.
  */
 class TopK
 {
   public:
     explicit TopK(size_t k);
 
+    // The selector points into buf_, so a copy would share it.
+    TopK(const TopK &) = delete;
+    TopK &operator=(const TopK &) = delete;
+
     /** Offer one candidate. */
-    void push(float score, uint32_t index);
+    void push(float score, uint32_t index) { sel_.push(score, index); }
 
     /** Merge another accumulator's contents (DCC aggregation path). */
-    void merge(const TopK &other);
+    void merge(const TopK &other) { sel_.merge(other.sel_); }
 
-    size_t capacity() const { return k_; }
-    size_t size() const { return heap_.size(); }
+    size_t capacity() const { return sel_.capacity(); }
+    size_t size() const { return sel_.size(); }
 
     /** Current worst retained score (only valid when size() == k). */
     float worstRetained() const;
@@ -56,17 +62,15 @@ class TopK
 
     /**
      * Drain into the caller's span (capacity >= size()) sorted
-     * best-first via in-place heapsort — no allocation, unlike
-     * sortedResults. Returns the number of entries written. The
-     * accumulator is left empty (capacity retained) for reuse.
+     * best-first — no allocation. Returns the number of entries
+     * written. The accumulator is left empty (capacity retained) for
+     * reuse.
      */
-    size_t drainSorted(ScoredIndex *out);
+    size_t drainSorted(ScoredIndex *out) { return sel_.finish(out); }
 
   private:
-    size_t k_;
-    // Min-heap on betterThan-inverted ordering (topk_heap helpers):
-    // heap_[0] is the entry that the next better candidate evicts.
-    std::vector<ScoredIndex> heap_;
+    std::vector<RankEntry> buf_;
+    TopKSelector sel_;
 };
 
 } // namespace longsight

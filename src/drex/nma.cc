@@ -1,6 +1,7 @@
 #include "drex/nma.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "tensor/kernels.hh"
@@ -24,8 +25,8 @@ Nma::filterEpochFunctional(const OffloadSpec &spec,
                            const uint64_t *query_words,
                            size_t words_per_query, uint64_t epoch_begin,
                            uint64_t epoch_end, uint32_t *union_survivors,
-                           uint32_t *per_query, size_t stride,
-                           size_t *per_query_counts) const
+                           uint32_t *slots, size_t stride,
+                           size_t *slot_counts) const
 {
     LS_HOT_PATH();
     LS_DETERMINISTIC();
@@ -33,11 +34,12 @@ Nma::filterEpochFunctional(const OffloadSpec &spec,
     const auto &signs = spec.cache->filterSignsStorage();
     const uint32_t nq = spec.numQueries;
     for (uint32_t q = 0; q < nq; ++q)
-        per_query_counts[q] = 0;
+        slot_counts[q] = 0;
     size_t union_count = 0;
 
     // One bitmap per query of the group, refilled per block.
     Bitmap128 bitmaps[Pfu::kMaxQueries];
+    uint64_t words[Pfu::kMaxQueries];
 
     // Blocks are 128-key aligned in the slice; filter whole blocks and
     // mask tokens outside the requested range.
@@ -53,19 +55,37 @@ Nma::filterEpochFunctional(const OffloadSpec &spec,
             continue;
         Pfu::filterBlock(query_words, words_per_query, nq, signs,
                          tok_begin, num_keys, spec.threshold, bitmaps);
-        for (uint32_t i = 0; i < num_keys; ++i) {
-            const uint32_t tok = static_cast<uint32_t>(tok_begin) + i;
-            if (tok < epoch_begin || tok >= epoch_end)
+        // Walk each 64-key word: OR the group's words into the union
+        // and visit its set bits in ascending order. Bits past num_keys
+        // are already clear.
+        for (size_t w = 0; w < 2; ++w) {
+            const uint64_t base = tok_begin + 64 * w;
+            const uint64_t lo = std::max(epoch_begin, base);
+            const uint64_t hi = std::min(epoch_end, base + 64);
+            if (lo >= hi)
                 continue;
-            bool any = false;
+            const uint64_t upto =
+                hi - base == 64 ? ~uint64_t{0}
+                                : (uint64_t{1} << (hi - base)) - 1;
+            const uint64_t range = upto & ~((uint64_t{1} << (lo - base)) - 1);
+            uint64_t any = 0;
             for (uint32_t q = 0; q < nq; ++q) {
-                if (bitmaps[q].test(i)) {
-                    per_query[q * stride + per_query_counts[q]++] = tok;
-                    any = true;
-                }
+                words[q] = bitmaps[q].word(w) & range;
+                any |= words[q];
             }
-            if (any)
-                union_survivors[union_count++] = tok;
+            for (; any != 0; any &= any - 1) {
+                const int bit = std::countr_zero(any);
+                // Store the slot for every query, keep it where the
+                // query's own bit is set (branch-free; the slot past a
+                // query's live list stays within its row).
+                for (uint32_t q = 0; q < nq; ++q) {
+                    slots[q * stride + slot_counts[q]] =
+                        static_cast<uint32_t>(union_count);
+                    slot_counts[q] += (words[q] >> bit) & 1;
+                }
+                union_survivors[union_count++] =
+                    static_cast<uint32_t>(base + static_cast<uint64_t>(bit));
+            }
         }
     }
     return union_count;
@@ -107,10 +127,10 @@ Nma::process(Tick start, const OffloadSpec &spec)
     const float scale = 1.0f / std::sqrt(static_cast<float>(d));
 
     // Offload-lifetime scratch: packed query signs, per-query top-k
-    // heaps. Everything here is bump-allocated and reclaimed when the
-    // frame dies, so repeated offloads are heap-allocation-free in the
-    // filter/score/rank stages (the response payload in OffloadResult
-    // still uses ordinary vectors).
+    // selector buffers. Everything here is bump-allocated and reclaimed
+    // when the frame dies, so repeated offloads are heap-allocation-free
+    // in the filter/score/rank stages (the response payload in
+    // OffloadResult still uses ordinary vectors).
     ScratchFrame frame(ScratchArena::forThisThread());
 
     // Pack query sign bits once (done by the DCC when staging the
@@ -124,13 +144,17 @@ Nma::process(Tick start, const OffloadSpec &spec)
                       query_words + q * wpq);
     }
 
-    // Bounded per-query rankers on scratch storage, driven by the same
-    // topk_heap primitives as TopK (identical ordering by construction).
-    ScoredIndex *heaps = frame.alloc<ScoredIndex>(
-        static_cast<size_t>(spec.numQueries) * k);
-    size_t *heap_sizes = frame.alloc<size_t>(spec.numQueries);
-    for (uint32_t q = 0; q < spec.numQueries; ++q)
-        heap_sizes[q] = 0;
+    // Bounded per-query rankers on scratch storage: the same selector
+    // as TopK (identical ordering by construction).
+    TopKSelector rankers[Pfu::kMaxQueries];
+    if (functional) {
+        LS_ASSERT(k > 0, "functional offload needs k > 0");
+        RankEntry *store = frame.alloc<RankEntry>(
+            spec.numQueries * TopKSelector::storageFor(k));
+        for (uint32_t q = 0; q < spec.numQueries; ++q)
+            rankers[q] =
+                TopKSelector(store + q * TopKSelector::storageFor(k), k);
+    }
 
     // Epoch span: every bank filters one 128-key block per epoch, so
     // one epoch covers up to banks x 128 tokens of the slice.
@@ -174,18 +198,17 @@ Nma::process(Tick start, const OffloadSpec &spec)
         // at the end of each loop iteration).
         ScratchFrame epoch_frame(frame.arena());
         uint32_t *survivors = nullptr;
-        uint32_t *per_query = nullptr;
-        size_t *per_query_counts = nullptr;
+        uint32_t *slots = nullptr;
+        size_t *slot_counts = nullptr;
         uint64_t survivor_count;
         if (functional) {
             survivors = epoch_frame.alloc<uint32_t>(epoch_tokens);
-            per_query = epoch_frame.alloc<uint32_t>(
+            slots = epoch_frame.alloc<uint32_t>(
                 static_cast<size_t>(spec.numQueries) * epoch_tokens);
-            per_query_counts =
-                epoch_frame.alloc<size_t>(spec.numQueries);
+            slot_counts = epoch_frame.alloc<size_t>(spec.numQueries);
             survivor_count = filterEpochFunctional(
-                spec, query_words, wpq, pos, epoch_end, survivors,
-                per_query, epoch_tokens, per_query_counts);
+                spec, query_words, wpq, pos, epoch_end, survivors, slots,
+                epoch_tokens, slot_counts);
         } else {
             survivor_count = survivorsModelled(spec, epoch_tokens);
         }
@@ -200,29 +223,26 @@ Nma::process(Tick start, const OffloadSpec &spec)
             : layout_.keyBytes();
         Tick mem_done = t;
         if (functional) {
-            // Union survivors drive memory traffic; each query ranks
-            // only the keys its own bitmap kept.
+            // Union survivors drive memory traffic and are each scored
+            // once against the whole group (what per_key_dot charges);
+            // each query ranks only the keys its own bitmap kept.
             for (size_t i = 0; i < survivor_count; ++i) {
                 const TokenPlace p = layout_.place(
                     spec.user, spec.layer, spec.kvHead, survivors[i]);
                 mem_done = package_.readStriped(t, p.bank, p.keyRow,
                                                 fetch_bytes);
             }
+            float *s = epoch_frame.alloc<float>(
+                static_cast<size_t>(spec.numQueries) * survivor_count);
+            batchDotScaleMulti(spec.queries->row(0), spec.queries->cols(),
+                               spec.numQueries, spec.cache->keysStorage(),
+                               survivors, 0, survivor_count, scale, s,
+                               survivor_count);
             for (uint32_t q = 0; q < spec.numQueries; ++q) {
-                const uint32_t *kept = per_query + q * epoch_tokens;
-                const size_t kept_n = per_query_counts[q];
-                ScoredIndex *heap = heaps + static_cast<size_t>(q) * k;
-                size_t &hs = heap_sizes[q];
-                // Batched survivor scoring (vectorized fused dot+scale;
-                // bit-identical to the scalar dot), scores in epoch
-                // scratch.
-                float *s = epoch_frame.alloc<float>(kept_n);
-                batchDotScaleAt(spec.queries->row(q),
-                                spec.cache->keysStorage(), kept, kept_n,
-                                scale, s);
-                for (size_t j = 0; j < kept_n; ++j)
-                    hs = topk_heap::push(heap, hs, k,
-                                         ScoredIndex{s[j], kept[j]});
+                const uint32_t *own = slots + q * epoch_tokens;
+                const float *qs = s + q * survivor_count;
+                for (size_t j = 0; j < slot_counts[q]; ++j)
+                    rankers[q].push(qs[own[j]], survivors[own[j]]);
             }
         } else {
             // Timing-only: survivors are spread uniformly over the
@@ -249,21 +269,34 @@ Nma::process(Tick start, const OffloadSpec &spec)
         pos = epoch_end;
     }
 
-    // Collect selections (in-place heapsort, then copy into the
-    // response payload) and read the corresponding value vectors.
+    // Collect selections (sorted best-first into the response
+    // payload) and read the corresponding value vectors.
     if (functional) {
+        r.topk.resize(spec.numQueries);
         for (uint32_t q = 0; q < spec.numQueries; ++q) {
-            ScoredIndex *heap = heaps + static_cast<size_t>(q) * k;
-            topk_heap::sortBestFirst(heap, heap_sizes[q]);
-            r.topk.emplace_back(heap, heap + heap_sizes[q]);
+            r.topk[q].resize(rankers[q].size());
+            rankers[q].finish(r.topk[q].data());
         }
-        for (const auto &list : r.topk)
-            for (const auto &e : list)
-                r.valueTokens.push_back(e.index);
-        std::sort(r.valueTokens.begin(), r.valueTokens.end());
-        r.valueTokens.erase(
-            std::unique(r.valueTokens.begin(), r.valueTokens.end()),
-            r.valueTokens.end());
+        // The union of the selections in ascending token order: mark
+        // each selected token in a scratch bitmap over the region, then
+        // walk its words (no sort of the k x numQueries entries).
+        const size_t words = (r.regionTokens + 63) / 64;
+        uint64_t *marks = frame.alloc<uint64_t>(words);
+        std::fill_n(marks, words, uint64_t{0});
+        size_t selected = 0;
+        for (const auto &list : r.topk) {
+            selected += list.size();
+            for (const auto &e : list) {
+                const uint64_t off = e.index - spec.sparseBegin;
+                marks[off >> 6] |= uint64_t{1} << (off & 63);
+            }
+        }
+        r.valueTokens.reserve(selected);
+        for (size_t w = 0; w < words; ++w)
+            for (uint64_t bits = marks[w]; bits != 0; bits &= bits - 1)
+                r.valueTokens.push_back(static_cast<uint32_t>(
+                    spec.sparseBegin + 64 * w +
+                    static_cast<uint64_t>(std::countr_zero(bits))));
     }
 
     const uint64_t value_count = functional

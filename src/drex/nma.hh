@@ -7,11 +7,11 @@
  *  - *filter epochs*: every bank's PFU filters one 128-key block in
  *    parallel (up to banks x 128 keys per epoch per package); the NMA
  *    then reads one bitmap per bank per query;
- *  - *scoring*: surviving keys are fetched at full precision, striped
- *    across all 8 channels (§7.3.3), and dot-producted against the
- *    query group; and
+ *  - *scoring*: each key that survives for any query of the group is
+ *    fetched once at full precision, striped across all 8 channels
+ *    (§7.3.3), and dot-producted against the whole query group; and
  *  - *ranking*: a bounded top-k (hardware cap 1024) is maintained per
- *    query.
+ *    query over the keys its own bitmap kept.
  *
  * After ranking, the selected value vectors are read from DRAM; their
  * CXL transfer is charged by the DCC/system layer. Timing constants
@@ -145,22 +145,21 @@ class Nma
      * path), matching the hardware PFU's dataflow of testing all
      * in-flight queries against a key word as it passes by.
      * query_words holds numQueries packed sign rows of
-     * words_per_query words each. Per-query survivor lists land in
-     * per_query (numQueries rows of `stride` capacity; each query
-     * ranks only keys its own bitmap kept) with counts in
-     * per_query_counts; the union of survivors (each key is fetched
-     * from DRAM once even when several queries of the group kept it)
-     * lands in union_survivors (capacity `stride`). Returns the union
-     * count. All spans must hold at least epoch_end - epoch_begin
-     * entries per row.
+     * words_per_query words each. The union of the group's survivors
+     * lands in union_survivors in ascending token order (each key is
+     * fetched and scored once even when several queries of the group
+     * kept it); query q's own survivors land at slots + q * stride as
+     * positions in that union list (each query ranks only keys its own
+     * bitmap kept), with counts in slot_counts. Returns the union
+     * count. union_survivors and every slot row must hold at least
+     * epoch_end - epoch_begin entries.
      */
     size_t filterEpochFunctional(const OffloadSpec &spec,
                                  const uint64_t *query_words,
                                  size_t words_per_query,
                                  uint64_t epoch_begin, uint64_t epoch_end,
-                                 uint32_t *union_survivors,
-                                 uint32_t *per_query, size_t stride,
-                                 size_t *per_query_counts) const;
+                                 uint32_t *union_survivors, uint32_t *slots,
+                                 size_t stride, size_t *slot_counts) const;
 
     /** Timing-only survivor count for one epoch (deterministic). */
     uint64_t survivorsModelled(const OffloadSpec &spec,

@@ -38,6 +38,9 @@ class Bitmap128
 
     void set(uint32_t i);
     bool test(uint32_t i) const;
+
+    /** Packed word w (0 or 1): bits 64w .. 64w + 63. */
+    uint64_t word(size_t w) const { return words_[w]; }
     uint32_t popcount() const;
 
     /** Indices of set bits, offset by `base`. */

@@ -13,7 +13,6 @@
 #include "tensor/sign_matrix.hh"
 #include "tensor/signbits.hh"
 #include "tensor/softmax.hh"
-#include "tensor/topk_heap.hh"
 #include "util/logging.hh"
 
 namespace longsight {
@@ -155,7 +154,7 @@ AlgoEvaluator::evaluate(const EvalConfig &cfg) const
     size_t evals = 0;
     size_t recall_evals = 0;
 
-    // Reused drain span: drainSorted heapsorts into this in place, so
+    // Reused drain span: drainSorted writes the selection here, so
     // after the first sample at each size no allocation happens here.
     std::vector<ScoredIndex> selected;
 
@@ -202,13 +201,12 @@ AlgoEvaluator::evaluate(const EvalConfig &cfg) const
                                 1, static_cast<size_t>(std::ceil(
                                        cfg.centroidKeepFraction *
                                        static_cast<double>(nb)))));
-                    std::vector<ScoredIndex> bh(keep);
-                    size_t hs = 0;
+                    TopK blocks(keep);
                     for (size_t b = b0; b < b1; ++b)
-                        hs = topk_heap::push(
-                            bh.data(), hs, keep,
-                            ScoredIndex{s.blockScore[b],
-                                        static_cast<uint32_t>(b)});
+                        blocks.push(s.blockScore[b],
+                                    static_cast<uint32_t>(b));
+                    std::vector<ScoredIndex> bh(keep);
+                    const size_t hs = blocks.drainSorted(bh.data());
                     for (size_t j = 0; j < hs; ++j) {
                         const size_t b = bh[j].index;
                         const size_t t0 = std::max(sinks, b * bt);
@@ -234,8 +232,7 @@ AlgoEvaluator::evaluate(const EvalConfig &cfg) const
                         }
                     }
                 }
-                // Drain in place: heapsort into the reused span
-                // instead of sortedResults' copy + full sort.
+                // Drain into the reused span.
                 selected.resize(ranker.size());
                 const size_t nsel = ranker.drainSorted(selected.data());
                 if (cfg.filter == FilterKind::Int8)

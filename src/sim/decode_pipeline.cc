@@ -481,6 +481,14 @@ DecodePipeline::stepCombineHead(
                   frame.alloc<size_t>(group_));
     }
 
+    // Verification B precompute, grouped: every query's dense softmax
+    // over the whole context from one pass over the keys, each lane
+    // bit-identical to a one-query denseAttentionInto's probs; the
+    // dense value sum, which no verdict reads, is not computed.
+    float *dense_probs = frame.alloc<float>(group_ * n);
+    denseProbsInto(queries.row(0), queries.cols(), group_, cache, scale,
+                   dense_probs, n);
+
     // GPU-side combine + verification, per query of the group. Lane
     // buffers come from this thread's scratch arena, reclaimed per
     // query; verdicts land in this head's disjoint lane slots.
@@ -542,12 +550,10 @@ DecodePipeline::stepCombineHead(
         }
 
         // Verification B: retained dense softmax mass.
-        float *dense_probs = lane_frame.alloc<float>(n);
-        float *dense_out = lane_frame.alloc<float>(cfg_.headDim);
-        denseAttentionInto(q, cache, scale, dense_probs, dense_out);
+        const float *dense = dense_probs + g * n;
         double mass = 0.0;
         for (size_t i = 0; i < na; ++i)
-            mass += dense_probs[attended[i]];
+            mass += dense[attended[i]];
         laneMass_[lane] = mass;
     }
 }

@@ -11,6 +11,7 @@
 
 #include "util/annotations.hh"
 #include "util/logging.hh"
+#include "util/scratch_arena.hh"
 
 namespace longsight {
 namespace detail {
@@ -148,14 +149,14 @@ scalarInt8DotAt(const int8_t *q, const int8_t *keys, size_t stride,
 void
 scalarDotMulti(const float *qs, size_t q_stride, size_t num_queries,
                const float *keys, size_t stride, size_t dim,
-               const uint32_t *idx, size_t count, float scale, float *out,
-               size_t out_stride)
+               const uint32_t *idx, size_t first, size_t count, float scale,
+               float *out, size_t out_stride)
 {
     LS_HOT_PATH();
     LS_DETERMINISTIC();
     LS_NO_LOCK();
     for (size_t j = 0; j < count; ++j) {
-        const float *k = keys + idx[j] * stride;
+        const float *k = keys + (idx ? idx[j] : first + j) * stride;
         for (size_t q = 0; q < num_queries; ++q)
             out[q * out_stride + j] =
                 dotRowScaled(qs + q * q_stride, k, dim, scale);
@@ -375,15 +376,20 @@ batchDotScaleRange(const float *q, const Matrix &keys, size_t begin,
 void
 batchDotScaleMulti(const float *queries, size_t query_stride,
                    size_t num_queries, const Matrix &keys,
-                   const uint32_t *indices, size_t count, float scale,
-                   float *out, size_t out_stride)
+                   const uint32_t *indices, size_t first, size_t count,
+                   float scale, float *out, size_t out_stride)
 {
     LS_HOT_PATH();
     LS_DETERMINISTIC();
     LS_NO_LOCK();
-    for (size_t j = 0; j < count; ++j)
-        LS_ASSERT(indices[j] < keys.rows(), "score index ", indices[j],
-                  " out of ", keys.rows());
+    if (indices) {
+        for (size_t j = 0; j < count; ++j)
+            LS_ASSERT(indices[j] < keys.rows(), "score index ", indices[j],
+                      " out of ", keys.rows());
+    } else {
+        LS_ASSERT(first + count <= keys.rows(), "score range [", first,
+                  ",", first + count, ") out of ", keys.rows());
+    }
     if (count == 0)
         return;
     const detail::KernelOps &o = ops();
@@ -396,10 +402,10 @@ batchDotScaleMulti(const float *queries, size_t query_stride,
         const size_t nq = std::min(lanes, num_queries - q0);
         if (nq == 1)
             o.dotAt(queries + q0 * query_stride, keys.data(), dim, dim,
-                    indices, 0, count, scale, out + q0 * out_stride);
+                    indices, first, count, scale, out + q0 * out_stride);
         else
             o.dotMulti(queries + q0 * query_stride, query_stride, nq,
-                       keys.data(), dim, dim, indices, count, scale,
+                       keys.data(), dim, dim, indices, first, count, scale,
                        out + q0 * out_stride, out_stride);
     }
 }
@@ -546,7 +552,7 @@ batchScoreSelectMultiSpans(const uint64_t *query_words, size_t num_queries,
     LS_ASSERT(k > 0, "batchScoreSelectMultiSpans k must be positive");
     LS_ASSERT(out_stride >= std::min(k, total),
               "batchScoreSelectMultiSpans out_stride ", out_stride,
-              " < heap capacity ", std::min(k, total));
+              " < selection capacity ", std::min(k, total));
 
     for (size_t q = 0; q < num_queries; ++q) {
         out_sizes[q] = 0;
@@ -559,19 +565,30 @@ batchScoreSelectMultiSpans(const uint64_t *query_words, size_t num_queries,
     if (total == 0 || num_queries == 0)
         return;
 
-    // Stack-local tiles keep the working set in L1 and off the heap.
-    // Tile size trades scan/score call overhead against the survivors
-    // living in cache while they are scored. The heap sees each
-    // query's survivors in ascending logical order (spans ascend
-    // logically, the scan emits ascending rows), so the tile size
-    // cannot change a selection: every key's score is computed
-    // independently. Within a tile the key rows a group's survivors
-    // gather from overlap heavily, so the shared pass reuses key tiles
-    // while they are hot, not just the packed sign rows.
+    // Stack-local tiles keep the scan's working set in L1 and off the
+    // heap. Tile size trades scan/score call overhead against the
+    // survivors living in cache while they are scored. Every key's
+    // score is computed independently and a selector's result does not
+    // depend on the order it is offered candidates, so the tile size
+    // cannot change a selection. Each tile's union of the chunk's
+    // survivors is scored once against the whole chunk (one key row
+    // load serves every query, and a GQA group's survivors overlap
+    // heavily); each query then offers its selector only its own
+    // survivors, reading their scores through the row's union slot.
     constexpr size_t kTile = 512;
     uint32_t idx[kMaxScanQueries * kTile];
-    float scores[kTile];
+    uint32_t union_rows[kTile];
+    uint32_t slot[kTile];
+    uint8_t kept[kTile];
     size_t tile_counts[kMaxScanQueries];
+    TopKSelector sel[kMaxScanQueries];
+
+    const size_t kcap = std::min(k, total);
+    ScratchFrame frame(ScratchArena::forThisThread());
+    const size_t chunk = std::min(kMaxScanQueries, num_queries);
+    RankEntry *store =
+        frame.alloc<RankEntry>(chunk * TopKSelector::storageFor(kcap));
+    float *scores = frame.alloc<float>(chunk * kTile);
 
     const detail::KernelOps &o = ops();
     const size_t wpr = signs.wordsPerRow();
@@ -579,6 +596,9 @@ batchScoreSelectMultiSpans(const uint64_t *query_words, size_t num_queries,
 
     for (size_t q0 = 0; q0 < num_queries; q0 += kMaxScanQueries) {
         const size_t nq = std::min(kMaxScanQueries, num_queries - q0);
+        for (size_t qi = 0; qi < nq; ++qi)
+            sel[qi] = TopKSelector(store + qi * TopKSelector::storageFor(kcap),
+                                   kcap);
         for (size_t s = 0; s < num_spans; ++s) {
             const ScanSpan &sp = spans[s];
             // logical = physical + delta for every row in this span.
@@ -587,45 +607,60 @@ batchScoreSelectMultiSpans(const uint64_t *query_words, size_t num_queries,
                 static_cast<int64_t>(sp.physBegin);
             for (size_t at = 0; at < sp.count; at += kTile) {
                 const size_t rows = std::min(kTile, sp.count - at);
+                const auto base = static_cast<uint32_t>(sp.physBegin + at);
                 for (size_t qi = 0; qi < nq; ++qi)
                     tile_counts[qi] = 0;
-                o.scanMulti(
-                    query_words + q0 * wpr, nq,
-                    signs.data() + (sp.physBegin + at) * wpr, wpr, rows,
-                    dim, threshold,
-                    static_cast<uint32_t>(sp.physBegin + at), idx, kTile,
-                    tile_counts);
+                o.scanMulti(query_words + q0 * wpr, nq,
+                            signs.data() + (sp.physBegin + at) * wpr, wpr,
+                            rows, dim, threshold, base, idx, kTile,
+                            tile_counts);
+
+                // The tile's union, in ascending rows, and each row's
+                // slot in it (branch-free compaction). A lone query's
+                // own list is its union.
+                const uint32_t *urows = idx;
+                size_t nu = tile_counts[0];
+                if (nq > 1) {
+                    std::fill_n(kept, rows, uint8_t{0});
+                    for (size_t qi = 0; qi < nq; ++qi)
+                        for (size_t j = 0; j < tile_counts[qi]; ++j)
+                            kept[idx[qi * kTile + j] - base] = 1;
+                    nu = 0;
+                    for (size_t r = 0; r < rows; ++r) {
+                        slot[r] = static_cast<uint32_t>(nu);
+                        union_rows[nu] = base + static_cast<uint32_t>(r);
+                        nu += kept[r];
+                    }
+                    urows = union_rows;
+                }
+                if (nu == 0)
+                    continue;
+                batchDotScaleMulti(queries + q0 * query_stride,
+                                   query_stride, nq, keys, urows, 0, nu,
+                                   scale, scores, kTile);
+
                 for (size_t qi = 0; qi < nq; ++qi) {
                     const size_t n = tile_counts[qi];
-                    if (n == 0)
-                        continue;
-                    const size_t q = q0 + qi;
                     if (survivor_counts)
-                        survivor_counts[q] += n;
+                        survivor_counts[q0 + qi] += n;
                     if (span_survivors)
                         span_survivors[s] += n;
-                    // Score the n PHYSICAL survivor rows; the heap
-                    // gets their logical ids.
+                    // The union pass scored PHYSICAL rows; the
+                    // selector gets their logical ids.
                     const uint32_t *qidx = idx + qi * kTile;
-                    o.dotAt(queries + q * query_stride, keys.data(),
-                            keys.cols(), keys.cols(), qidx, 0, n, scale,
-                            scores);
-                    ScoredIndex *heap = out + q * out_stride;
-                    size_t hs = out_sizes[q];
+                    const float *qs = scores + qi * kTile;
                     for (size_t j = 0; j < n; ++j)
-                        hs = topk_heap::push(
-                            heap, hs, k,
-                            ScoredIndex{scores[j],
-                                        static_cast<uint32_t>(
-                                            static_cast<int64_t>(qidx[j]) +
-                                            delta)});
-                    out_sizes[q] = hs;
+                        sel[qi].push(
+                            qs[nq > 1 ? slot[qidx[j] - base] : j],
+                            static_cast<uint32_t>(
+                                static_cast<int64_t>(qidx[j]) + delta));
                 }
             }
         }
+        for (size_t qi = 0; qi < nq; ++qi)
+            out_sizes[q0 + qi] =
+                sel[qi].finish(out + (q0 + qi) * out_stride);
     }
-    for (size_t q = 0; q < num_queries; ++q)
-        topk_heap::sortBestFirst(out + q * out_stride, out_sizes[q]);
 }
 
 void

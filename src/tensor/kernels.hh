@@ -29,19 +29,20 @@
  * one KV head (plus, optionally, queries from other batched requests
  * pinned to it); a flat cache is one identity span
  * ScanSpan{begin, end - begin, begin}, and a single query is
- * num_queries = 1. Each packed sign row (and, in the fused driver,
- * each survivor key tile) is loaded once per chunk of kMaxScanQueries
- * queries and run through every query's concordance test / top-k heap
- * before the stream advances. Per query the survivors, scores, and
- * selections do not depend on the group size, the chunking, or how the
- * rows are split into spans — only the memory-traffic shape changes.
+ * num_queries = 1. Each packed sign row is loaded once per chunk of
+ * kMaxScanQueries queries and run through every query's concordance
+ * test before the stream advances, and in the fused driver each key
+ * that survives for any query of the chunk is scored once against the
+ * whole chunk. Per query the survivors, scores, and selections do not
+ * depend on the group size, the chunking, or how the rows are split
+ * into spans — only the memory-traffic shape changes.
  *
  * The fused scan -> score -> select driver streams survivors tile by
  * tile from the concordance scan straight through scoring into bounded
- * top-k heaps (early-rejecting against the current k-th score), never
- * materializing the full survivor or score vectors. It is
- * backend-agnostic — it composes the dispatched scan and dot ops — so
- * every backend gets the fused path with identical results.
+ * top-k selectors (tensor/topk_selector.hh), never materializing the
+ * full survivor or score vectors. It is backend-agnostic — it composes
+ * the dispatched scan and dot ops — so every backend gets the fused
+ * path with identical results.
  *
  * The backend can be forced (tests, benchmarks, A/B timing) with
  * setKernelBackend() or the LONGSIGHT_KERNELS=scalar|avx2|neon
@@ -58,7 +59,7 @@
 #include "tensor/sign_matrix.hh"
 #include "tensor/signbits.hh"
 #include "tensor/tensor.hh"
-#include "tensor/topk_heap.hh"
+#include "tensor/topk_selector.hh"
 
 namespace longsight {
 
@@ -115,8 +116,9 @@ void batchDotScaleAt(const float *q, const Matrix &keys,
 void batchDotScaleRange(const float *q, const Matrix &keys, size_t begin,
                         size_t end, float scale, float *out);
 
-/** Queries one dotMulti op call scores at most (its SIMD lane
- *  capacity); batchDotScaleMulti chunks larger groups. */
+/** Queries one dotMulti op call scores at most; batchDotScaleMulti
+ *  chunks larger groups. The AVX2 op holds up to 4 queries in one ymm
+ *  and runs 5..8 as a second ymm tile over the same widened keys. */
 inline constexpr size_t kDotMultiQueries = 8;
 
 /** Largest head dimension the dotMulti op's stack tiles hold; wider
@@ -124,17 +126,19 @@ inline constexpr size_t kDotMultiQueries = 8;
 inline constexpr size_t kDotMultiMaxDim = 256;
 
 /**
- * Multi-query gather scoring: out[q * out_stride + j] = (query_q .
- * keys[indices[j]]) * scale for q in [0, num_queries), j in [0,
- * count), where query_q starts at queries + q * query_stride. Every
- * (query, key) score is exactly batchDotScaleAt's, so the result does
- * not depend on num_queries or the chunking; each chunk of up to
- * kDotMultiQueries queries reads the gathered key rows once.
+ * Multi-query scoring: out[q * out_stride + j] = (query_q . row_j) *
+ * scale for q in [0, num_queries), j in [0, count), where query_q
+ * starts at queries + q * query_stride and row j is
+ * keys.row(indices[j]) when indices is non-null (gather), keys.row(first
+ * + j) otherwise (range). Every (query, key) score is exactly
+ * batchDotScaleAt's, so the result does not depend on num_queries or
+ * the chunking; each chunk of up to kDotMultiQueries queries reads the
+ * key rows once.
  */
 void batchDotScaleMulti(const float *queries, size_t query_stride,
                         size_t num_queries, const Matrix &keys,
-                        const uint32_t *indices, size_t count, float scale,
-                        float *out, size_t out_stride);
+                        const uint32_t *indices, size_t first, size_t count,
+                        float scale, float *out, size_t out_stride);
 
 /**
  * Weighted value accumulation into caller storage: out[d] += probs[j]
@@ -204,15 +208,18 @@ void concordanceBitmapMulti(const uint64_t *query_words,
  * identity span over a flat cache). Every row whose sign concordance
  * with query q reaches `threshold` is scored ((q . key_row) * scale,
  * standard double accumulation) and offered to query q's bounded
- * top-k heap. Query q's packed signs are at query_words + q *
+ * top-k selector. Query q's packed signs are at query_words + q *
  * signs.wordsPerRow(), its float vector at queries + q *
- * query_stride, its heap at out + q * out_stride (out_stride >=
+ * query_stride, its selection at out + q * out_stride (out_stride >=
  * min(k, total span tokens)); out_sizes[q] receives its entry count,
- * sorted best-first (score descending, index ascending on ties).
+ * sorted best-first (score descending, index ascending on ties). Each
+ * tile's union of the chunk's survivors is scored once for the whole
+ * chunk, and each query is offered only its own survivors' scores; the
+ * selectors' buffers come from the calling thread's scratch arena.
  *
  * Within each span the scan and dot kernels see the span's contiguous
  * physical rows (signs and keys share the storage layout), while the
- * indices offered to the heaps are LOGICAL token ids. Because span
+ * indices offered to the selectors are LOGICAL token ids. Because span
  * lists ascend logically, every selection is element-identical to the
  * same rows stored flat — block size cannot change a result — and
  * identical to scanning, scoring (batchDotScaleAt) and top-k selecting
@@ -289,16 +296,16 @@ struct KernelOps
     void (*int8DotAt)(const int8_t *q, const int8_t *keys, size_t stride,
                       size_t dim, const uint32_t *idx, size_t first,
                       size_t count, int32_t *out);
-    /** Queries-in-lanes gather dot: out[q * out_stride + j] is
-     *  exactly dotAt's out[j] (row keys + idx[j]*stride) for query
+    /** Queries-in-lanes dot: out[q * out_stride + j] is exactly
+     *  dotAt's out[j] (same idx/first row addressing) for query
      *  qs + q * q_stride, for num_queries in [1, kDotMultiQueries] and
      *  dim <= kDotMultiMaxDim. Each lane is one ascending double chain
      *  (mul then add, never FMA), however the backend packs the
      *  lanes. */
     void (*dotMulti)(const float *qs, size_t q_stride, size_t num_queries,
                      const float *keys, size_t stride, size_t dim,
-                     const uint32_t *idx, size_t count, float scale,
-                     float *out, size_t out_stride);
+                     const uint32_t *idx, size_t first, size_t count,
+                     float scale, float *out, size_t out_stride);
     /** out[d] += p[j] * row_j[d] for j in [0, count) ascending and d in
      *  [0, dim): float multiply then float add per element, never
      *  fused; same idx/first row addressing as dotAt. */

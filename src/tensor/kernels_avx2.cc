@@ -18,10 +18,11 @@
  * with separate vmulpd/vaddpd (never FMA) so every key's sum is
  * evaluated in the same ascending-dimension double-precision order as
  * the scalar dot — scores are bit-identical across backends. The
- * multi-query dot instead puts up to eight queries in the lanes of two
- * ymm and broadcasts each key element, so it needs no transpose; the
- * weighted value sum keeps a 64-float slice of its output in eight ymm
- * accumulators (float multiply, then float add).
+ * multi-query dot instead puts up to four queries in the lanes of one
+ * ymm (eight keys in flight) or up to eight in two, and broadcasts each
+ * key element, so it needs no transpose; the weighted value sum keeps a
+ * 64-float slice of its output in eight ymm accumulators (float
+ * multiply, then float add).
  *
  * The multi-query scan additionally carries an AVX-512 VPOPCNTDQ fast
  * path (runtime-gated, 4 queries per vector) for the packed d <= 64
@@ -36,6 +37,7 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <bit>
 
 namespace longsight {
@@ -608,85 +610,127 @@ widenRow(const float *k, size_t dim, double *out)
         out[i] = static_cast<double>(k[i]);
 }
 
-/** Scale two 4-lane double sums (queries 0..3, 4..7) to float and
- *  scatter lane q to out[q * out_stride]. */
+/** Key row j of a dotAt-style idx/first addressing. */
+inline const float *
+keyRow(const float *keys, size_t stride, const uint32_t *idx, size_t first,
+       size_t j)
+{
+    return keys + (idx ? idx[j] : first + j) * stride;
+}
+
+/** Scale four keys' 4-query double sums to float and transpose them,
+ *  so query q's four scores land contiguously at out + q *
+ *  out_stride. */
 LS_AVX2 inline void
-storeLanes(__m256d lo, __m256d hi, float scale, size_t nq, float *out,
-           size_t out_stride)
+storeKeys4(__m256d a0, __m256d a1, __m256d a2, __m256d a3, float scale,
+           size_t nq, float *out, size_t out_stride)
 {
     const __m128 s = _mm_set1_ps(scale);
-    alignas(32) float lanes[kDotMultiQueries];
-    _mm_store_ps(lanes, _mm_mul_ps(_mm256_cvtpd_ps(lo), s));
-    _mm_store_ps(lanes + 4, _mm_mul_ps(_mm256_cvtpd_ps(hi), s));
+    __m128 r0 = _mm_mul_ps(_mm256_cvtpd_ps(a0), s);
+    __m128 r1 = _mm_mul_ps(_mm256_cvtpd_ps(a1), s);
+    __m128 r2 = _mm_mul_ps(_mm256_cvtpd_ps(a2), s);
+    __m128 r3 = _mm_mul_ps(_mm256_cvtpd_ps(a3), s);
+    _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+    const __m128 rows[4] = {r0, r1, r2, r3};
+    for (size_t q = 0; q < nq; ++q)
+        _mm_storeu_ps(out + q * out_stride, rows[q]);
+}
+
+/** acc + q * broadcast(*k): a double multiply, then a double add. */
+LS_AVX2 inline __m256d
+mulAdd(__m256d acc, __m256d q, const double *k)
+{
+    return _mm256_add_pd(acc, _mm256_mul_pd(q, _mm256_broadcast_sd(k)));
+}
+
+/**
+ * Eight widened keys against one tile of up to four queries: eight
+ * accumulators, so the dependent adds of one lane never stall the
+ * pipeline. qt is the dim-major tile, four doubles per dimension;
+ * query q's eight scores land at out + q * out_stride.
+ */
+LS_AVX2 inline void
+tileDot8Keys(const double *qt, const double (*kd)[kDotMultiMaxDim],
+             size_t dim, float scale, size_t nq, float *out,
+             size_t out_stride)
+{
+    __m256d a0 = _mm256_setzero_pd(), a1 = _mm256_setzero_pd();
+    __m256d a2 = _mm256_setzero_pd(), a3 = _mm256_setzero_pd();
+    __m256d a4 = _mm256_setzero_pd(), a5 = _mm256_setzero_pd();
+    __m256d a6 = _mm256_setzero_pd(), a7 = _mm256_setzero_pd();
+    for (size_t i = 0; i < dim; ++i) {
+        const __m256d q = _mm256_load_pd(qt + i * 4);
+        a0 = mulAdd(a0, q, kd[0] + i);
+        a1 = mulAdd(a1, q, kd[1] + i);
+        a2 = mulAdd(a2, q, kd[2] + i);
+        a3 = mulAdd(a3, q, kd[3] + i);
+        a4 = mulAdd(a4, q, kd[4] + i);
+        a5 = mulAdd(a5, q, kd[5] + i);
+        a6 = mulAdd(a6, q, kd[6] + i);
+        a7 = mulAdd(a7, q, kd[7] + i);
+    }
+    storeKeys4(a0, a1, a2, a3, scale, nq, out, out_stride);
+    storeKeys4(a4, a5, a6, a7, scale, nq, out + 4, out_stride);
+}
+
+/** One widened key against one tile of up to four queries; query q's
+ *  score lands at out[q * out_stride]. */
+LS_AVX2 inline void
+tileDot1Key(const double *qt, const double *kd, size_t dim, float scale,
+            size_t nq, float *out, size_t out_stride)
+{
+    __m256d a = _mm256_setzero_pd();
+    for (size_t i = 0; i < dim; ++i)
+        a = mulAdd(a, _mm256_load_pd(qt + i * 4), kd + i);
+    alignas(16) float lanes[4];
+    _mm_store_ps(lanes, _mm_mul_ps(_mm256_cvtpd_ps(a), _mm_set1_ps(scale)));
     for (size_t q = 0; q < nq; ++q)
         out[q * out_stride] = lanes[q];
 }
 
 /**
- * Queries-in-lanes dot: the group's queries become a dim-major double
- * tile (dimension i's eight query values in two ymm), so each key
- * element is broadcast once and multiplied into every query's lane —
- * no transpose. Four keys stay in flight (eight accumulators) so the
- * dependent adds of one lane never stall the pipeline. Every lane is
- * dotRowScaled's chain: ascending dimensions, double multiply then
- * double add (never FMA), then one float conversion and one float
- * multiply by scale. Lanes past num_queries hold zero queries and are
- * never stored.
+ * Queries-in-lanes dot: the queries become dim-major double tiles of
+ * four lanes, so each key element is broadcast once and multiplied
+ * into every query's lane — no transpose. Keys are widened to double
+ * eight at a time and kept in flight (tileDot8Keys), so a GQA group of
+ * four fills every lane of one ymm; five to eight queries run the same
+ * widened keys through a second tile. Every lane is dotRowScaled's
+ * chain: ascending dimensions, double multiply then double add (never
+ * FMA), then one float conversion and one float multiply by scale.
+ * Lanes past num_queries hold zero queries and are never stored.
  */
 LS_AVX2 void
 avx2DotMulti(const float *qs, size_t q_stride, size_t num_queries,
              const float *keys, size_t stride, size_t dim,
-             const uint32_t *idx, size_t count, float scale, float *out,
-             size_t out_stride)
+             const uint32_t *idx, size_t first, size_t count, float scale,
+             float *out, size_t out_stride)
 {
-    constexpr size_t L = kDotMultiQueries;
-    alignas(32) double qt[kDotMultiMaxDim * L];
-    alignas(32) double kd[4][kDotMultiMaxDim];
-    for (size_t i = 0; i < dim; ++i)
-        for (size_t q = 0; q < L; ++q)
-            qt[i * L + q] = q < num_queries
-                ? static_cast<double>(qs[q * q_stride + i])
-                : 0.0;
+    const size_t tiles = (num_queries + 3) / 4;
+    alignas(32) double qt[kDotMultiQueries / 4][kDotMultiMaxDim * 4];
+    for (size_t t = 0; t < tiles; ++t)
+        for (size_t i = 0; i < dim; ++i)
+            for (size_t q = 0; q < 4; ++q) {
+                const size_t g = t * 4 + q;
+                qt[t][i * 4 + q] = g < num_queries
+                    ? static_cast<double>(qs[g * q_stride + i])
+                    : 0.0;
+            }
+    alignas(32) double kd[8][kDotMultiMaxDim];
     size_t j = 0;
-    for (; j + 4 <= count; j += 4) {
-        for (size_t r = 0; r < 4; ++r)
-            widenRow(keys + idx[j + r] * stride, dim, kd[r]);
-        __m256d a0l = _mm256_setzero_pd(), a0h = _mm256_setzero_pd();
-        __m256d a1l = _mm256_setzero_pd(), a1h = _mm256_setzero_pd();
-        __m256d a2l = _mm256_setzero_pd(), a2h = _mm256_setzero_pd();
-        __m256d a3l = _mm256_setzero_pd(), a3h = _mm256_setzero_pd();
-        for (size_t i = 0; i < dim; ++i) {
-            const __m256d ql = _mm256_load_pd(qt + i * L);
-            const __m256d qh = _mm256_load_pd(qt + i * L + 4);
-            const __m256d b0 = _mm256_broadcast_sd(kd[0] + i);
-            a0l = _mm256_add_pd(a0l, _mm256_mul_pd(ql, b0));
-            a0h = _mm256_add_pd(a0h, _mm256_mul_pd(qh, b0));
-            const __m256d b1 = _mm256_broadcast_sd(kd[1] + i);
-            a1l = _mm256_add_pd(a1l, _mm256_mul_pd(ql, b1));
-            a1h = _mm256_add_pd(a1h, _mm256_mul_pd(qh, b1));
-            const __m256d b2 = _mm256_broadcast_sd(kd[2] + i);
-            a2l = _mm256_add_pd(a2l, _mm256_mul_pd(ql, b2));
-            a2h = _mm256_add_pd(a2h, _mm256_mul_pd(qh, b2));
-            const __m256d b3 = _mm256_broadcast_sd(kd[3] + i);
-            a3l = _mm256_add_pd(a3l, _mm256_mul_pd(ql, b3));
-            a3h = _mm256_add_pd(a3h, _mm256_mul_pd(qh, b3));
-        }
-        storeLanes(a0l, a0h, scale, num_queries, out + j, out_stride);
-        storeLanes(a1l, a1h, scale, num_queries, out + j + 1, out_stride);
-        storeLanes(a2l, a2h, scale, num_queries, out + j + 2, out_stride);
-        storeLanes(a3l, a3h, scale, num_queries, out + j + 3, out_stride);
+    for (; j + 8 <= count; j += 8) {
+        for (size_t r = 0; r < 8; ++r)
+            widenRow(keyRow(keys, stride, idx, first, j + r), dim, kd[r]);
+        for (size_t t = 0; t < tiles; ++t)
+            tileDot8Keys(qt[t], kd, dim, scale,
+                         std::min<size_t>(4, num_queries - t * 4),
+                         out + t * 4 * out_stride + j, out_stride);
     }
     for (; j < count; ++j) {
-        widenRow(keys + idx[j] * stride, dim, kd[0]);
-        __m256d al = _mm256_setzero_pd(), ah = _mm256_setzero_pd();
-        for (size_t i = 0; i < dim; ++i) {
-            const __m256d b = _mm256_broadcast_sd(kd[0] + i);
-            al = _mm256_add_pd(al,
-                               _mm256_mul_pd(_mm256_load_pd(qt + i * L), b));
-            ah = _mm256_add_pd(
-                ah, _mm256_mul_pd(_mm256_load_pd(qt + i * L + 4), b));
-        }
-        storeLanes(al, ah, scale, num_queries, out + j, out_stride);
+        widenRow(keyRow(keys, stride, idx, first, j), dim, kd[0]);
+        for (size_t t = 0; t < tiles; ++t)
+            tileDot1Key(qt[t], kd[0], dim, scale,
+                        std::min<size_t>(4, num_queries - t * 4),
+                        out + t * 4 * out_stride + j, out_stride);
     }
 }
 

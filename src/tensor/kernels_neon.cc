@@ -182,11 +182,12 @@ neonInt8DotAt(const int8_t *q, const int8_t *keys, size_t stride,
 void
 neonDotMulti(const float *qs, size_t q_stride, size_t num_queries,
              const float *keys, size_t stride, size_t dim,
-             const uint32_t *idx, size_t count, float scale, float *out,
-             size_t out_stride)
+             const uint32_t *idx, size_t first, size_t count, float scale,
+             float *out, size_t out_stride)
 {
     scalarKernelOps()->dotMulti(qs, q_stride, num_queries, keys, stride,
-                                dim, idx, count, scale, out, out_stride);
+                                dim, idx, first, count, scale, out,
+                                out_stride);
 }
 
 void

@@ -1,10 +1,39 @@
 #include "util/flags.hh"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
+#include <optional>
 
 #include "util/logging.hh"
 
 namespace longsight {
+
+namespace {
+
+/** The whole of s as a base-10 integer, or nothing. */
+std::optional<int64_t>
+parseInteger(const std::string &s)
+{
+    char *end = nullptr;
+    const int64_t v = std::strtoll(s.c_str(), &end, 10);
+    if (end == s.c_str() || *end != '\0')
+        return std::nullopt;
+    return v;
+}
+
+/** The range half of getCount, shared with getCountList's entries. */
+uint64_t
+checkCount(const std::string &name, int64_t v, uint64_t min, uint64_t max)
+{
+    if (v < 0 || static_cast<uint64_t>(v) < min)
+        fatal("flag --", name, " must be at least ", min, ", got ", v);
+    if (static_cast<uint64_t>(v) > max)
+        fatal("flag --", name, " must be at most ", max, ", got ", v);
+    return static_cast<uint64_t>(v);
+}
+
+} // namespace
 
 Flags::Flags(int argc, const char *const *argv)
 {
@@ -49,24 +78,44 @@ Flags::getInt(const std::string &name, int64_t def) const
     auto it = values_.find(name);
     if (it == values_.end())
         return def;
-    char *end = nullptr;
-    const int64_t v = std::strtoll(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0')
+    const std::optional<int64_t> v = parseInteger(it->second);
+    if (!v)
         fatal("flag --", name, " expects an integer, got '", it->second,
               "'");
-    return v;
+    return *v;
 }
 
 uint64_t
 Flags::getCount(const std::string &name, uint64_t def, uint64_t min,
                 uint64_t max) const
 {
-    const int64_t v = getInt(name, static_cast<int64_t>(def));
-    if (v < 0 || static_cast<uint64_t>(v) < min)
-        fatal("flag --", name, " must be at least ", min, ", got ", v);
-    if (static_cast<uint64_t>(v) > max)
-        fatal("flag --", name, " must be at most ", max, ", got ", v);
-    return static_cast<uint64_t>(v);
+    return checkCount(name, getInt(name, static_cast<int64_t>(def)), min,
+                      max);
+}
+
+std::vector<uint64_t>
+Flags::getCountList(const std::string &name, const std::string &def,
+                    uint64_t min, uint64_t max) const
+{
+    const std::string csv = getString(name, def);
+    std::vector<uint64_t> out;
+    size_t at = 0;
+    while (at <= csv.size()) {
+        const size_t comma = std::min(csv.find(',', at), csv.size());
+        const std::string item = csv.substr(at, comma - at);
+        at = comma + 1;
+        if (item.empty())
+            continue;
+        const std::optional<int64_t> v = parseInteger(item);
+        if (!v)
+            fatal("flag --", name, " expects a comma-separated list of ",
+                  "integers, got '", csv, "'");
+        out.push_back(checkCount(name, *v, min, max));
+    }
+    if (out.empty())
+        fatal("flag --", name, " expects at least one entry, got '", csv,
+              "'");
+    return out;
 }
 
 double
@@ -81,6 +130,16 @@ Flags::getDouble(const std::string &name, double def) const
     if (end == it->second.c_str() || *end != '\0')
         fatal("flag --", name, " expects a number, got '", it->second,
               "'");
+    return v;
+}
+
+double
+Flags::getPositive(const std::string &name, double def) const
+{
+    const double v = getDouble(name, def);
+    if (!std::isfinite(v) || v <= 0.0)
+        fatal("flag --", name, " must be a positive finite number, got ",
+              v);
     return v;
 }
 
@@ -109,6 +168,14 @@ Flags::unconsumed() const
             out.push_back(name);
     }
     return out;
+}
+
+void
+Flags::rejectUnconsumed() const
+{
+    const std::vector<std::string> leftover = unconsumed();
+    if (!leftover.empty())
+        fatal("unknown flag --", leftover.front());
 }
 
 } // namespace longsight

@@ -50,6 +50,24 @@ class Flags
                       uint64_t max = UINT64_MAX) const;
 
     double getDouble(const std::string &name, double def) const;
+
+    /**
+     * A positive real flag (rates, latency limits): getDouble that
+     * fatal()s, naming the flag and its value, unless the value is
+     * finite and above zero.
+     */
+    double getPositive(const std::string &name, double def) const;
+
+    /**
+     * A comma-separated list of counts ("1,2,4"): every entry passes
+     * getCount's range check, and an empty list or an entry that is not
+     * an integer fatal()s, naming the flag.
+     */
+    std::vector<uint64_t> getCountList(const std::string &name,
+                                       const std::string &def,
+                                       uint64_t min = 0,
+                                       uint64_t max = UINT64_MAX) const;
+
     bool getBool(const std::string &name, bool def = false) const;
 
     /**
@@ -57,6 +75,9 @@ class Flags
      * call last to reject typos.
      */
     std::vector<std::string> unconsumed() const;
+
+    /** fatal() naming the first unqueried flag, if any; call last. */
+    void rejectUnconsumed() const;
 
   private:
     std::map<std::string, std::string> values_;

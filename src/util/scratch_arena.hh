@@ -2,11 +2,11 @@
  * @file
  * Per-thread scratch memory for the decode hot path. The SCF → score →
  * rank pipeline needs several short-lived buffers per (step, layer,
- * head): survivor indices, score tiles, top-k heaps, attended-index
- * lists, filter-space queries, softmax probabilities. Allocating them
- * from the global heap on every call dominated the host profile once
- * the scan itself went SIMD; a bump allocator that each thread-pool
- * lane owns makes all of them free after warmup.
+ * head): survivor indices, score tiles, top-k selector buffers,
+ * attended-index lists, filter-space queries, softmax probabilities.
+ * Allocating them from the global heap on every call dominated the
+ * host profile once the scan itself went SIMD; a bump allocator that
+ * each thread-pool lane owns makes all of them free after warmup.
  *
  * Model:
  *  - ScratchArena hands out uninitialized, aligned typed spans with a

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <vector>
 
+#include "core/attention.hh"
 #include "core/kv_block_pool.hh"
 #include "core/kv_cache.hh"
 #include "core/multi_head.hh"
@@ -194,6 +195,56 @@ TEST(PagedCache, SpanDriversMatchFlatIdentitySpan)
         ASSERT_EQ(ref_counts[g], got_counts[g]);
         for (size_t j = 0; j < ref_counts[g]; ++j)
             EXPECT_EQ(ref_ids[g * n + j], got_ids[g * n + j]);
+    }
+}
+
+TEST(PagedCache, DenseProbsGroupMatchesOneQueryDenseAttention)
+{
+    // Verification B's grouped dense softmax: every row, for groups
+    // that fill one AVX2 tile, spill into a second and chunk past
+    // kDotMultiQueries, equals a one-query denseAttentionInto's probs
+    // bit for bit, and the paged cache equals the flat one.
+    const size_t n = 233;
+    TokenStream tokens(n);
+    KvCache flat(kDim);
+    tokens.fill(flat, 0, n);
+    KvBlockPool pool(kDim, 48, 16);
+    KvCache paged(pool);
+    tokens.fill(paged, 0, n);
+
+    Rng rng(9);
+    const size_t max_nq = 11, stride = n + 3;
+    std::vector<float> queries(max_nq * kDim);
+    for (float &v : queries)
+        v = static_cast<float>(rng.gaussian());
+    const float scale = 0.125f;
+
+    std::vector<float> want(max_nq * n), want_out(kDim), paged_out(kDim);
+    std::vector<float> one(n);
+    for (size_t g = 0; g < max_nq; ++g) {
+        denseAttentionInto(queries.data() + g * kDim, flat, scale,
+                           want.data() + g * n, want_out.data());
+        denseAttentionInto(queries.data() + g * kDim, paged, scale,
+                           one.data(), paged_out.data());
+        EXPECT_EQ(0, std::memcmp(one.data(), want.data() + g * n,
+                                 n * sizeof(float)))
+            << "paged probs, query " << g;
+        EXPECT_EQ(0, std::memcmp(paged_out.data(), want_out.data(),
+                                 kDim * sizeof(float)))
+            << "paged output, query " << g;
+    }
+    for (size_t nq : {size_t{1}, size_t{4}, size_t{6}, max_nq}) {
+        for (const KvCache *cache : {&flat, &paged}) {
+            std::vector<float> got(nq * stride);
+            denseProbsInto(queries.data(), kDim, nq, *cache, scale,
+                           got.data(), stride);
+            for (size_t g = 0; g < nq; ++g)
+                EXPECT_EQ(0, std::memcmp(got.data() + g * stride,
+                                         want.data() + g * n,
+                                         n * sizeof(float)))
+                    << "group of " << nq << ", query " << g
+                    << (cache->paged() ? " (paged)" : " (flat)");
+        }
     }
 }
 

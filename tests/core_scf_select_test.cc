@@ -21,7 +21,7 @@
 #include "core/scf.hh"
 #include "tensor/kernels.hh"
 #include "tensor/signbits.hh"
-#include "tensor/topk_heap.hh"
+#include "tensor/topk_selector.hh"
 #include "util/rng.hh"
 #include "util/scratch_arena.hh"
 

@@ -1,12 +1,17 @@
 /**
  * @file
- * Tests for top-k selection: the one-shot selector, the streaming
- * bounded accumulator (NMA behaviour), and their equivalence.
+ * Tests for top-k selection: the one-shot partial_sort oracle, the
+ * bounded selector every ranker runs (its order key, ties, signed
+ * zeros, k at both extremes, and streams that force repeated
+ * compaction), and the streaming accumulator built on it (NMA
+ * behaviour).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 
 #include "core/topk.hh"
 #include "util/rng.hh"
@@ -76,6 +81,182 @@ TEST(TopkSelect, EmptyInput)
 {
     const auto got = topkSelect({}, {}, 5);
     EXPECT_TRUE(got.empty());
+}
+
+/** Bitwise equality, so a -0.0 / +0.0 swap counts as a difference. */
+bool
+sameEntry(const ScoredIndex &a, const ScoredIndex &b)
+{
+    return a.index == b.index &&
+        std::memcmp(&a.score, &b.score, sizeof a.score) == 0;
+}
+
+/** The selector over caller storage, fed in stream order. */
+std::vector<ScoredIndex>
+selectorTopk(const std::vector<float> &scores,
+             const std::vector<uint32_t> &indices, size_t k)
+{
+    std::vector<RankEntry> store(TopKSelector::storageFor(k));
+    TopKSelector sel(store.data(), k);
+    for (size_t i = 0; i < scores.size(); ++i)
+        sel.push(scores[i], indices[i]);
+    EXPECT_EQ(sel.size(), std::min(k, scores.size()));
+    std::vector<ScoredIndex> out(sel.size());
+    out.resize(sel.finish(out.data()));
+    return out;
+}
+
+/** The selector equals the partial_sort oracle entry for entry, bit
+ *  for bit. */
+void
+expectMatchesOracle(const std::vector<float> &scores,
+                    const std::vector<uint32_t> &indices, size_t k)
+{
+    const auto want = topkSelect(scores, indices, k);
+    const auto got = selectorTopk(scores, indices, k);
+    ASSERT_EQ(got.size(), want.size()) << "k " << k;
+    for (size_t i = 0; i < got.size(); ++i)
+        EXPECT_TRUE(sameEntry(got[i], want[i]))
+            << "k " << k << " rank " << i << ": got (" << got[i].score
+            << ", " << got[i].index << ") want (" << want[i].score << ", "
+            << want[i].index << ")";
+}
+
+/** n distinct indices in a shuffled order. */
+std::vector<uint32_t>
+shuffledIndices(Rng &rng, size_t n)
+{
+    std::vector<uint32_t> idx(n);
+    for (size_t i = 0; i < n; ++i)
+        idx[i] = static_cast<uint32_t>(i * 7 + 3);
+    for (size_t i = n; i > 1; --i)
+        std::swap(idx[i - 1], idx[rng.below(i)]);
+    return idx;
+}
+
+TEST(TopKSelector, RankKeyOrderIsBetterThan)
+{
+    using lim = std::numeric_limits<float>;
+    const float special[] = {0.0f,        -0.0f,
+                             1.0f,        -1.0f,
+                             lim::denorm_min(), -lim::denorm_min(),
+                             lim::max(),  -lim::max(),
+                             lim::infinity(), -lim::infinity()};
+    Rng rng(11);
+    std::vector<ScoredIndex> pool;
+    for (float f : special)
+        for (uint32_t i : {0u, 1u, 2u, 0xffffffffu})
+            pool.push_back({f, i});
+    for (int i = 0; i < 200; ++i)
+        pool.push_back({static_cast<float>(rng.gaussian()),
+                        static_cast<uint32_t>(rng.below(4))});
+    for (const ScoredIndex &a : pool)
+        for (const ScoredIndex &b : pool)
+            ASSERT_EQ(rankKey(a.score, a.index) > rankKey(b.score, b.index),
+                      a.betterThan(b))
+                << "(" << a.score << ", " << a.index << ") vs ("
+                << b.score << ", " << b.index << ")";
+}
+
+TEST(TopKSelector, MatchesOracleOnRandomStreams)
+{
+    Rng rng(2);
+    for (int trial = 0; trial < 40; ++trial) {
+        const size_t n = 1 + rng.below(3000);
+        std::vector<float> scores(n);
+        for (auto &v : scores)
+            v = static_cast<float>(rng.gaussian());
+        const auto idx = shuffledIndices(rng, n);
+        expectMatchesOracle(scores, idx, 1 + rng.below(300));
+    }
+}
+
+TEST(TopKSelector, MatchesOracleUnderTies)
+{
+    // Four distinct scores over thousands of candidates: nearly every
+    // decision is a tie, settled by index alone.
+    Rng rng(3);
+    for (int trial = 0; trial < 20; ++trial) {
+        const size_t n = 500 + rng.below(2000);
+        std::vector<float> scores(n);
+        for (auto &v : scores)
+            v = static_cast<float>(rng.below(4)) - 1.0f;
+        const auto idx = shuffledIndices(rng, n);
+        for (size_t k : {size_t{1}, size_t{7}, size_t{64}, n / 3})
+            expectMatchesOracle(scores, idx, k);
+    }
+}
+
+TEST(TopKSelector, MixedSignedZerosTieAndKeepTheirBits)
+{
+    // -0.0 and +0.0 compare equal, so the lower index wins between
+    // them, and each selected entry keeps the zero it was offered.
+    Rng rng(5);
+    for (int trial = 0; trial < 20; ++trial) {
+        const size_t n = 50 + rng.below(600);
+        std::vector<float> scores(n);
+        for (auto &v : scores) {
+            const uint64_t pick = rng.below(4);
+            const float tiny = std::numeric_limits<float>::denorm_min();
+            v = pick == 0 ? 0.0f : pick == 1 ? -0.0f : pick == 2 ? tiny : -tiny;
+        }
+        const auto idx = shuffledIndices(rng, n);
+        for (size_t k : {size_t{1}, size_t{5}, n / 2, n})
+            expectMatchesOracle(scores, idx, k);
+    }
+}
+
+TEST(TopKSelector, KOneAndKAtLeastN)
+{
+    Rng rng(7);
+    for (int trial = 0; trial < 20; ++trial) {
+        const size_t n = 1 + rng.below(200);
+        std::vector<float> scores(n);
+        for (auto &v : scores)
+            v = static_cast<float>(rng.gaussian());
+        const auto idx = shuffledIndices(rng, n);
+        for (size_t k : {size_t{1}, n, n + 1, 2 * n + 3})
+            expectMatchesOracle(scores, idx, k);
+    }
+    expectMatchesOracle({}, {}, 4);
+}
+
+TEST(TopKSelector, MonotoneStreamsForceRepeatedCompaction)
+{
+    // Ascending scores beat the floor every time, so the buffer fills
+    // and compacts every k pushes; descending scores are all rejected
+    // after the first compaction. Ties on a plateau go by index.
+    const size_t n = 5000;
+    std::vector<float> up(n), down(n), plateau(n);
+    std::vector<uint32_t> idx(n);
+    for (size_t i = 0; i < n; ++i) {
+        idx[i] = static_cast<uint32_t>(i);
+        up[i] = static_cast<float>(i) * 0.25f - 100.0f;
+        down[i] = -up[i];
+        plateau[i] = static_cast<float>(i / 700);
+    }
+    for (size_t k : {size_t{1}, size_t{3}, size_t{64}, size_t{1024}}) {
+        expectMatchesOracle(up, idx, k);
+        expectMatchesOracle(down, idx, k);
+        expectMatchesOracle(plateau, idx, k);
+    }
+}
+
+TEST(TopKSelector, FinishLeavesItReusable)
+{
+    std::vector<RankEntry> store(TopKSelector::storageFor(2));
+    TopKSelector sel(store.data(), 2);
+    for (uint32_t i = 0; i < 10; ++i)
+        sel.push(static_cast<float>(i), i);
+    ScoredIndex out[2];
+    ASSERT_EQ(sel.finish(out), 2u);
+    EXPECT_EQ(out[0].index, 9u);
+    EXPECT_EQ(out[1].index, 8u);
+    // Empty again: a worse candidate than the old floor is kept.
+    EXPECT_EQ(sel.size(), 0u);
+    sel.push(-5.0f, 42);
+    ASSERT_EQ(sel.finish(out), 1u);
+    EXPECT_EQ(out[0].index, 42u);
 }
 
 TEST(TopK, StreamingMatchesOneShot)

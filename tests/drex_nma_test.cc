@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "core/attention.hh"
@@ -127,6 +129,65 @@ TEST(Nma, MultiQueryGroupRanksPerQuery)
         for (size_t i = 0; i < expect.size(); ++i)
             EXPECT_EQ(r.topk[q][i].index, expect[i].index)
                 << "query " << q << " rank " << i;
+    }
+}
+
+/**
+ * A group offload scores the union of its queries' survivors once per
+ * epoch and ranks each query over its own survivors only, so every
+ * query's top-k must equal a one-query offload of that query, entry
+ * for entry and bit for bit. Threshold 0 keeps every key for every
+ * query (full overlap); a mid threshold gives each query its own
+ * survivors (partial overlap). The region starts and ends off a
+ * 64-key word and spans several epochs.
+ */
+TEST(Nma, GroupOffloadEqualsOneQueryOffloads)
+{
+    const uint32_t dim = 64;
+    const size_t n = 5000;
+    const uint64_t begin = 37, end = 4901;
+    NmaFixture f(n, dim, 21);
+    const uint32_t nq = 4;
+    Matrix queries(nq, dim, f.rng.gaussianVec(nq * dim));
+    for (const int threshold : {0, 34}) {
+        OffloadSpec spec = f.spec(begin, end, 200, threshold);
+        spec.numQueries = nq;
+        spec.queries = &queries;
+        spec.filterQueries = &queries;
+        const OffloadResult group = f.device.nma(0).process(0, spec);
+        ASSERT_EQ(group.topk.size(), nq);
+
+        uint64_t summed = 0, largest = 0;
+        for (uint32_t q = 0; q < nq; ++q) {
+            Matrix one(1, dim);
+            one.setRow(0, queries.row(q));
+            OffloadSpec solo = f.spec(begin, end, 200, threshold);
+            solo.queries = &one;
+            solo.filterQueries = &one;
+            const OffloadResult r = f.device.nma(0).process(0, solo);
+            summed += r.survivors;
+            largest = std::max(largest, r.survivors);
+            ASSERT_EQ(group.topk[q].size(), r.topk[0].size())
+                << "threshold " << threshold << " query " << q;
+            for (size_t i = 0; i < r.topk[0].size(); ++i) {
+                EXPECT_EQ(group.topk[q][i].index, r.topk[0][i].index)
+                    << "threshold " << threshold << " query " << q
+                    << " rank " << i;
+                EXPECT_EQ(std::memcmp(&group.topk[q][i].score,
+                                      &r.topk[0][i].score, sizeof(float)),
+                          0)
+                    << "threshold " << threshold << " query " << q
+                    << " rank " << i;
+            }
+        }
+        // The group's survivor count is its union: each key once.
+        if (threshold == 0) {
+            EXPECT_EQ(group.survivors, end - begin);
+            EXPECT_EQ(summed, nq * (end - begin));
+        } else {
+            EXPECT_GT(group.survivors, largest);
+            EXPECT_LT(group.survivors, summed);
+        }
     }
 }
 

@@ -370,7 +370,7 @@ TEST(Kernels, DotMultiMatchesPerQueryDot)
             for (KernelBackend b : availableBackends()) {
                 ScopedBackend guard(b);
                 std::vector<float> got(nq * stride, -1e30f);
-                batchDotScaleMulti(qs.data(), dim, nq, keys, idx.data(),
+                batchDotScaleMulti(qs.data(), dim, nq, keys, idx.data(), 0,
                                    count, scale, got.data(), stride);
                 for (size_t q = 0; q < nq; ++q) {
                     for (size_t j = 0; j < count; ++j)

@@ -24,7 +24,7 @@
 #include "tensor/sign_matrix.hh"
 #include "tensor/signbits.hh"
 #include "tensor/tensor.hh"
-#include "tensor/topk_heap.hh"
+#include "tensor/topk_selector.hh"
 #include "util/rng.hh"
 
 namespace longsight {

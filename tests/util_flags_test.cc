@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "util/flags.hh"
 #include "util/thread_pool.hh"
@@ -124,6 +125,57 @@ TEST(Flags, CountAboveMaximumIsFatal)
                 ::testing::ExitedWithCode(1),
                 "fatal: flag --threads must be at most " +
                     std::to_string(kMaxFlagThreads) + ", got 100000");
+}
+
+TEST(Flags, PositiveRealFlags)
+{
+    const Flags f = parse({"--rate=0.5", "--zero=0", "--neg=-2",
+                           "--nan=nan", "--inf=inf"});
+    EXPECT_EQ(f.getPositive("rate", 2.0), 0.5);
+    EXPECT_EQ(f.getPositive("missing", 2.0), 2.0);
+    for (const char *name : {"zero", "neg", "nan", "inf"})
+        EXPECT_EXIT({ f.getPositive(name, 1.0); },
+                    ::testing::ExitedWithCode(1),
+                    std::string("fatal: flag --") + name +
+                        " must be a positive finite number");
+}
+
+TEST(Flags, CountLists)
+{
+    const Flags f = parse({"--ctx=8192,,32768,", "--abc=abc", "--mixed=1,x",
+                           "--empty=,", "--neg=4,-1", "--big=2,5000"});
+    EXPECT_EQ(f.getCountList("ctx", "1", 1),
+              (std::vector<uint64_t>{8192, 32768}));
+    EXPECT_EQ(f.getCountList("missing", "1,2,4", 1),
+              (std::vector<uint64_t>{1, 2, 4}));
+    EXPECT_EXIT({ f.getCountList("abc", "1", 1); },
+                ::testing::ExitedWithCode(1),
+                "fatal: flag --abc expects a comma-separated list of "
+                "integers, got 'abc'");
+    EXPECT_EXIT({ f.getCountList("mixed", "1", 1); },
+                ::testing::ExitedWithCode(1),
+                "fatal: flag --mixed expects a comma-separated list");
+    EXPECT_EXIT({ f.getCountList("empty", "1", 1); },
+                ::testing::ExitedWithCode(1),
+                "fatal: flag --empty expects at least one entry");
+    EXPECT_EXIT({ f.getCountList("neg", "1", 1); },
+                ::testing::ExitedWithCode(1),
+                "fatal: flag --neg must be at least 1, got -1");
+    // Never builds a pool: the cap is checked on the parsed entry.
+    EXPECT_EXIT({ f.getCountList("big", "1", 0, kMaxFlagThreads); },
+                ::testing::ExitedWithCode(1),
+                "fatal: flag --big must be at most " +
+                    std::to_string(kMaxFlagThreads) + ", got 5000");
+}
+
+TEST(Flags, RejectUnconsumedNamesTheFlag)
+{
+    const Flags f = parse({"--known=1", "--typo=2"});
+    EXPECT_EQ(f.getInt("known", 0), 1);
+    EXPECT_EXIT({ f.rejectUnconsumed(); }, ::testing::ExitedWithCode(1),
+                "fatal: unknown flag --typo");
+    f.getInt("typo", 0);
+    f.rejectUnconsumed(); // everything queried: returns
 }
 
 TEST(Flags, NegativeNumberAsValue)

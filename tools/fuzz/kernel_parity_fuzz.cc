@@ -20,7 +20,9 @@
  *    at shuffled physical rows (with unused rows in between);
  *  - each lane of a grouped dot (1..17 queries, crossing the 8-lane
  *    chunk and the tile cap's one-query fallback) equals that query's
- *    one-query batchDotScaleAt.
+ *    one-query batchDotScaleAt;
+ *  - the dotMulti op at every width 1..8, gathered and over a range,
+ *    equals the same backend's dotAt op lane by lane.
  *
  * This is the mechanized form of the SCF bit-exactness contract
  * documented in tensor/kernels.hh: results must not depend on which
@@ -55,7 +57,7 @@
 #include "tensor/sign_matrix.hh"
 #include "tensor/signbits.hh"
 #include "tensor/tensor.hh"
-#include "tensor/topk_heap.hh"
+#include "tensor/topk_selector.hh"
 
 namespace {
 
@@ -602,7 +604,7 @@ runLanes(const LaneCase &c)
     g_case.stage = "batchDotScaleMulti";
     o.multi.assign(c.nq * stride, -7.0f);
     longsight::batchDotScaleMulti(c.queries.data(), dim, c.nq, c.rows,
-                                  c.idx.data(), count, c.scale,
+                                  c.idx.data(), 0, count, c.scale,
                                   o.multi.data(), stride);
     std::vector<float> one(std::max<size_t>(count, 1));
     for (size_t q = 0; q < c.nq; ++q) {
@@ -627,6 +629,70 @@ runLanes(const LaneCase &c)
     return o;
 }
 
+/** The raw op table of one backend (it must be available). */
+const longsight::detail::KernelOps &
+opsOf(KernelBackend b)
+{
+    switch (b) {
+    case KernelBackend::Avx2:
+        return *longsight::detail::avx2KernelOps();
+    case KernelBackend::Neon:
+        return *longsight::detail::neonKernelOps();
+    case KernelBackend::Scalar:
+        break;
+    }
+    return *longsight::detail::scalarKernelOps();
+}
+
+/**
+ * The dotMulti op itself, at every width 1..kDotMultiQueries (query i
+ * is the case's query i mod nq) and in both row addressings (the
+ * gathered list and the range), against the same backend's one-query
+ * dotAt op lane by lane. batchDotScaleMulti never hands the op one
+ * query, so this is the only stage that runs width 1.
+ */
+void
+runDotMultiWidths(const LaneCase &c, KernelBackend b)
+{
+    const size_t dim = c.rows.cols();
+    if (dim > longsight::kDotMultiMaxDim)
+        return; // past the op's tile cap; the driver never calls it
+    g_case.stage = "dotMulti-widths";
+    const auto &o = opsOf(b);
+    // One sentinel slot per query.
+    const size_t stride = std::max(c.idx.size(), c.range_count) + 1;
+    std::vector<float> qs(longsight::kDotMultiQueries * dim);
+    for (size_t q = 0; q < longsight::kDotMultiQueries; ++q)
+        std::copy_n(c.queries.data() + (q % c.nq) * dim, dim,
+                    qs.data() + q * dim);
+    std::vector<float> got(longsight::kDotMultiQueries * stride);
+    std::vector<float> one(stride);
+    for (const bool gather : {true, false}) {
+        const uint32_t *idx = gather ? c.idx.data() : nullptr;
+        const size_t first = gather ? 0 : c.first;
+        const size_t count = gather ? c.idx.size() : c.range_count;
+        for (size_t w = 1; w <= longsight::kDotMultiQueries; ++w) {
+            std::fill(got.begin(), got.end(), -7.0f);
+            o.dotMulti(qs.data(), dim, w, c.rows.data(), dim, dim, idx,
+                       first, count, c.scale, got.data(), stride);
+            for (size_t q = 0; q < w; ++q) {
+                o.dotAt(qs.data() + q * dim, c.rows.data(), dim, dim, idx,
+                        first, count, c.scale, one.data());
+                check(count == 0 ||
+                          std::memcmp(one.data(), got.data() + q * stride,
+                                      count * sizeof(float)) == 0,
+                      gather ? "gathered dotMulti lane != dotAt"
+                             : "range dotMulti lane != dotAt");
+                check(got[q * stride + count] == -7.0f,
+                      "dotMulti wrote past count");
+            }
+            check(w == longsight::kDotMultiQueries ||
+                      got[w * stride] == -7.0f,
+                  "dotMulti wrote a lane past num_queries");
+        }
+    }
+}
+
 /** The lane stages on every backend; the first (scalar) backend's
  *  outputs are the reference. */
 void
@@ -640,6 +706,7 @@ runLaneCase(const uint8_t *data, size_t size)
     for (KernelBackend b : availableBackends()) {
         g_case.backend = longsight::kernelBackendName(b);
         longsight::setKernelBackend(b);
+        runDotMultiWidths(c, b);
         LaneOutputs got = runLanes(c);
         if (!have_ref) {
             ref = std::move(got);

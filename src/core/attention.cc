@@ -57,18 +57,6 @@ subsetAttention(const float *q, const Matrix &keys, const Matrix &values,
     return r;
 }
 
-std::vector<float>
-weightedValueSum(const Matrix &values, const std::vector<uint32_t> &indices,
-                 const std::vector<float> &probs)
-{
-    LS_ASSERT(indices.size() == probs.size(),
-              "weightedValueSum arity mismatch");
-    std::vector<float> out(values.cols());
-    weightedValueSumInto(values, indices.data(), indices.size(),
-                         probs.data(), out.data());
-    return out;
-}
-
 void
 denseAttentionInto(const float *q, const Matrix &keys, const Matrix &values,
                    float scale, float *probs, float *out)

@@ -54,13 +54,6 @@ AttentionResult subsetAttention(const float *q, const Matrix &keys,
                                 const std::vector<uint32_t> &indices,
                                 float scale);
 
-/**
- * Weighted value accumulation: out += sum_j probs[j] * values[indices[j]].
- */
-std::vector<float> weightedValueSum(const Matrix &values,
-                                    const std::vector<uint32_t> &indices,
-                                    const std::vector<float> &probs);
-
 // Raw-span flavours for the zero-allocation decode hot path: identical
 // math, but every buffer is caller storage (typically a scratch-arena
 // span), so a steady-state call performs no heap allocation.
@@ -82,7 +75,8 @@ void subsetAttentionInto(const float *q, const Matrix &keys,
                          size_t count, float scale, float *probs,
                          float *out);
 
-/** weightedValueSum into caller storage (out overwritten). */
+/** Weighted value sum into caller storage (out overwritten):
+ *  out = sum_j probs[j] * values[indices[j]]. */
 void weightedValueSumInto(const Matrix &values, const uint32_t *indices,
                           size_t count, const float *probs, float *out);
 

@@ -42,12 +42,4 @@ FilterStats::sparsity() const
     return r > 0.0 ? 1.0 - 1.0 / r : 0.0;
 }
 
-double
-FilterStats::survivorFraction() const
-{
-    if (rawKeys == 0)
-        return 0.0;
-    return static_cast<double>(survivorKeys) / static_cast<double>(rawKeys);
-}
-
 } // namespace longsight

@@ -36,9 +36,6 @@ struct FilterStats
 
     /** Fraction of dense accesses avoided: 1 - 1/filterRatio. */
     double sparsity() const;
-
-    /** Mean fraction of sparse-region keys passing SCF. */
-    double survivorFraction() const;
 };
 
 } // namespace longsight

@@ -29,14 +29,6 @@ LongSightAttn::setThreshold(uint32_t kv_head, int threshold)
     thresholds_[kv_head] = threshold;
 }
 
-void
-LongSightAttn::setAllThresholds(const std::vector<int> &thresholds)
-{
-    LS_ASSERT(thresholds.size() == numKvHeads_,
-              "threshold vector size mismatch");
-    thresholds_ = thresholds;
-}
-
 int
 LongSightAttn::threshold(uint32_t kv_head) const
 {

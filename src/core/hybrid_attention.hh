@@ -72,7 +72,6 @@ class LongSightAttn
 
     /** Per-KV-head SCF threshold access. */
     void setThreshold(uint32_t kv_head, int threshold);
-    void setAllThresholds(const std::vector<int> &thresholds);
     int threshold(uint32_t kv_head) const;
 
     /**

@@ -47,11 +47,8 @@ trainItqRotation(const Matrix &data, int iterations, Rng &rng)
 
     for (int it = 0; it < iterations; ++it) {
         const Matrix rotated = matmul(data, r);
-        const Matrix b = signMatrix(rotated);
         // Maximize tr(R^T X^T B): R = U W^T for svd(X^T B) = U S W^T.
-        const Matrix m = matmul(transpose(data), b);
-        const SvdResult f = svd(m);
-        r = matmul(f.u, transpose(f.v));
+        r = procrustesRotation(signMatrix(rotated), data);
     }
     return r;
 }

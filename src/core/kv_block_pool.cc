@@ -151,15 +151,6 @@ KvBlockPool::allocBlock()
 }
 
 void
-KvBlockPool::retainBlock(uint32_t block)
-{
-    SpinGuard g(lock_);
-    LS_ASSERT(block < numBlocks_ && refs_[block] > 0,
-              "retain of unallocated block ", block);
-    ++refs_[block];
-}
-
-void
 KvBlockPool::releaseBlock(uint32_t block)
 {
     SpinGuard g(lock_);
@@ -275,20 +266,6 @@ KvBlockPool::rebalance()
     return changes;
 }
 
-uint64_t
-KvBlockPool::survivorRows(uint32_t block) const
-{
-    LS_ASSERT(block < numBlocks_, "survivorRows block out of range");
-    return survivors_[block].load(std::memory_order_relaxed);
-}
-
-uint64_t
-KvBlockPool::scannedRows(uint32_t block) const
-{
-    LS_ASSERT(block < numBlocks_, "scannedRows block out of range");
-    return scanned_[block].load(std::memory_order_relaxed);
-}
-
 bool
 KvBlockPool::publishPrefix(uint64_t hash, const uint32_t *blocks,
                            size_t count)
@@ -324,22 +301,6 @@ KvBlockPool::adoptPrefix(uint64_t hash, std::vector<uint32_t> &blocks_out)
     const size_t tokens = it->second.size() * blockTokens_;
     prefixSharedTokens_ += tokens;
     return tokens;
-}
-
-void
-KvBlockPool::unpublishPrefix(uint64_t hash)
-{
-    std::vector<uint32_t> pinned;
-    {
-        SpinGuard g(lock_);
-        auto it = prefixes_.find(hash);
-        if (it == prefixes_.end())
-            return;
-        pinned = std::move(it->second);
-        prefixes_.erase(it);
-    }
-    for (uint32_t b : pinned)
-        releaseBlock(b);
 }
 
 } // namespace longsight

@@ -155,9 +155,6 @@ class KvBlockPool
      *  kInvalidBlock when the pool is exhausted. */
     uint32_t allocBlock();
 
-    /** Add a reference (CoW share). */
-    void retainBlock(uint32_t block);
-
     /** Drop a reference; the block returns to the free list at zero. */
     void releaseBlock(uint32_t block);
 
@@ -204,8 +201,6 @@ class KvBlockPool
         SpinGuard g(lock_);
         return evictions_;
     }
-    uint64_t survivorRows(uint32_t block) const;
-    uint64_t scannedRows(uint32_t block) const;
 
     // ---- Prefix sharing ---------------------------------------------
     /**
@@ -224,9 +219,6 @@ class KvBlockPool
      * (count * blockTokens), or 0 on miss.
      */
     size_t adoptPrefix(uint64_t hash, std::vector<uint32_t> &blocks_out);
-
-    /** Drop a published prefix's registry pins. */
-    void unpublishPrefix(uint64_t hash);
 
     uint64_t prefixHits() const
     {

@@ -21,40 +21,6 @@ KvCache::KvCache(KvBlockPool &pool)
 
 KvCache::~KvCache() { releaseAll(); }
 
-KvCache::KvCache(const KvCache &o) : KvCache(o.headDim_) { *this = o; }
-
-/** Reproduce o's rotation first, then its rows: a paged copy shares
- *  o's full blocks by refcount, and whatever is left (the partial
- *  tail, or every row of a flat cache) is re-appended privately, so
- *  those rows are recomputed bit-identically and appends to either
- *  cache never touch the other's rows. */
-KvCache &
-KvCache::operator=(const KvCache &o)
-{
-    if (this == &o)
-        return *this;
-    releaseAll();
-    headDim_ = o.headDim_;
-    own_ = KvRows(headDim_);
-    pool_ = o.pool_;
-    rotation_ = o.rotation_;
-    if (rotation_)
-        rows().ensureRotated();
-    reserved_ = 0;
-    reserve(o.reserved_);
-    if (pool_) {
-        const size_t bt = pool_->blockTokens();
-        for (size_t b = 0; b < o.size_ / bt; ++b) {
-            pool_->retainBlock(o.blocks_[b]);
-            blocks_.push_back(o.blocks_[b]);
-        }
-        size_ = blocks_.size() * bt;
-    }
-    for (size_t i = size_; i < o.size_; ++i)
-        append(o.keyRow(i), o.valueRow(i));
-    return *this;
-}
-
 KvCache::KvCache(KvCache &&o) noexcept : KvCache(o.headDim_)
 {
     *this = std::move(o);
@@ -75,7 +41,6 @@ KvCache::operator=(KvCache &&o) noexcept
     pool_ = o.pool_;
     blocks_ = std::exchange(o.blocks_, {});
     size_ = std::exchange(o.size_, 0);
-    reserved_ = std::exchange(o.reserved_, 0);
     return *this;
 }
 
@@ -86,15 +51,6 @@ KvCache::releaseAll()
         pool_->releaseBlock(b);
     blocks_.clear();
     size_ = 0;
-}
-
-void
-KvCache::forkFrom(const KvCache &parent)
-{
-    LS_ASSERT(pool_ && parent.pool_ == pool_,
-              "forkFrom requires paged caches sharing one pool");
-    LS_ASSERT(size() == 0, "forkFrom target must be empty");
-    *this = parent;
 }
 
 size_t
@@ -162,7 +118,6 @@ KvCache::claimRow()
 void
 KvCache::reserve(size_t n)
 {
-    reserved_ = std::max(reserved_, n);
     if (pool_)
         blocks_.reserve((n + pool_->blockTokens() - 1) /
                         pool_->blockTokens());
@@ -235,20 +190,6 @@ KvCache::recordFilterScan(const ScanSpan &span, uint64_t rows_scanned,
     pool_->recordScan(
         static_cast<uint32_t>(span.physBegin / pool_->blockTokens()),
         rows_scanned, survivors);
-}
-
-SignBits
-KvCache::rawSigns(size_t i) const
-{
-    LS_ASSERT(i < size(), "rawSigns index out of range");
-    return rows().rawSigns().extract(physRow(i));
-}
-
-SignBits
-KvCache::filterSigns(size_t i) const
-{
-    LS_ASSERT(i < size(), "filterSigns index out of range");
-    return filterSignsStorage().extract(physRow(i));
 }
 
 /** CoW unshare: give this cache a private copy of every block it

@@ -19,8 +19,8 @@
  *    logical token i lives at physical row
  *    `blocks[i / blockTokens] * blockTokens + i % blockTokens` of the
  *    pool's KvRows. Blocks support copy-on-write prefix sharing
- *    (forkFrom / publishPrefix / adoptPrefix) and carry the SCF
- *    survivor counters that drive HBM-vs-expander residency.
+ *    (publishPrefix / adoptPrefix) and carry the SCF survivor
+ *    counters that drive HBM-vs-expander residency.
  *
  * Consumers scan through collectSpans(): each ScanSpan is one
  * contiguous physical run covering an ascending logical range (a flat
@@ -59,8 +59,9 @@ class KvCache
     explicit KvCache(KvBlockPool &pool);
 
     ~KvCache();
-    KvCache(const KvCache &o);
-    KvCache &operator=(const KvCache &o);
+    // Move-only: a copy would have to share or re-append the rows.
+    KvCache(const KvCache &) = delete;
+    KvCache &operator=(const KvCache &) = delete;
     KvCache(KvCache &&o) noexcept;
     KvCache &operator=(KvCache &&o) noexcept;
 
@@ -157,17 +158,9 @@ class KvCache
     void recordFilterScan(const ScanSpan &span, uint64_t rows_scanned,
                           uint64_t survivors) const;
 
-    /** Sign bits of the raw (unrotated) key i. */
-    SignBits rawSigns(size_t i) const;
-
-    /**
-     * Sign bits used for filtering: ITQ-rotated when a rotation is
-     * installed, raw otherwise.
-     */
-    SignBits filterSigns(size_t i) const;
-
-    /** Backing sign store for filtering (rotation-aware; the pool's
-     *  in paged mode); index with physRow() / collectSpans(). */
+    /** Backing sign store for filtering: ITQ-rotated rows when a
+     *  rotation is installed, raw otherwise (the pool's in paged
+     *  mode); index with physRow() / collectSpans(). */
     const SignMatrix &filterSignsStorage() const
     {
         return rotation_ ? rows().rotatedSigns() : rows().rawSigns();
@@ -194,14 +187,6 @@ class KvCache
     void toFilterSpace(const float *q, float *out) const;
 
     // ---- Paged-mode sharing ----------------------------------------
-    /**
-     * Become a copy-on-write fork of `parent` (paged, same pool; this
-     * cache must be empty): full blocks are shared by refcount, the
-     * partial tail block is re-appended into private storage so this
-     * cache's appends never touch shared rows.
-     */
-    void forkFrom(const KvCache &parent);
-
     /** Publish this cache's full blocks as prefix `hash` in the pool
      *  registry. Returns tokens published (0 if none or taken). */
     size_t publishPrefix(uint64_t hash);
@@ -227,7 +212,6 @@ class KvCache
     KvBlockPool *pool_ = nullptr;   //!< non-null in paged mode
     std::vector<uint32_t> blocks_;  //!< block table (paged)
     size_t size_ = 0;               //!< logical tokens
-    size_t reserved_ = 0;           //!< remembered reserve() ceiling
 };
 
 } // namespace longsight

@@ -27,25 +27,6 @@ scfFilter(const SignBits &query, const std::vector<SignBits> &keys,
 }
 
 std::vector<uint32_t>
-scfFilter(const SignBits &query, const SignMatrix &keys, int threshold,
-          uint32_t base_index)
-{
-    if (keys.rows() == 0)
-        return {};
-    LS_ASSERT(query.dim() == keys.dim(), "scfFilter dim mismatch: ",
-              query.dim(), " vs ", keys.dim());
-    // One identity-shaped span whose logical base is base_index: the
-    // scan writes base_index + row directly.
-    const ScanSpan all{0, keys.rows(), base_index};
-    std::vector<uint32_t> survivors(keys.rows());
-    size_t count = 0;
-    batchScanMultiSpans(query.words().data(), 1, keys, &all, 1, threshold,
-                        survivors.data(), survivors.size(), &count);
-    survivors.resize(count);
-    return survivors;
-}
-
-std::vector<uint32_t>
 scfFilterRows(const float *query, const Matrix &keys, size_t begin,
               size_t end, int threshold)
 {

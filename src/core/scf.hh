@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "tensor/sign_matrix.hh"
 #include "tensor/signbits.hh"
 #include "tensor/tensor.hh"
 #include "tensor/topk_selector.hh"
@@ -50,15 +49,6 @@ bool scfPasses(const SignBits &query, const SignBits &key, int threshold);
 std::vector<uint32_t> scfFilter(const SignBits &query,
                                 const std::vector<SignBits> &keys,
                                 int threshold, uint32_t base_index = 0);
-
-/**
- * Batch flavour over a packed SignMatrix: filters every row with the
- * runtime-dispatched scan kernel. Survivor indices are row indices
- * offset by `base_index`; bit-identical to the vector<SignBits> path.
- */
-std::vector<uint32_t> scfFilter(const SignBits &query,
-                                const SignMatrix &keys, int threshold,
-                                uint32_t base_index = 0);
 
 /**
  * Filter directly from float rows (packs signs on the fly). Slower

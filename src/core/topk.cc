@@ -31,22 +31,4 @@ TopK::TopK(size_t k)
     LS_ASSERT(k > 0, "TopK capacity must be positive");
 }
 
-float
-TopK::worstRetained() const
-{
-    LS_ASSERT(size() > 0, "worstRetained on empty TopK");
-    return sortedResults().back().score;
-}
-
-std::vector<ScoredIndex>
-TopK::sortedResults() const
-{
-    // Drain a copy, so this accumulator keeps its candidates.
-    TopK copy(capacity());
-    copy.merge(*this);
-    std::vector<ScoredIndex> out(copy.size());
-    out.resize(copy.drainSorted(out.data()));
-    return out;
-}
-
 } // namespace longsight

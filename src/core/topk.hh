@@ -48,17 +48,8 @@ class TopK
     /** Offer one candidate. */
     void push(float score, uint32_t index) { sel_.push(score, index); }
 
-    /** Merge another accumulator's contents (DCC aggregation path). */
-    void merge(const TopK &other) { sel_.merge(other.sel_); }
-
     size_t capacity() const { return sel_.capacity(); }
     size_t size() const { return sel_.size(); }
-
-    /** Current worst retained score (only valid when size() == k). */
-    float worstRetained() const;
-
-    /** Extract results sorted best-first (accumulator stays intact). */
-    std::vector<ScoredIndex> sortedResults() const;
 
     /**
      * Drain into the caller's span (capacity >= size()) sorted

@@ -32,18 +32,4 @@ CxlLink::bulkRead(Tick start, uint64_t bytes)
     return begin + cfg_.accessLatency + xfer;
 }
 
-Tick
-CxlLink::pollCompletion(Tick poll_begin, Tick device_done) const
-{
-    // Each poll round trip costs 2x the access latency; the first poll
-    // that *departs* after the device raised completion observes it.
-    const Tick round_trip = 2 * cfg_.accessLatency;
-    if (poll_begin >= device_done)
-        return poll_begin + round_trip;
-    const Tick wait = device_done - poll_begin;
-    const uint64_t polls = wait / cfg_.pollInterval +
-        ((wait % cfg_.pollInterval) ? 1 : 0);
-    return poll_begin + polls * cfg_.pollInterval + round_trip;
-}
-
 } // namespace longsight

@@ -28,7 +28,6 @@ struct CxlConfig
     Tick accessLatency = fromNanoseconds(250.0); //!< one-way ld/st latency
     Tick mmioWriteLatency = fromNanoseconds(200.0); //!< posted MMIO write
     double bandwidthGBps = 56.0; //!< usable PCIe5 x16 payload bandwidth
-    Tick pollInterval = fromNanoseconds(500.0); //!< GPU polling cadence
     uint32_t descriptorBytes = 256; //!< request descriptor size
 };
 
@@ -54,13 +53,6 @@ class CxlLink
      * tick the last byte lands at the host/GPU.
      */
     Tick bulkRead(Tick start, uint64_t bytes);
-
-    /**
-     * GPU polls for a completion the device raises at `device_done`.
-     * Polling starts at `poll_begin`; each poll is one round trip.
-     * Returns the tick the GPU observes completion.
-     */
-    Tick pollCompletion(Tick poll_begin, Tick device_done) const;
 
     /** Total bytes moved through the link so far. */
     uint64_t bytesTransferred() const { return bytesMoved_; }

@@ -28,17 +28,14 @@ DramChannel::applyRefresh(Tick t)
 }
 
 Tick
-DramChannel::prepareRow(Tick earliest, BankState &bank, uint64_t row,
-                        bool count_stats)
+DramChannel::prepareRow(Tick earliest, BankState &bank, uint64_t row)
 {
     Tick t = std::max(earliest, bank.readyAt);
     if (bank.rowOpen && bank.openRow == row) {
-        if (count_stats)
-            ++stats_.rowHits;
+        ++stats_.rowHits;
         return t;
     }
-    if (count_stats)
-        ++stats_.rowMisses;
+    ++stats_.rowMisses;
     if (bank.rowOpen)
         t += timings_.tRP;
     t += timings_.tRCD;
@@ -56,7 +53,7 @@ DramChannel::read(Tick earliest, uint32_t bank_idx, uint64_t row,
     BankState &bank = banks_[bank_idx];
 
     earliest = applyRefresh(earliest);
-    const Tick col_ready = prepareRow(earliest, bank, row, true);
+    const Tick col_ready = prepareRow(earliest, bank, row);
 
     // Data appears tRL after the column command; the burst train then
     // occupies the shared data bus contiguously.
@@ -71,42 +68,6 @@ DramChannel::read(Tick earliest, uint32_t bank_idx, uint64_t row,
     ++stats_.reads;
     stats_.bytesTransferred += bytes;
     return done;
-}
-
-Tick
-DramChannel::write(Tick earliest, uint32_t bank_idx, uint64_t row,
-                   uint32_t bytes)
-{
-    LS_ASSERT(bank_idx < banks_.size(), "bank ", bank_idx, " out of range");
-    LS_ASSERT(bytes > 0, "zero-byte DRAM write");
-    BankState &bank = banks_[bank_idx];
-
-    earliest = applyRefresh(earliest);
-    const Tick col_ready = prepareRow(earliest, bank, row, true);
-    const uint32_t bursts =
-        (bytes + timings_.burstBytes - 1) / timings_.burstBytes;
-    const Tick data_start = std::max(col_ready + timings_.tWL, busFree_);
-    const Tick done = data_start + bursts * timings_.tBurst;
-
-    busFree_ = done;
-    bank.readyAt = done;
-
-    ++stats_.writes;
-    stats_.bytesTransferred += bytes;
-    return done;
-}
-
-Tick
-DramChannel::probeReady(Tick earliest, uint32_t bank_idx, uint64_t row) const
-{
-    LS_ASSERT(bank_idx < banks_.size(), "bank ", bank_idx, " out of range");
-    const BankState &bank = banks_[bank_idx];
-    Tick t = std::max(earliest, bank.readyAt);
-    if (bank.rowOpen && bank.openRow == row)
-        return t;
-    if (bank.rowOpen)
-        t += timings_.tRP;
-    return t + timings_.tRCD;
 }
 
 } // namespace longsight

@@ -25,17 +25,10 @@ namespace longsight {
 struct ChannelStats
 {
     uint64_t reads = 0;
-    uint64_t writes = 0;
     uint64_t rowHits = 0;
     uint64_t rowMisses = 0;
     uint64_t bytesTransferred = 0;
     uint64_t refreshes = 0;
-
-    double rowHitRate() const
-    {
-        const uint64_t total = rowHits + rowMisses;
-        return total ? static_cast<double>(rowHits) / total : 0.0;
-    }
 };
 
 /**
@@ -55,20 +48,10 @@ class DramChannel
      */
     Tick read(Tick earliest, uint32_t bank, uint64_t row, uint32_t bytes);
 
-    /** Issue a write; returns the tick the write completes at the bank. */
-    Tick write(Tick earliest, uint32_t bank, uint64_t row, uint32_t bytes);
-
-    /**
-     * Tick at which the bank could accept a column command for `row`
-     * (activating first if needed), without issuing anything.
-     */
-    Tick probeReady(Tick earliest, uint32_t bank, uint64_t row) const;
-
     /** First tick at which the data bus is free. */
     Tick dataBusFree() const { return busFree_; }
 
     const ChannelStats &stats() const { return stats_; }
-    void resetStats() { stats_ = ChannelStats{}; }
 
   private:
     struct BankState
@@ -79,8 +62,7 @@ class DramChannel
     };
 
     /** Open `row` in `bank` if needed; returns column-command-ready tick. */
-    Tick prepareRow(Tick earliest, BankState &bank, uint64_t row,
-                    bool count_stats);
+    Tick prepareRow(Tick earliest, BankState &bank, uint64_t row);
 
     /**
      * Stall `t` past any all-bank refresh window it lands in and

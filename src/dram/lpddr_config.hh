@@ -31,7 +31,6 @@ struct LpddrTimings
     Tick tRCD = fromNanoseconds(18.0); //!< activate -> column command
     Tick tRP = fromNanoseconds(18.0);  //!< precharge
     Tick tRL = fromNanoseconds(14.0);  //!< read (CAS) latency
-    Tick tWL = fromNanoseconds(8.0);   //!< write latency
     Tick tBurst = fromNanoseconds(1.875); //!< 32 B at 8533 MT/s x16
     Tick tCmd = fromNanoseconds(0.9375);  //!< command-bus slot
 

@@ -61,12 +61,4 @@ DramPackage::totalBytesTransferred() const
     return sum;
 }
 
-double
-DramPackage::peakBandwidth() const
-{
-    return channels_.empty()
-        ? 0.0
-        : channels_.front().timings().peakBandwidth() * channels_.size();
-}
-
 } // namespace longsight

@@ -52,9 +52,6 @@ class DramPackage
     /** Aggregate bytes moved across all channels. */
     uint64_t totalBytesTransferred() const;
 
-    /** Peak package bandwidth (all channels), bytes/second. */
-    double peakBandwidth() const;
-
   private:
     std::vector<DramChannel> channels_;
 };

@@ -34,25 +34,6 @@ DrexDevice::nma(uint32_t i)
     return nmas_[i];
 }
 
-uint64_t
-DrexDevice::capacityBytes() const
-{
-    return static_cast<uint64_t>(cfg_.geometry.totalChannels()) *
-        cfg_.timings.channelCapacity;
-}
-
-uint32_t
-DrexDevice::maxUsers(uint64_t context_len) const
-{
-    if (context_len == 0)
-        return 0;
-    const uint64_t per_user = layout_.bytesPerToken() * context_len;
-    const uint64_t by_capacity = capacityBytes() / per_user;
-    // The DCC supports at most queueDepth concurrent users (§7.2).
-    return static_cast<uint32_t>(
-        std::min<uint64_t>(by_capacity, cfg_.dcc.queueDepth));
-}
-
 KvCache &
 DrexDevice::writeContext(uint32_t user, uint32_t layer, uint32_t kv_head,
                          const Matrix &keys, const Matrix &values)
@@ -93,39 +74,6 @@ DrexDevice::hasContext(uint32_t user, uint32_t layer,
 {
     std::lock_guard<std::mutex> lock(contextsMu_);
     return contexts_.count(ContextKey{user, layer, kv_head}) > 0;
-}
-
-Tick
-DrexDevice::chargeContextWrite(Tick start, uint32_t user, uint32_t layer,
-                               uint32_t kv_head, uint64_t first_token,
-                               uint64_t num_tokens)
-{
-    LS_ASSERT(num_tokens > 0, "empty context write");
-    Tick done = start;
-    const uint32_t key_bytes = layout_.keyBytes();
-    const uint32_t sign_bytes_per_key = cfg_.headDim / 8;
-    for (uint64_t i = 0; i < num_tokens; ++i) {
-        const uint64_t token = first_token + i;
-        const TokenPlace p = layout_.place(user, layer, kv_head, token);
-        DramPackage &pkg = packages_[p.package];
-        // Sign bits land in the sign channel's bank (bit-transposed
-        // within the Key Sign Object)...
-        done = std::max(done,
-                        pkg.channel(p.signChannel)
-                            .write(start, p.bank, p.signRow,
-                                   sign_bytes_per_key));
-        // ...while the full-precision key and value stripe across all
-        // channels of the package.
-        const uint32_t slice =
-            key_bytes / cfg_.geometry.channelsPerPackage;
-        for (uint32_t c = 0; c < cfg_.geometry.channelsPerPackage; ++c) {
-            done = std::max(done, pkg.channel(c).write(start, p.bank,
-                                                       p.keyRow, slice));
-            done = std::max(done, pkg.channel(c).write(start, p.bank,
-                                                       p.valueRow, slice));
-        }
-    }
-    return done;
 }
 
 } // namespace longsight

@@ -77,15 +77,6 @@ class DrexDevice
     DramPackage &package(uint32_t i);
     Nma &nma(uint32_t i);
 
-    /** Total LPDDR capacity in bytes (512 GB in Table 2). */
-    uint64_t capacityBytes() const;
-
-    /**
-     * Max concurrent users whose full sparse context fits, including
-     * the sign-bit storage overhead (the '*' footnote of Fig. 7).
-     */
-    uint32_t maxUsers(uint64_t context_len) const;
-
     // --- Functional-mode context storage -----------------------------
 
     /**
@@ -101,16 +92,6 @@ class DrexDevice
     /** Lookup a stored context (asserts it exists). */
     KvCache &context(uint32_t user, uint32_t layer, uint32_t kv_head);
     bool hasContext(uint32_t user, uint32_t layer, uint32_t kv_head) const;
-
-    /**
-     * Charge the DRAM timing of writing `num_tokens` tokens'
-     * Key Sign / Key / Value Objects for (user, layer, head),
-     * starting at token index `first_token` (§6 bulk updates; happens
-     * off the decode critical path). Returns the completion tick.
-     */
-    Tick chargeContextWrite(Tick start, uint32_t user, uint32_t layer,
-                            uint32_t kv_head, uint64_t first_token,
-                            uint64_t num_tokens);
 
     // --- Request path -------------------------------------------------
 

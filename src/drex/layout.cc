@@ -101,50 +101,12 @@ DataLayout::place(uint32_t user, uint32_t layer, uint32_t kv_head,
     return p;
 }
 
-uint32_t
-DataLayout::packagesForContext(uint64_t context_len) const
-{
-    const uint64_t per_slice = maxTokensPerSlice();
-    const uint64_t slices = (context_len + per_slice - 1) / per_slice;
-    return static_cast<uint32_t>(numKvHeads_ * slices);
-}
-
 uint64_t
 DataLayout::bytesPerToken() const
 {
     // Per layer per KV head: full-precision key + value + sign bits.
     const uint64_t per_head = 2ULL * keyBytes() + headDim_ / 8;
     return per_head * numKvHeads_ * numLayers_;
-}
-
-DrexAddress
-DataLayout::decodeAddress(uint64_t physical) const
-{
-    DrexAddress a;
-    a.column = static_cast<uint32_t>(physical % timings_.rowBytes);
-    physical /= timings_.rowBytes;
-    a.row = physical % timings_.rowsPerBank();
-    physical /= timings_.rowsPerBank();
-    a.bank = static_cast<uint32_t>(physical % geometry_.banksPerChannel);
-    physical /= geometry_.banksPerChannel;
-    a.channel =
-        static_cast<uint32_t>(physical % geometry_.channelsPerPackage);
-    physical /= geometry_.channelsPerPackage;
-    a.package = static_cast<uint32_t>(physical);
-    LS_ASSERT(a.package < geometry_.numPackages,
-              "physical address beyond device capacity");
-    return a;
-}
-
-uint64_t
-DataLayout::encodeAddress(const DrexAddress &a) const
-{
-    uint64_t physical = a.package;
-    physical = physical * geometry_.channelsPerPackage + a.channel;
-    physical = physical * geometry_.banksPerChannel + a.bank;
-    physical = physical * timings_.rowsPerBank() + a.row;
-    physical = physical * timings_.rowBytes + a.column;
-    return physical;
 }
 
 } // namespace longsight

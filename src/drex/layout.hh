@@ -33,20 +33,6 @@
 namespace longsight {
 
 /**
- * Physical coordinates of a byte inside DReX.
- */
-struct DrexAddress
-{
-    uint32_t package = 0;
-    uint32_t channel = 0;
-    uint32_t bank = 0;
-    uint64_t row = 0;
-    uint32_t column = 0; //!< byte offset within the row
-
-    bool operator==(const DrexAddress &o) const = default;
-};
-
-/**
  * Placement of one token's key data within its package.
  */
 struct TokenPlace
@@ -113,23 +99,8 @@ class DataLayout
     /** Full-precision key bytes per key. */
     uint32_t keyBytes() const { return headDim_ * 2; }
 
-    /**
-     * Paper §7.3.3: packages required for one user's partition,
-     * Packages = h_kv * ceil(L / maxTokensPerSlice).
-     */
-    uint32_t packagesForContext(uint64_t context_len) const;
-
     /** Device bytes per token including the sign-bit overhead. */
     uint64_t bytesPerToken() const;
-
-    /**
-     * Decode a flat DReX physical address (contiguous bytes map to
-     * columns, then rows, banks, channels, packages — §7.3.2).
-     */
-    DrexAddress decodeAddress(uint64_t physical) const;
-
-    /** Inverse of decodeAddress. */
-    uint64_t encodeAddress(const DrexAddress &a) const;
 
   private:
     DrexGeometry geometry_;

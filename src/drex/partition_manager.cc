@@ -173,24 +173,12 @@ BlockLedger::privateBlocksFor(uint64_t tokens,
 }
 
 bool
-BlockLedger::canReserve(uint64_t tokens) const
-{
-    return canReserve(tokens, 0);
-}
-
-bool
 BlockLedger::canReserve(uint64_t tokens,
                         uint64_t shared_prefix_tokens) const
 {
     const uint64_t need = privateBlocksFor(tokens, shared_prefix_tokens);
     MutexLock lock(mu_);
     return inUse_ + need <= budget_;
-}
-
-void
-BlockLedger::reserve(uint64_t tokens)
-{
-    reserve(tokens, 0);
 }
 
 void
@@ -201,12 +189,6 @@ BlockLedger::reserve(uint64_t tokens, uint64_t shared_prefix_tokens)
     LS_ASSERT(inUse_ + need <= budget_, "block budget exceeded: ",
               inUse_, " + ", need, " > ", budget_);
     inUse_ += need;
-}
-
-void
-BlockLedger::release(uint64_t tokens)
-{
-    release(tokens, 0);
 }
 
 void

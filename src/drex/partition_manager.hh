@@ -131,12 +131,11 @@ class PartitionManager
  * Running block-budget account over a fixed budget: the admission
  * currency the serving engine reserves against. It owns the in-use
  * arithmetic — reserve on admit, release on retire or preemption —
- * and keeps the peak on record so benches can assert the budget was
- * never exceeded. Construct from a PartitionManager to use the
- * device's real row budget and per-head paging (bench/paged_cache
- * does), or standalone for unit tests.
+ * and asserts the budget is never exceeded. Construct from a
+ * PartitionManager to use the device's real row budget and per-head
+ * paging (bench/paged_cache does), or standalone for unit tests.
  *
- * Thread safety: the running account (inUse_, peak_) is guarded by an
+ * Thread safety: the running account (inUse_) is guarded by an
  * internal mutex, so concurrent serving lanes can reserve/release
  * against one ledger. Note canReserve() followed by reserve() is not
  * atomic across the pair — admission paths that race must re-check via
@@ -166,19 +165,17 @@ class BlockLedger
     uint64_t privateBlocksFor(uint64_t tokens,
                               uint64_t shared_prefix_tokens) const;
 
-    /** Whether a context fits beside the currently reserved blocks;
-     *  the two-argument flavour charges only the private tail. */
-    bool canReserve(uint64_t tokens) const;
+    /** Whether a context fits beside the currently reserved blocks,
+     *  charging only its private tail (shared_prefix_tokens = 0 for
+     *  a context with no adopted prefix). */
     bool canReserve(uint64_t tokens, uint64_t shared_prefix_tokens) const;
 
     /** Reserve a context's blocks (callers gate with canReserve).
-     *  Prefix-aware reserve and release must be called with the SAME
+     *  Reserve and release must be called with the SAME
      *  shared_prefix_tokens so the account stays symmetric. */
-    void reserve(uint64_t tokens);
     void reserve(uint64_t tokens, uint64_t shared_prefix_tokens);
 
     /** Return a context's blocks to the budget. */
-    void release(uint64_t tokens);
     void release(uint64_t tokens, uint64_t shared_prefix_tokens);
 
     uint64_t budget() const { return budget_; }

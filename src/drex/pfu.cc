@@ -1,6 +1,5 @@
 #include "drex/pfu.hh"
 
-#include <algorithm>
 #include <bit>
 
 #include "tensor/kernels.hh"
@@ -39,17 +38,6 @@ Bitmap128::popcount() const
                                  std::popcount(words_[1]));
 }
 
-std::vector<uint32_t>
-Bitmap128::setIndices(uint32_t base) const
-{
-    std::vector<uint32_t> out;
-    for (uint32_t i = 0; i < 128; ++i) {
-        if (test(i))
-            out.push_back(base + i);
-    }
-    return out;
-}
-
 std::vector<Bitmap128>
 Pfu::filterBlock(const std::vector<SignBits> &query_signs,
                  const SignBits *keys, uint32_t num_keys, int threshold)
@@ -66,36 +54,6 @@ Pfu::filterBlock(const std::vector<SignBits> &query_signs,
                 bitmaps[q].set(i);
         }
     }
-    return bitmaps;
-}
-
-std::vector<Bitmap128>
-Pfu::filterBlock(const std::vector<SignBits> &query_signs,
-                 const SignMatrix &keys, size_t begin, uint32_t num_keys,
-                 int threshold)
-{
-    LS_ASSERT(num_keys <= kBlockKeys, "PFU block holds at most 128 keys");
-    LS_ASSERT(!query_signs.empty() && query_signs.size() <= kMaxQueries,
-              "PFU supports 1..16 queries per offload, got ",
-              query_signs.size());
-
-    // Pack the group's sign words contiguously so the whole block is
-    // filtered in ONE pass over its sign rows (the hardware PFU tests
-    // every in-flight query against a key word as it streams by; the
-    // multi-query kernel is the software twin of that dataflow).
-    const size_t wpr = keys.wordsPerRow();
-    std::vector<uint64_t> q_words(query_signs.size() * wpr);
-    for (size_t q = 0; q < query_signs.size(); ++q) {
-        LS_ASSERT(query_signs[q].dim() == keys.dim(),
-                  "PFU query/key dim mismatch");
-        std::copy(query_signs[q].words().begin(),
-                  query_signs[q].words().end(),
-                  q_words.begin() + q * wpr);
-    }
-    std::vector<Bitmap128> bitmaps(query_signs.size());
-    filterBlock(q_words.data(), wpr,
-                static_cast<uint32_t>(query_signs.size()), keys, begin,
-                num_keys, threshold, bitmaps.data());
     return bitmaps;
 }
 

@@ -43,9 +43,6 @@ class Bitmap128
     uint64_t word(size_t w) const { return words_[w]; }
     uint32_t popcount() const;
 
-    /** Indices of set bits, offset by `base`. */
-    std::vector<uint32_t> setIndices(uint32_t base = 0) const;
-
     bool operator==(const Bitmap128 &o) const = default;
 
   private:
@@ -74,22 +71,13 @@ class Pfu
                 const SignBits *keys, uint32_t num_keys, int threshold);
 
     /**
-     * Same filter over a packed SignMatrix burst: keys are rows
-     * [begin, begin + num_keys) of `keys`. Runs the runtime-dispatched
-     * batch kernel (AVX2/NEON when available); bit-identical to the
-     * SignBits overload, which tests enforce.
-     */
-    static std::vector<Bitmap128>
-    filterBlock(const std::vector<SignBits> &query_signs,
-                const SignMatrix &keys, size_t begin, uint32_t num_keys,
-                int threshold);
-
-    /**
-     * Allocation-free flavour over caller storage (scratch memory in
-     * the NMA hot loop): queries are `num_queries` pre-packed
-     * sign-word rows of `words_per_query` words each (see packSigns),
-     * and `bitmaps` must hold num_queries entries. Bit-identical to
-     * the other overloads.
+     * Same filter over a packed SignMatrix burst, into caller storage
+     * (scratch memory in the NMA hot loop): keys are rows
+     * [begin, begin + num_keys) of `keys`, queries are `num_queries`
+     * pre-packed sign-word rows of `words_per_query` words each (see
+     * packSigns), and `bitmaps` must hold num_queries entries. Runs
+     * the runtime-dispatched batch kernel (AVX2/NEON when available);
+     * bit-identical to the SignBits overload, which tests enforce.
      */
     static void filterBlock(const uint64_t *query_words,
                             size_t words_per_query, uint32_t num_queries,

@@ -85,14 +85,6 @@ KMeansIndex::candidates(const float *q, uint32_t probes) const
     return out;
 }
 
-uint64_t
-KMeansIndex::addKey(const float *key, uint32_t token)
-{
-    const uint32_t c = nearestCentroid(key);
-    members_[c].push_back(token);
-    return numClusters(); // one distance per centroid
-}
-
 LshIndex::LshIndex(const Matrix &keys, uint32_t num_tables,
                    uint32_t bits_per_table, Rng &rng)
     : dim_(static_cast<uint32_t>(keys.cols())), bits_(bits_per_table)
@@ -137,14 +129,6 @@ LshIndex::candidates(const float *q) const
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end()), out.end());
     return out;
-}
-
-uint64_t
-LshIndex::addKey(const float *key, uint32_t token)
-{
-    for (uint32_t t = 0; t < planes_.size(); ++t)
-        buckets_[t][hashOf(t, key)].push_back(token);
-    return planes_.size();
 }
 
 } // namespace longsight

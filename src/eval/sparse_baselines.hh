@@ -44,14 +44,6 @@ class KMeansIndex
     /** Distance computations spent building the index. */
     uint64_t buildDistanceComputations() const { return buildWork_; }
 
-    /**
-     * Append one key (decode-time update): assign to the nearest
-     * centroid. Returns the distance computations this update cost —
-     * the per-token maintenance the paper calls "costly and
-     * time-consuming" (§4).
-     */
-    uint64_t addKey(const float *key, uint32_t token);
-
     uint32_t numClusters() const
     {
         return static_cast<uint32_t>(centroids_.rows());
@@ -81,9 +73,6 @@ class LshIndex
 
     /** Hash evaluations spent building. */
     uint64_t buildHashComputations() const { return buildWork_; }
-
-    /** Append one key; returns hash evaluations spent. */
-    uint64_t addKey(const float *key, uint32_t token);
 
   private:
     uint32_t hashOf(uint32_t table, const float *v) const;

@@ -173,18 +173,11 @@ SyntheticDecoder::step(const std::vector<float> &embedding)
     return x;
 }
 
-std::vector<KvCache> &
-SyntheticDecoder::layerCaches(uint32_t layer)
+const std::vector<KvCache> &
+SyntheticDecoder::layerCaches(uint32_t layer) const
 {
     LS_ASSERT(layer < caches_.size(), "layer out of range");
     return caches_[layer];
-}
-
-MultiHeadLongSight &
-SyntheticDecoder::hybridAttention()
-{
-    LS_ASSERT(hybrid_ != nullptr, "not in LongSight mode");
-    return *hybrid_;
 }
 
 } // namespace longsight

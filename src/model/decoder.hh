@@ -104,11 +104,8 @@ class SyntheticDecoder
     /** Forward one token embedding through all layers. */
     std::vector<float> step(const std::vector<float> &embedding);
 
-    /** Access a layer's KV caches (for ITQ installation etc.). */
-    std::vector<KvCache> &layerCaches(uint32_t layer);
-
-    /** The hybrid attention module (LongSight mode only). */
-    MultiHeadLongSight &hybridAttention();
+    /** A layer's KV caches, one per KV head. */
+    const std::vector<KvCache> &layerCaches(uint32_t layer) const;
 
   private:
     DecoderConfig cfg_;

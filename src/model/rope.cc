@@ -32,13 +32,4 @@ Rope::apply(float *v, uint64_t position) const
     }
 }
 
-std::vector<float>
-Rope::rotated(const std::vector<float> &v, uint64_t position) const
-{
-    LS_ASSERT(v.size() == headDim_, "RoPE input dim mismatch");
-    std::vector<float> out = v;
-    apply(out.data(), position);
-    return out;
-}
-
 } // namespace longsight

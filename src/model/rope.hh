@@ -31,10 +31,6 @@ class Rope
     /** Rotate v (length headDim) in place for the given position. */
     void apply(float *v, uint64_t position) const;
 
-    /** Rotated copy. */
-    std::vector<float> rotated(const std::vector<float> &v,
-                               uint64_t position) const;
-
     uint32_t headDim() const { return headDim_; }
 
   private:

@@ -104,22 +104,20 @@ HeadWorkload::segmentIdentity(uint32_t segment)
 }
 
 std::vector<float>
-HeadWorkload::sampleVector(uint32_t topic, int segment, double noise_scale)
+HeadWorkload::sampleVector(uint32_t topic, uint32_t segment,
+                           double noise_scale)
 {
     const uint32_t d = cfg_.headDim;
     // Synthetic token generation stands in for the model's QKV
     // projections, which a real serving stack computes elsewhere.
     // LS_LINT_ALLOW(alloc): generator scratch, not a serving path
     std::vector<float> v(d);
-    const std::vector<float> *seg_id =
-        segment >= 0 ? &segmentIdentity(static_cast<uint32_t>(segment))
-                     : nullptr;
+    const std::vector<float> &seg_id = segmentIdentity(segment);
     for (uint32_t i = 0; i < d; ++i) {
         const float noise =
             static_cast<float>(noise_scale * rng_.gaussian()) * spectrum_[i];
         v[i] = mean_[i] + clusterCenters_(topic, i) + noise;
-        if (seg_id)
-            v[i] += (*seg_id)[i];
+        v[i] += seg_id[i];
     }
     return v;
 }
@@ -136,8 +134,8 @@ HeadWorkload::advanceTopic()
 void
 HeadWorkload::pushToken(size_t pos)
 {
-    std::vector<float> k = sampleVector(
-        currentTopic_, static_cast<int>(currentSegment_), cfg_.noiseScale);
+    std::vector<float> k =
+        sampleVector(currentTopic_, currentSegment_, cfg_.noiseScale);
     if (cfg_.applyRope)
         rope_.apply(k.data(), pos);
 
@@ -160,10 +158,12 @@ HeadWorkload::generate(size_t n)
     startContext();
     keys_.resize(0, cfg_.headDim);
     values_.resize(0, cfg_.headDim);
-    keys_.reserveRows(n);
-    values_.reserveRows(n);
-    topics_.reserve(n);
-    segments_.reserve(n);
+    // Room for n decode appends too: the first append would otherwise
+    // reallocate to this capacity and copy the whole prompt.
+    keys_.reserveRows(2 * n);
+    values_.reserveRows(2 * n);
+    topics_.reserve(2 * n);
+    segments_.reserve(2 * n);
     for (size_t t = 0; t < n; ++t) {
         if (t > 0)
             advanceTopic();
@@ -210,18 +210,8 @@ HeadWorkload::drawQueryForSegment(uint32_t segment)
             break;
         }
     }
-    std::vector<float> q = sampleVector(topic, static_cast<int>(segment),
-                                        cfg_.queryNoiseScale);
-    if (cfg_.applyRope)
-        rope_.apply(q.data(), contextLength());
-    return q;
-}
-
-std::vector<float>
-HeadWorkload::drawQueryForTopic(uint32_t topic)
-{
-    LS_ASSERT(topic < cfg_.numClusters, "topic ", topic, " out of range");
-    std::vector<float> q = sampleVector(topic, -1, cfg_.queryNoiseScale);
+    std::vector<float> q =
+        sampleVector(topic, segment, cfg_.queryNoiseScale);
     if (cfg_.applyRope)
         rope_.apply(q.data(), contextLength());
     return q;

@@ -121,15 +121,12 @@ class HeadWorkload
     /** Draw a query targeting a specific segment (for tests). */
     std::vector<float> drawQueryForSegment(uint32_t segment);
 
-    /** Draw a query aligned only with a topic center (for tests). */
-    std::vector<float> drawQueryForTopic(uint32_t topic);
-
     /** 1/sqrt(headDim) softmax scale. */
     float attentionScale() const;
 
   private:
     /** Shared body of key/query sampling. */
-    std::vector<float> sampleVector(uint32_t topic, int segment,
+    std::vector<float> sampleVector(uint32_t topic, uint32_t segment,
                                     double noise_scale);
 
     void startContext();

@@ -87,28 +87,6 @@ LongSightSystem::observeOffload(uint64_t context_len) const
     return obs;
 }
 
-Tick
-LongSightSystem::timeToFirstToken(uint64_t prompt_len) const
-{
-    const Tick prefill = gpuModel_.prefillTime(prompt_len);
-    // DReX population streams sparse-region KV over CXL, overlapped
-    // with prefill compute; only the spill past the prefill time is
-    // exposed.
-    const uint64_t region = sparseTokens(prompt_len);
-    Tick exposed_population = 0;
-    if (region > 0) {
-        DataLayout layout(cfg_.geometry, cfg_.timings, model_.numKvHeads,
-                          model_.numLayers, model_.headDim);
-        const Tick population = transferTime(
-            layout.bytesPerToken() * region, cfg_.cxl.bandwidthGBps);
-        exposed_population = population > prefill
-            ? population - prefill
-            : 0;
-    }
-    const ServingResult first_step = decode(prompt_len, 1);
-    return prefill + exposed_population + first_step.stepTime;
-}
-
 uint32_t
 LongSightSystem::maxUsers(uint64_t context_len) const
 {

@@ -105,15 +105,6 @@ class LongSightSystem
     /** Sparse-region token count at a context length. */
     uint64_t sparseTokens(uint64_t context_len) const;
 
-    /**
-     * Time to first token for one user: GPU prefill plus the first
-     * decode step. DReX population (Key/Key-Sign/Value Object writes)
-     * runs in separate kernels off the prefill critical path (§6), so
-     * only the portion that cannot overlap the prefill tail is
-     * exposed.
-     */
-    Tick timeToFirstToken(uint64_t prompt_len) const;
-
     /** Survivor fraction implied by the configured filter ratio. */
     double survivorFraction(uint64_t region_tokens) const;
 

@@ -1,7 +1,5 @@
 #include "sim/stats_report.hh"
 
-#include "core/filter_stats.hh"
-#include "cxl/link.hh"
 #include "dram/package.hh"
 #include "drex/drex_device.hh"
 
@@ -13,31 +11,17 @@ StatsReport::StatsReport(const std::string &title) : table_(title)
 }
 
 void
-StatsReport::addChannel(const std::string &name, const DramChannel &ch)
-{
-    const ChannelStats &s = ch.stats();
-    table_.addRow({name, "reads", std::to_string(s.reads)});
-    table_.addRow({name, "writes", std::to_string(s.writes)});
-    table_.addRow({name, "row hit rate",
-                   TextTable::num(100.0 * s.rowHitRate(), 1) + "%"});
-    table_.addRow({name, "bytes", std::to_string(s.bytesTransferred)});
-    table_.addRow({name, "refreshes", std::to_string(s.refreshes)});
-}
-
-void
 StatsReport::addPackage(const std::string &name, const DramPackage &pkg)
 {
-    uint64_t reads = 0, writes = 0, bytes = 0, hits = 0, total = 0;
+    uint64_t reads = 0, bytes = 0, hits = 0, total = 0;
     for (uint32_t c = 0; c < pkg.numChannels(); ++c) {
         const ChannelStats &s = pkg.channel(c).stats();
         reads += s.reads;
-        writes += s.writes;
         bytes += s.bytesTransferred;
         hits += s.rowHits;
         total += s.rowHits + s.rowMisses;
     }
     table_.addRow({name, "reads", std::to_string(reads)});
-    table_.addRow({name, "writes", std::to_string(writes)});
     table_.addRow({name, "bytes", std::to_string(bytes)});
     table_.addRow({name, "row hit rate",
                    total ? TextTable::num(100.0 * hits / total, 1) + "%"
@@ -56,30 +40,6 @@ StatsReport::addDevice(const std::string &name, DrexDevice &dev)
                    std::to_string(dev.dcc().activeUsers())});
     table_.addRow({name, "completions pending",
                    std::to_string(dev.dcc().pollingRegister().popcount())});
-}
-
-void
-StatsReport::addLink(const std::string &name, const CxlLink &link)
-{
-    table_.addRow({name, "bytes", std::to_string(link.bytesTransferred())});
-}
-
-void
-StatsReport::addFilterStats(const std::string &name, const FilterStats &fs)
-{
-    table_.addRow({name, "evaluations", std::to_string(fs.evaluations)});
-    table_.addRow({name, "raw keys", std::to_string(fs.rawKeys)});
-    table_.addRow({name, "survivors", std::to_string(fs.survivorKeys)});
-    table_.addRow({name, "selected", std::to_string(fs.selectedKeys)});
-    table_.addRow({name, "filter ratio",
-                   TextTable::num(fs.filterRatio(), 2) + "x"});
-}
-
-void
-StatsReport::addScalar(const std::string &name, const std::string &value,
-                       const std::string &note)
-{
-    table_.addRow({name, note.empty() ? "value" : note, value});
 }
 
 } // namespace longsight

@@ -16,11 +16,8 @@
 
 namespace longsight {
 
-class CxlLink;
-class DramChannel;
 class DramPackage;
 class DrexDevice;
-struct FilterStats;
 
 /**
  * Accumulates component statistics into one named table.
@@ -30,24 +27,11 @@ class StatsReport
   public:
     explicit StatsReport(const std::string &title);
 
-    /** One DRAM channel's activity. */
-    void addChannel(const std::string &name, const DramChannel &ch);
-
     /** Aggregate of a whole package. */
     void addPackage(const std::string &name, const DramPackage &pkg);
 
     /** All packages of a device. */
     void addDevice(const std::string &name, DrexDevice &dev);
-
-    /** CXL link traffic. */
-    void addLink(const std::string &name, const CxlLink &link);
-
-    /** Filter-ratio statistics. */
-    void addFilterStats(const std::string &name, const FilterStats &fs);
-
-    /** Arbitrary scalar. */
-    void addScalar(const std::string &name, const std::string &value,
-                   const std::string &note = "");
 
     /** Rendered table (also printable directly). */
     const TextTable &table() const { return table_; }

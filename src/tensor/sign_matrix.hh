@@ -83,9 +83,6 @@ class SignMatrix
     /** 64-bit words per row: (dim + 63) / 64. */
     size_t wordsPerRow() const { return wordsPerRow_; }
 
-    /** Drop all rows; dimension is kept. */
-    void clear();
-
     /** Reserve capacity for n rows. */
     void reserveRows(size_t n) { words_.reserve(n * wordsPerRow_); }
 
@@ -104,21 +101,12 @@ class SignMatrix
      *  (packSigns). */
     void setRow(size_t r, const float *v);
 
-    /** Append a pre-packed SignBits value of matching dimension. */
-    void appendSigns(const SignBits &s);
-
     /** Packed words of row r (wordsPerRow() of them). */
     const uint64_t *row(size_t r) const;
 
     /** Whole backing buffer: rows() * wordsPerRow() words. */
     const uint64_t *data() const { return words_.data(); }
     uint64_t *data() { return words_.data(); }
-
-    /** Row r as a standalone SignBits (round-trip/compat helper). */
-    SignBits extract(size_t r) const;
-
-    /** Concordance of a query with row r (D - popcount(xor)). */
-    int concordanceRow(const SignBits &query, size_t r) const;
 
     bool operator==(const SignMatrix &other) const = default;
 

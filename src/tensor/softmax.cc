@@ -30,12 +30,4 @@ softmaxInPlace(float *scores, size_t n)
         scores[i] *= inv;
 }
 
-std::vector<float>
-softmax(const std::vector<float> &scores)
-{
-    std::vector<float> out = scores;
-    softmaxInPlace(out);
-    return out;
-}
-
 } // namespace longsight

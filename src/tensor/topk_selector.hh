@@ -102,18 +102,6 @@ class TopKSelector
             compact();
     }
 
-    /**
-     * Offer every candidate o holds, so this selects the best of both
-     * streams. Merging a selector into itself changes nothing.
-     */
-    void merge(const TopKSelector &o)
-    {
-        if (&o == this)
-            return;
-        for (size_t i = 0; i < o.n_; ++i)
-            push(o.buf_[i].score, static_cast<uint32_t>(~o.buf_[i].key));
-    }
-
     size_t capacity() const { return k_; }
 
     /** Entries finish() would write now: min(k, candidates offered). */

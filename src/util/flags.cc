@@ -56,13 +56,6 @@ Flags::Flags(int argc, const char *const *argv)
     }
 }
 
-bool
-Flags::has(const std::string &name) const
-{
-    consumed_.insert(name);
-    return values_.count(name) > 0;
-}
-
 std::string
 Flags::getString(const std::string &name, const std::string &def) const
 {

@@ -31,8 +31,6 @@ class Flags
         return positional_;
     }
 
-    bool has(const std::string &name) const;
-
     /** Typed getters with defaults; fatal() on unparsable values. */
     std::string getString(const std::string &name,
                           const std::string &def) const;

@@ -58,12 +58,6 @@ Rng::uniform()
     return (next() >> 11) * 0x1.0p-53;
 }
 
-double
-Rng::uniform(double lo, double hi)
-{
-    return lo + (hi - lo) * uniform();
-}
-
 uint64_t
 Rng::below(uint64_t n)
 {
@@ -94,12 +88,6 @@ Rng::gaussian()
     cachedGaussian_ = r * std::sin(theta);
     hasCachedGaussian_ = true;
     return r * std::cos(theta);
-}
-
-double
-Rng::gaussian(double mean, double stddev)
-{
-    return mean + stddev * gaussian();
 }
 
 std::vector<float>

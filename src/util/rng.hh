@@ -35,17 +35,11 @@ class Rng
     /** Uniform double in [0, 1). */
     double uniform();
 
-    /** Uniform double in [lo, hi). */
-    double uniform(double lo, double hi);
-
     /** Uniform integer in [0, n). Requires n > 0. */
     uint64_t below(uint64_t n);
 
     /** Standard normal via Box-Muller (cached second value). */
     double gaussian();
-
-    /** Normal with the given mean and standard deviation. */
-    double gaussian(double mean, double stddev);
 
     /** A vector of n iid standard normals. */
     std::vector<float> gaussianVec(size_t n);

@@ -1,8 +1,6 @@
 #include "util/stats.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <sstream>
 
 #include "util/logging.hh"
 
@@ -14,45 +12,8 @@ RunningStat::add(double x)
     ++n_;
     const double delta = x - mean_;
     mean_ += delta / static_cast<double>(n_);
-    m2_ += delta * (x - mean_);
     min_ = std::min(min_, x);
     max_ = std::max(max_, x);
-}
-
-void
-RunningStat::merge(const RunningStat &other)
-{
-    if (other.n_ == 0)
-        return;
-    if (n_ == 0) {
-        *this = other;
-        return;
-    }
-    const double delta = other.mean_ - mean_;
-    const uint64_t total = n_ + other.n_;
-    const double na = static_cast<double>(n_);
-    const double nb = static_cast<double>(other.n_);
-    mean_ += delta * nb / static_cast<double>(total);
-    m2_ += other.m2_ + delta * delta * na * nb / static_cast<double>(total);
-    n_ = total;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-}
-
-double
-RunningStat::variance() const
-{
-    if (n_ < 2)
-        return 0.0;
-    // Sample (n-1) variance: these summaries report the spread of a
-    // sampled distribution, not of an exhaustive population.
-    return m2_ / static_cast<double>(n_ - 1);
-}
-
-double
-RunningStat::stddev() const
-{
-    return std::sqrt(variance());
 }
 
 Histogram::Histogram(double lo, double hi, size_t bins)
@@ -108,17 +69,6 @@ Histogram::quantile(double q) const
         cum += counts_[i];
     }
     return hi_;
-}
-
-std::string
-Histogram::summary() const
-{
-    std::ostringstream os;
-    os << "n=" << total_ << " p50=" << quantile(0.5) << " p90=" << quantile(0.9)
-       << " p99=" << quantile(0.99);
-    if (underflow_ || overflow_)
-        os << " under=" << underflow_ << " over=" << overflow_;
-    return os.str();
 }
 
 } // namespace longsight

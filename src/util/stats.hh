@@ -1,8 +1,8 @@
 /**
  * @file
  * Lightweight statistics accumulators used by the simulators and
- * benchmark harnesses: running mean/min/max/stddev and a fixed-bin
- * histogram for latency distributions.
+ * benchmark harnesses: running mean/min/max and a fixed-bin histogram
+ * for latency distributions.
  */
 
 #ifndef LONGSIGHT_UTIL_STATS_HH
@@ -11,13 +11,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <string>
 #include <vector>
 
 namespace longsight {
 
 /**
- * Welford-style running summary statistics.
+ * Running summary statistics (incremental mean, min, max).
  */
 class RunningStat
 {
@@ -25,26 +24,16 @@ class RunningStat
     /** Fold one sample into the summary. */
     void add(double x);
 
-    /** Fold another summary into this one. */
-    void merge(const RunningStat &other);
-
     uint64_t count() const { return n_; }
     double mean() const { return n_ ? mean_ : 0.0; }
     double min() const { return n_ ? min_ : 0.0; }
     double max() const { return n_ ? max_ : 0.0; }
-
-    /** Sample (n-1) variance (0 for fewer than two samples). */
-    double variance() const;
-
-    /** Sample standard deviation. */
-    double stddev() const;
 
     double sum() const { return mean_ * static_cast<double>(n_); }
 
   private:
     uint64_t n_ = 0;
     double mean_ = 0.0;
-    double m2_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
 };
@@ -74,9 +63,6 @@ class Histogram
      *  within the selected bin (a one-sample bin reports its
      *  midpoint; under/overflow samples rank at lo/hi). */
     double quantile(double q) const;
-
-    /** Render a compact ASCII summary for logs. */
-    std::string summary() const;
 
   private:
     double lo_;

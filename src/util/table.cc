@@ -1,7 +1,6 @@
 #include "util/table.hh"
 
 #include <algorithm>
-#include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -63,27 +62,6 @@ TextTable::print(std::ostream &os) const
     for (const auto &row : rows_)
         emitRow(row);
     os << "\n";
-}
-
-void
-TextTable::writeCsv(const std::string &path) const
-{
-    std::ofstream out(path);
-    if (!out) {
-        warn("cannot open '", path, "' for CSV output");
-        return;
-    }
-    auto emit = [&](const std::vector<std::string> &row) {
-        for (size_t c = 0; c < row.size(); ++c) {
-            if (c)
-                out << ',';
-            out << row[c];
-        }
-        out << '\n';
-    };
-    emit(header_);
-    for (const auto &row : rows_)
-        emit(row);
 }
 
 } // namespace longsight

@@ -2,8 +2,7 @@
  * @file
  * Plain-text table rendering for benchmark output. Every figure/table
  * reproduction bench prints its rows through TextTable so the output
- * format is uniform and diffable; writeCsv() mirrors the same data to
- * a machine-readable file when requested.
+ * format is uniform and diffable.
  */
 
 #ifndef LONGSIGHT_UTIL_TABLE_HH
@@ -34,9 +33,6 @@ class TextTable
 
     /** Render with padding and separators to the stream. */
     void print(std::ostream &os) const;
-
-    /** Write title-less CSV (header + rows) to the given path. */
-    void writeCsv(const std::string &path) const;
 
     size_t rowCount() const { return rows_.size(); }
 

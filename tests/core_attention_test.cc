@@ -109,12 +109,14 @@ TEST(Attention, HighScaleConcentratesOnArgmax)
     EXPECT_GT(r.probs[best], 0.99f);
 }
 
-TEST(Attention, WeightedValueSumMatchesManual)
+TEST(Attention, WeightedValueSumIntoMatchesManual)
 {
     Fixture f;
     const std::vector<uint32_t> idx = {1, 4};
     const std::vector<float> probs = {0.25f, 0.75f};
-    const auto out = weightedValueSum(f.values, idx, probs);
+    std::vector<float> out(f.values.cols(), 0.0f);
+    weightedValueSumInto(f.values, idx.data(), idx.size(), probs.data(),
+                         out.data());
     for (size_t d = 0; d < 8; ++d)
         EXPECT_NEAR(out[d],
                     0.25f * f.values(1, d) + 0.75f * f.values(4, d), 1e-6);

@@ -242,7 +242,8 @@ TEST(Hybrid, PerHeadThresholdsIndependent)
     attn.setThreshold(2, 17);
     EXPECT_EQ(attn.threshold(2), 17);
     EXPECT_EQ(attn.threshold(1), 3);
-    attn.setAllThresholds({1, 2, 3, 4});
+    for (uint32_t h = 0; h < 4; ++h)
+        attn.setThreshold(h, static_cast<int>(h) + 1);
     EXPECT_EQ(attn.threshold(3), 4);
 }
 

@@ -8,6 +8,7 @@
 
 #include "core/kv_cache.hh"
 #include "tensor/linalg.hh"
+#include "tests/sign_oracle.hh"
 #include "util/rng.hh"
 
 namespace longsight {
@@ -44,15 +45,8 @@ TEST(KvCache, RawSignsTrackKeys)
     for (int i = 0; i < 20; ++i)
         c.append(rng.gaussianVec(kDim), rng.gaussianVec(kDim));
     for (size_t i = 0; i < 20; ++i)
-        EXPECT_EQ(c.rawSigns(i), SignBits(c.keysStorage().row(i), kDim));
-}
-
-TEST(KvCache, FilterSignsAreRawWithoutRotation)
-{
-    Rng rng(3);
-    KvCache c(kDim);
-    c.append(rng.gaussianVec(kDim), rng.gaussianVec(kDim));
-    EXPECT_EQ(c.filterSigns(0), c.rawSigns(0));
+        EXPECT_EQ(filterSignWords(c, i),
+                  SignBits(c.keysStorage().row(i), kDim).words());
 }
 
 TEST(KvCache, RotationChangesFilterSignsNotKeys)
@@ -69,7 +63,7 @@ TEST(KvCache, RotationChangesFilterSignsNotKeys)
     // Rotated signs equal signs of k * R.
     for (size_t i = 0; i < 10; ++i) {
         const auto rk = gemvT(c.itqRotation(), c.keysStorage().rowVec(i));
-        EXPECT_EQ(c.filterSigns(i), SignBits(rk.data(), kDim));
+        EXPECT_EQ(filterSignWords(c, i), SignBits(rk.data(), kDim).words());
     }
 }
 
@@ -81,7 +75,7 @@ TEST(KvCache, AppendsAfterRotationStayRotated)
     c.setItqRotation(randomOrthogonal(kDim, rng));
     c.append(rng.gaussianVec(kDim), rng.gaussianVec(kDim));
     const auto rk = gemvT(c.itqRotation(), c.keysStorage().rowVec(1));
-    EXPECT_EQ(c.filterSigns(1), SignBits(rk.data(), kDim));
+    EXPECT_EQ(filterSignWords(c, 1), SignBits(rk.data(), kDim).words());
 }
 
 TEST(KvCache, RotationReinstallRecomputes)
@@ -91,10 +85,9 @@ TEST(KvCache, RotationReinstallRecomputes)
     for (int i = 0; i < 5; ++i)
         c.append(rng.gaussianVec(kDim), rng.gaussianVec(kDim));
     c.setItqRotation(randomOrthogonal(kDim, rng));
-    const SignBits first = c.filterSigns(2);
+    const auto first = filterSignWords(c, 2);
     c.setItqRotation(randomOrthogonal(kDim, rng));
-    const SignBits second = c.filterSigns(2);
-    EXPECT_NE(first == second, true) << "new rotation, new signs";
+    EXPECT_NE(filterSignWords(c, 2), first) << "new rotation, new signs";
 }
 
 TEST(KvCache, ToFilterSpaceIdentityWithoutRotation)
@@ -130,7 +123,7 @@ TEST(KvCache, AppendAllMatchesLoop)
         loop.append(keys.rowVec(i), values.rowVec(i));
     ASSERT_EQ(bulk.size(), loop.size());
     for (size_t i = 0; i < 7; ++i) {
-        EXPECT_EQ(bulk.rawSigns(i), loop.rawSigns(i));
+        EXPECT_EQ(filterSignWords(bulk, i), filterSignWords(loop, i));
         EXPECT_EQ(bulk.keysStorage()(i, 3), loop.keysStorage()(i, 3));
     }
 }

@@ -4,8 +4,8 @@
  * paged layout must be *bit-identical* to the flat layout through
  * every read path — per-row accessors, span-driver scans, hybrid
  * attention outputs — for any block size, including contexts that are
- * not block multiples. Plus the paged-only machinery: copy-on-write
- * fork isolation, prefix publish/adopt, and SCF-driven tier
+ * not block multiples. Plus the paged-only machinery: moves, prefix
+ * publish/adopt with copy-on-write unsharing, and SCF-driven tier
  * promotion/eviction round-trips that never change an output.
  */
 
@@ -20,6 +20,7 @@
 #include "core/multi_head.hh"
 #include "tensor/kernels.hh"
 #include "tensor/linalg.hh"
+#include "tests/sign_oracle.hh"
 #include "util/rng.hh"
 
 namespace longsight {
@@ -59,8 +60,7 @@ expectRowsIdentical(const KvCache &flat, const KvCache &paged)
         EXPECT_EQ(0, std::memcmp(flat.valueRow(i), paged.valueRow(i),
                                  kDim * sizeof(float)))
             << "value row " << i;
-        EXPECT_EQ(flat.rawSigns(i), paged.rawSigns(i)) << "signs " << i;
-        EXPECT_EQ(flat.filterSigns(i), paged.filterSigns(i))
+        EXPECT_EQ(filterSignWords(flat, i), filterSignWords(paged, i))
             << "filter signs " << i;
     }
 }
@@ -310,61 +310,19 @@ TEST(PagedCache, HybridAttentionIdenticalItq)
     expectHybridIdentical(true, 48);
 }
 
-TEST(PagedCache, ForkSharesFullBlocksAndIsolatesAppends)
-{
-    const uint32_t bt = 32;
-    const size_t n = 80; // 2 full blocks + 16-token tail
-    TokenStream tokens(n + 40);
-    KvBlockPool pool(kDim, bt, 16);
-    KvCache parent(pool);
-    tokens.fill(parent, 0, n);
-    EXPECT_EQ(pool.usedBlocks(), 3u);
-
-    KvCache child(pool);
-    child.forkFrom(parent);
-    ASSERT_EQ(child.size(), n);
-    expectRowsIdentical(parent, child);
-    // Two full blocks shared, tail re-appended privately.
-    EXPECT_EQ(pool.usedBlocks(), 4u);
-
-    // Divergent appends: child takes tokens [n, n+40), parent stays.
-    tokens.fill(child, n, n + 40);
-    std::vector<std::vector<float>> parent_rows;
-    for (size_t i = 0; i < n; ++i)
-        parent_rows.emplace_back(parent.keyRow(i),
-                                 parent.keyRow(i) + kDim);
-    ASSERT_EQ(child.size(), n + 40);
-    for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(0, std::memcmp(parent.keyRow(i), parent_rows[i].data(),
-                                 kDim * sizeof(float)));
-        EXPECT_EQ(0, std::memcmp(child.keyRow(i), parent_rows[i].data(),
-                                 kDim * sizeof(float)));
-    }
-
-    // Copy construction is the same share; destruction releases.
-    const uint32_t used_before = pool.usedBlocks();
-    {
-        KvCache copy(parent);
-        ASSERT_EQ(copy.size(), n);
-        expectRowsIdentical(parent, copy);
-        EXPECT_GT(pool.usedBlocks(), used_before);
-    }
-    EXPECT_EQ(pool.usedBlocks(), used_before);
-}
-
-/** Copy and move, the same in both modes: a copy reproduces rows and
- *  filter signs and diverges on append; a move leaves the source an
- *  empty, reusable cache; no block outlives its caches. */
-class CacheCopyMove : public ::testing::TestWithParam<bool>
+/** Move, the same in both modes: the target takes the rows, rotation
+ *  and blocks, the source is left an empty, reusable cache, and no
+ *  block outlives its caches. */
+class CacheMove : public ::testing::TestWithParam<bool>
 {
 };
 
-TEST_P(CacheCopyMove, CopiesMatchAndMovesEmptyTheSource)
+TEST_P(CacheMove, MovesEmptyTheSource)
 {
     const bool paged = GetParam();
     const size_t n = 80; // paged: 2 full 32-token blocks + a 16 tail
     TokenStream tokens(n);
-    const TokenStream extra(8, 11), other(8, 12);
+    const TokenStream extra(8, 11);
     KvBlockPool pool(kDim, 32, 32);
     const uint32_t used_before = pool.usedBlocks();
     const auto make = [&] { return paged ? KvCache(pool) : KvCache(kDim); };
@@ -377,57 +335,44 @@ TEST_P(CacheCopyMove, CopiesMatchAndMovesEmptyTheSource)
         return c;
     };
     {
-        KvCache src = build();
-        ASSERT_EQ(src.paged(), paged);
-        const auto expectSameAs = [&](const KvCache &want,
+        const KvCache want = build();
+        const auto expectSameAs = [&](const KvCache &ref,
                                       const KvCache &got) {
             EXPECT_EQ(got.paged(), paged);
             EXPECT_TRUE(got.hasItqRotation());
-            expectRowsIdentical(want, got);
+            expectRowsIdentical(ref, got);
         };
 
-        KvCache constructed(src);
-        expectSameAs(src, constructed);
-        KvCache assigned = make();
-        tokens.fill(assigned, 0, 5); // replaced by the assignment
-        assigned = src;
-        expectSameAs(src, assigned);
-
-        // Copies and source diverge: every append lands in rows only
-        // its own cache reads (the paged tail block is never shared).
-        extra.fill(constructed, 0, 8);
-        extra.fill(assigned, 0, 8);
-        other.fill(src, 0, 8);
-        KvCache want_copy = build();
-        extra.fill(want_copy, 0, 8);
-        KvCache want_src = build();
-        other.fill(want_src, 0, 8);
-        expectSameAs(want_src, src);
-        expectSameAs(want_copy, constructed);
-        expectSameAs(want_copy, assigned);
-
-        KvCache moved(std::move(constructed));
-        EXPECT_EQ(constructed.size(), 0u);
+        KvCache src = build();
+        KvCache moved(std::move(src));
+        EXPECT_EQ(src.size(), 0u);
+        expectSameAs(want, moved);
         KvCache target = make();
-        tokens.fill(target, 0, 40);
+        tokens.fill(target, 0, 40); // replaced by the assignment
         target = std::move(moved);
         EXPECT_EQ(moved.size(), 0u);
-        expectSameAs(want_copy, target);
+        expectSameAs(want, target);
+
+        // The target keeps growing as the source would have.
+        KvCache want_grown = build();
+        extra.fill(want_grown, 0, 8);
+        extra.fill(target, 0, 8);
+        expectSameAs(want_grown, target);
 
         // A moved-from cache is empty, unrotated and still appendable.
-        for (KvCache *c : {&constructed, &moved}) {
+        for (KvCache *c : {&src, &moved}) {
             EXPECT_EQ(c->paged(), paged);
             EXPECT_FALSE(c->hasItqRotation());
             tokens.fill(*c, 0, 3);
             ASSERT_EQ(c->size(), 3u);
-            EXPECT_EQ(0, std::memcmp(c->keyRow(2), src.keyRow(2),
+            EXPECT_EQ(0, std::memcmp(c->keyRow(2), want.keyRow(2),
                                      kDim * sizeof(float)));
         }
     }
     EXPECT_EQ(pool.usedBlocks(), used_before);
 }
 
-INSTANTIATE_TEST_SUITE_P(FlatAndPaged, CacheCopyMove, ::testing::Bool(),
+INSTANTIATE_TEST_SUITE_P(FlatAndPaged, CacheMove, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool> &p) {
                              return p.param ? "Paged" : "Flat";
                          });
@@ -440,19 +385,21 @@ TEST(PagedCache, ItqInstallUnsharesBlocks)
     KvBlockPool pool(kDim, bt, 16);
     KvCache parent(pool);
     tokens.fill(parent, 0, n);
+    ASSERT_EQ(parent.publishPrefix(0x17ULL), n);
     KvCache child(pool);
-    child.forkFrom(parent);
+    ASSERT_EQ(child.adoptPrefix(0x17ULL), n);
     EXPECT_EQ(pool.usedBlocks(), 2u); // fully shared
 
     // Child installs a rotation: its blocks must split off so the
     // parent's (raw) filter signs stay untouched.
-    const SignBits before = parent.filterSigns(0);
+    const auto before = filterSignWords(parent, 0);
     child.setItqRotation(Matrix::identity(kDim));
     EXPECT_EQ(pool.usedBlocks(), 4u);
-    EXPECT_EQ(parent.filterSigns(0), before);
-    // Identity rotation: child's filter signs equal raw signs.
+    EXPECT_EQ(filterSignWords(parent, 0), before);
+    // Identity rotation: child's filter signs equal its keys' signs.
     for (size_t i = 0; i < n; i += 7)
-        EXPECT_EQ(child.filterSigns(i), child.rawSigns(i));
+        EXPECT_EQ(filterSignWords(child, i),
+                  SignBits(child.keyRow(i), kDim).words());
 }
 
 TEST(PagedCache, PrefixPublishAdoptRoundTrip)
@@ -487,10 +434,6 @@ TEST(PagedCache, PrefixPublishAdoptRoundTrip)
     EXPECT_EQ(pool.prefixHits(), 1u);
     EXPECT_EQ(pool.prefixMisses(), 1u);
     EXPECT_EQ(pool.prefixSharedTokens(), prefix);
-
-    pool.unpublishPrefix(hash);
-    // Adopter still holds its references; blocks stay allocated.
-    EXPECT_GE(pool.usedBlocks(), 4u);
 }
 
 TEST(PagedCache, RebalancePromotesHotBlocksWithoutChangingOutputs)

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "core/hybrid_attention.hh"
@@ -214,7 +215,7 @@ TEST(ScfSelect, HybridEmptyRegionAttendsDensely)
     CachePair caches(n);
     MultiHeadLongSight mh(cfg, q_heads, kv_heads, kDim);
     std::vector<KvCache> layer;
-    layer.emplace_back(caches.flat);
+    layer.push_back(std::move(caches.flat));
     const LayerAttentionResult r = mh.compute(queries, layer);
     for (uint32_t q = 0; q < q_heads; ++q) {
         EXPECT_FALSE(r.perQuery[q].usedSparse);

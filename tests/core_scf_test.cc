@@ -75,27 +75,6 @@ TEST(Scf, PackedMatchesRowWise)
     }
 }
 
-TEST(Scf, SignMatrixOverloadMatchesSignBitsOverload)
-{
-    Rng rng(41);
-    const size_t d = 100, n = 257;
-    const Matrix keys(n, d, rng.gaussianVec(n * d));
-    const auto q = rng.gaussianVec(d);
-    const SignBits qs(q.data(), d);
-    const auto key_signs = packSignRows(keys.data(), n, d);
-    const SignMatrix packed = SignMatrix::pack(keys.data(), n, d);
-
-    for (int th : {0, 25, 50, 75, 101}) {
-        const auto ref = scfFilter(qs, key_signs, th);
-        const auto got = scfFilter(qs, packed, th);
-        EXPECT_EQ(got, ref) << "threshold " << th;
-    }
-    // base_index offsets both overloads identically.
-    const auto ref7 = scfFilter(qs, key_signs, 50, 7);
-    const auto got7 = scfFilter(qs, packed, 50, 7);
-    EXPECT_EQ(got7, ref7);
-}
-
 TEST(Scf, BaseIndexOffsetsResults)
 {
     Rng rng(5);

@@ -259,6 +259,15 @@ TEST(TopKSelector, FinishLeavesItReusable)
     EXPECT_EQ(out[0].index, 42u);
 }
 
+/** Drain an accumulator into a vector, best first. */
+std::vector<ScoredIndex>
+drained(TopK &acc)
+{
+    std::vector<ScoredIndex> out(acc.size());
+    out.resize(acc.drainSorted(out.data()));
+    return out;
+}
+
 TEST(TopK, StreamingMatchesOneShot)
 {
     Rng rng(2);
@@ -274,7 +283,7 @@ TEST(TopK, StreamingMatchesOneShot)
             acc.push(scores[i], idx[i]);
         }
         const auto want = topkSelect(scores, idx, k);
-        const auto got = acc.sortedResults();
+        const auto got = drained(acc);
         ASSERT_EQ(got.size(), want.size());
         for (size_t i = 0; i < got.size(); ++i)
             EXPECT_EQ(got[i].index, want[i].index) << "trial " << trial;
@@ -287,72 +296,9 @@ TEST(TopK, CapacityBoundsSize)
     for (uint32_t i = 0; i < 100; ++i)
         acc.push(static_cast<float>(i), i);
     EXPECT_EQ(acc.size(), 4u);
-    const auto res = acc.sortedResults();
+    const auto res = drained(acc);
     EXPECT_EQ(res[0].index, 99u);
     EXPECT_EQ(res[3].index, 96u);
-}
-
-TEST(TopK, WorstRetainedIsEvictionBoundary)
-{
-    TopK acc(3);
-    acc.push(5.0f, 0);
-    acc.push(7.0f, 1);
-    acc.push(6.0f, 2);
-    EXPECT_FLOAT_EQ(acc.worstRetained(), 5.0f);
-    acc.push(8.0f, 3); // evicts 5
-    EXPECT_FLOAT_EQ(acc.worstRetained(), 6.0f);
-    acc.push(1.0f, 4); // ignored
-    EXPECT_FLOAT_EQ(acc.worstRetained(), 6.0f);
-}
-
-TEST(TopK, MergeEqualsCombinedStream)
-{
-    Rng rng(3);
-    const size_t k = 16;
-    TopK a(k), b(k), combined(k);
-    for (int i = 0; i < 500; ++i) {
-        const float s = static_cast<float>(rng.gaussian());
-        const auto idx = static_cast<uint32_t>(i);
-        (i % 2 ? a : b).push(s, idx);
-        combined.push(s, idx);
-    }
-    a.merge(b);
-    const auto got = a.sortedResults();
-    const auto want = combined.sortedResults();
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i)
-        EXPECT_EQ(got[i].index, want[i].index);
-}
-
-TEST(TopK, SelfMergeIsANoOp)
-{
-    // Regression: merge(*this) used to push into heap_ while
-    // range-iterating it, invalidating the iterator on reallocation.
-    Rng rng(7);
-    TopK acc(8);
-    for (int i = 0; i < 64; ++i)
-        acc.push(static_cast<float>(rng.gaussian()),
-                 static_cast<uint32_t>(i));
-    const auto before = acc.sortedResults();
-    acc.merge(acc);
-    const auto after = acc.sortedResults();
-    ASSERT_EQ(after.size(), before.size());
-    for (size_t i = 0; i < after.size(); ++i) {
-        EXPECT_EQ(after[i].index, before[i].index);
-        EXPECT_FLOAT_EQ(after[i].score, before[i].score);
-    }
-}
-
-TEST(TopK, SelfMergeWhileFillingKeepsContents)
-{
-    TopK acc(16);
-    acc.push(1.0f, 1);
-    acc.push(2.0f, 2);
-    acc.merge(acc); // below capacity: must not duplicate entries
-    const auto res = acc.sortedResults();
-    ASSERT_EQ(res.size(), 2u);
-    EXPECT_EQ(res[0].index, 2u);
-    EXPECT_EQ(res[1].index, 1u);
 }
 
 TEST(TopK, DuplicateScoresKeepDeterministicWinners)
@@ -362,23 +308,27 @@ TEST(TopK, DuplicateScoresKeepDeterministicWinners)
     TopK acc(3);
     for (uint32_t idx : {50u, 10u, 40u, 20u, 30u})
         acc.push(1.0f, idx);
-    const auto res = acc.sortedResults();
+    const auto res = drained(acc);
     ASSERT_EQ(res.size(), 3u);
     EXPECT_EQ(res[0].index, 10u);
     EXPECT_EQ(res[1].index, 20u);
     EXPECT_EQ(res[2].index, 30u);
 }
 
-TEST(TopK, DrainSortedMatchesSortedResults)
+TEST(TopK, DrainSortedMatchesTopkSelect)
 {
     Rng rng(13);
     for (size_t k : {size_t{1}, size_t{8}, size_t{100}}) {
         TopK acc(k);
         const size_t n = 1 + rng.below(300);
-        for (size_t i = 0; i < n; ++i)
-            acc.push(static_cast<float>(rng.gaussian()),
-                     static_cast<uint32_t>(i));
-        const auto want = acc.sortedResults();
+        std::vector<float> scores(n);
+        std::vector<uint32_t> idx(n);
+        for (size_t i = 0; i < n; ++i) {
+            scores[i] = static_cast<float>(rng.gaussian());
+            idx[i] = static_cast<uint32_t>(i);
+            acc.push(scores[i], idx[i]);
+        }
+        const auto want = topkSelect(scores, idx, k);
         std::vector<ScoredIndex> got(acc.size());
         const size_t m = acc.drainSorted(got.data());
         ASSERT_EQ(m, want.size());

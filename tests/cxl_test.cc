@@ -51,36 +51,6 @@ TEST(Cxl, BytesAccounted)
     EXPECT_EQ(link.bytesTransferred(), 1000u);
 }
 
-TEST(Cxl, PollAfterCompletionIsOneRoundTrip)
-{
-    CxlConfig cfg;
-    CxlLink link(cfg);
-    const Tick observed = link.pollCompletion(1000 * kNanosecond,
-                                              500 * kNanosecond);
-    EXPECT_EQ(observed, 1000 * kNanosecond + 2 * cfg.accessLatency);
-}
-
-TEST(Cxl, PollWaitsInIntervals)
-{
-    CxlConfig cfg;
-    cfg.pollInterval = fromNanoseconds(500);
-    cfg.accessLatency = fromNanoseconds(250);
-    CxlLink link(cfg);
-    // Device done 1200 ns after polling starts: polls at 500, 1000,
-    // 1500 -> completion observed at 1500 + RTT.
-    const Tick observed = link.pollCompletion(0, fromNanoseconds(1200));
-    EXPECT_EQ(observed, fromNanoseconds(1500) + 2 * cfg.accessLatency);
-}
-
-TEST(Cxl, PollExactBoundary)
-{
-    CxlConfig cfg;
-    cfg.pollInterval = fromNanoseconds(500);
-    CxlLink link(cfg);
-    const Tick observed = link.pollCompletion(0, fromNanoseconds(1000));
-    EXPECT_EQ(observed, fromNanoseconds(1000) + 2 * cfg.accessLatency);
-}
-
 TEST(Cxl, DescriptorDefaultsSane)
 {
     CxlConfig cfg;

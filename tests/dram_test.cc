@@ -106,27 +106,6 @@ TEST(DramChannel, StatsCountHitsAndMisses)
     EXPECT_EQ(ch.stats().reads, 4u);
     EXPECT_EQ(ch.stats().rowHits, 2u);
     EXPECT_EQ(ch.stats().rowMisses, 2u);
-    EXPECT_DOUBLE_EQ(ch.stats().rowHitRate(), 0.5);
-}
-
-TEST(DramChannel, WriteCompletes)
-{
-    LpddrTimings t;
-    DramChannel ch(t);
-    const Tick done = ch.write(0, 3, 7, 64);
-    EXPECT_GT(done, 0u);
-    EXPECT_EQ(ch.stats().writes, 1u);
-    EXPECT_EQ(ch.stats().bytesTransferred, 64u);
-}
-
-TEST(DramChannel, ProbeReadyDoesNotMutate)
-{
-    LpddrTimings t;
-    DramChannel ch(t);
-    const Tick p1 = ch.probeReady(0, 0, 0);
-    const Tick p2 = ch.probeReady(0, 0, 0);
-    EXPECT_EQ(p1, p2);
-    EXPECT_EQ(ch.stats().reads, 0u);
 }
 
 TEST(DramChannel, EarliestRespected)
@@ -154,13 +133,6 @@ TEST(DramPackage, StripedTouchesAllChannels)
     pkg.readStriped(0, 0, 0, 8 * 32);
     for (uint32_t c = 0; c < 8; ++c)
         EXPECT_EQ(pkg.channel(c).stats().reads, 1u) << "channel " << c;
-}
-
-TEST(DramPackage, PeakBandwidthIsChannelsTimesChannel)
-{
-    LpddrTimings t;
-    DramPackage pkg(t, 8);
-    EXPECT_NEAR(pkg.peakBandwidth(), 8.0 * t.peakBandwidth(), 1.0);
 }
 
 TEST(DramPackage, SmallStripedReadSkipsIdleChannels)

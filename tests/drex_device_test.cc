@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the assembled DReX device: capacity accounting, context
- * storage, and the end-to-end functional equivalence of a full
- * GPU-write -> request -> offload -> response round trip against the
- * software LongSightAttn reference.
+ * Tests for the assembled DReX device: capacity, context storage, and
+ * the end-to-end functional equivalence of a full GPU-write -> request
+ * -> offload -> response round trip against the software
+ * LongSightAttn reference.
  */
 
 #include <gtest/gtest.h>
@@ -21,49 +21,11 @@ namespace {
 
 TEST(Device, CapacityIs512GiB)
 {
-    DrexConfig cfg;
-    DrexDevice dev(cfg);
-    EXPECT_EQ(dev.capacityBytes(), 512ULL * kGiB);
-}
-
-TEST(Device, MaxUsersBoundedByQueueDepth)
-{
-    DrexConfig cfg;
-    cfg.numKvHeads = 8;
-    cfg.numLayers = 32;
-    cfg.headDim = 128;
-    DrexDevice dev(cfg);
-    // Tiny context: capacity allows huge counts, queue depth caps 512.
-    EXPECT_EQ(dev.maxUsers(1024), 512u);
-}
-
-TEST(Device, MaxUsersShrinksWithContext)
-{
-    DrexConfig cfg;
-    cfg.numKvHeads = 8;
-    cfg.numLayers = 32;
-    cfg.headDim = 128;
-    DrexDevice dev(cfg);
-    const uint32_t at_128k = dev.maxUsers(131072);
-    const uint32_t at_1m = dev.maxUsers(1'000'000);
-    EXPECT_GT(at_128k, at_1m);
-    EXPECT_GE(at_1m, 1u) << "paper headline: 1M context fits on DReX";
-}
-
-TEST(Device, MaxUsersIncludesSignOverhead)
-{
-    DrexConfig cfg;
-    cfg.numKvHeads = 8;
-    cfg.numLayers = 32;
-    cfg.headDim = 128;
-    DrexDevice dev(cfg);
-    // bytesPerToken = (256 + 256 + 16) * 8 * 32 = 135168.
-    const uint64_t per_token = dev.layout().bytesPerToken();
-    EXPECT_EQ(per_token, 135168u);
-    const uint64_t ctx = 500'000;
-    EXPECT_EQ(dev.maxUsers(ctx),
-              std::min<uint64_t>(512, dev.capacityBytes() /
-                                          (per_token * ctx)));
+    // Table 2: 64 channels of 8 GiB LPDDR5X.
+    const DrexConfig cfg;
+    EXPECT_EQ(uint64_t{cfg.geometry.totalChannels()} *
+                  cfg.timings.channelCapacity,
+              512ULL * kGiB);
 }
 
 TEST(Device, ContextStorageRoundTrip)

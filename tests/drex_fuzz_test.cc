@@ -20,6 +20,7 @@
 #include "core/topk.hh"
 #include "drex/drex_device.hh"
 #include "tensor/linalg.hh"
+#include "tests/sign_oracle.hh"
 #include "util/rng.hh"
 
 namespace longsight {
@@ -82,11 +83,12 @@ TEST_P(DrexFuzz, DeviceAgreesWithSoftwareReference)
     for (uint32_t q = 0; q < num_queries; ++q) {
         const SignBits qs(filter_queries.row(q), dim);
         std::vector<uint32_t> survivors;
-        // Scalar reference on purpose: extract() + SignBits keeps this
-        // check independent of the batch kernels the device now uses.
+        // Scalar reference on purpose: a word-at-a-time concordance
+        // keeps this check independent of the batch kernels the device
+        // uses.
         const SignMatrix &signs = cache.filterSignsStorage();
         for (uint64_t i = begin; i < end; ++i)
-            if (qs.concordance(signs.extract(i)) >= threshold)
+            if (rowConcordance(qs, signs, i) >= threshold)
                 survivors.push_back(static_cast<uint32_t>(i));
         std::vector<float> scores(survivors.size());
         for (size_t j = 0; j < survivors.size(); ++j)

@@ -10,7 +10,6 @@
 #include <set>
 
 #include "drex/layout.hh"
-#include "util/rng.hh"
 
 namespace longsight {
 namespace {
@@ -39,36 +38,6 @@ TEST(Layout, SignObjectFitsOneBankRowFor128Dim)
     // 128 keys x 128 dims / 8 = 2048 B = exactly one LPDDR5X row.
     EXPECT_EQ(l.signBytesPerBlock(), 2048u);
     EXPECT_EQ(l.signRowsPerGroup(), 1u);
-}
-
-TEST(Layout, AddressRoundTrip)
-{
-    const DataLayout l = layout8b();
-    Rng rng(1);
-    for (int i = 0; i < 200; ++i) {
-        DrexAddress a;
-        a.package = static_cast<uint32_t>(rng.below(8));
-        a.channel = static_cast<uint32_t>(rng.below(8));
-        a.bank = static_cast<uint32_t>(rng.below(128));
-        a.row = rng.below(LpddrTimings{}.rowsPerBank());
-        a.column = static_cast<uint32_t>(rng.below(2048));
-        EXPECT_EQ(l.decodeAddress(l.encodeAddress(a)), a);
-    }
-}
-
-TEST(Layout, ContiguousAddressesMapToColumnsFirst)
-{
-    const DataLayout l = layout8b();
-    const DrexAddress a0 = l.decodeAddress(0);
-    const DrexAddress a1 = l.decodeAddress(1);
-    EXPECT_EQ(a0.column + 1, a1.column);
-    EXPECT_EQ(a0.row, a1.row);
-    EXPECT_EQ(a0.bank, a1.bank);
-    // Crossing a row boundary bumps the row, not the bank.
-    const DrexAddress a2048 = l.decodeAddress(2048);
-    EXPECT_EQ(a2048.column, 0u);
-    EXPECT_EQ(a2048.row, 1u);
-    EXPECT_EQ(a2048.bank, 0u);
 }
 
 TEST(Layout, PlaceAssignsGroupBank)
@@ -124,15 +93,6 @@ TEST(Layout, UsersRotatePackages)
 {
     const DataLayout l = layout8b();
     EXPECT_NE(l.packageFor(0, 0), l.packageFor(1, 0));
-}
-
-TEST(Layout, PackagesForContextMatchesPaperFormula)
-{
-    const DataLayout l = layout8b();
-    // Packages = h_kv * ceil(L / 131072) (§7.3.3).
-    EXPECT_EQ(l.packagesForContext(131072), 8u);
-    EXPECT_EQ(l.packagesForContext(131073), 16u);
-    EXPECT_EQ(l.packagesForContext(1'000'000), 8u * 8u);
 }
 
 TEST(Layout, BytesPerTokenIncludesSignOverhead)

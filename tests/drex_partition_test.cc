@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "drex/drex_device.hh"
@@ -56,14 +57,15 @@ TEST(Partition, ExactCapacityTracksByteApproximation)
 {
     const DataLayout l = layout8b();
     PartitionManager pm(l, 8, 32);
-    DrexConfig cfg;
-    cfg.numKvHeads = 8;
-    cfg.numLayers = 32;
-    cfg.headDim = 128;
-    DrexDevice dev(cfg);
+    // The byte model: device capacity over bytes per user (signs
+    // included), capped by the DCC queue depth.
+    const DrexConfig cfg;
+    const uint64_t capacity =
+        uint64_t{cfg.geometry.totalChannels()} * cfg.timings.channelCapacity;
     for (uint64_t ctx : {131072ull, 262144ull, 524288ull, 1'000'000ull}) {
         const uint32_t exact = pm.maxUsersExact(ctx);
-        const uint32_t approx = dev.maxUsers(ctx);
+        const auto approx = static_cast<uint32_t>(std::min<uint64_t>(
+            cfg.dcc.queueDepth, capacity / (l.bytesPerToken() * ctx)));
         // The byte model ignores slot rounding; stay within 1 user or
         // 20 %, whichever is larger.
         EXPECT_NEAR(static_cast<double>(exact),

@@ -88,18 +88,6 @@ TEST(KMeans, TopClusterContainsNearestKey)
     EXPECT_GE(hits, trials * 7 / 10);
 }
 
-TEST(KMeans, UpdateCostIsPerCentroid)
-{
-    Rng rng(6);
-    const Matrix keys = clusteredKeys(300, 32, 7);
-    KMeansIndex idx(keys, 10, 3, rng);
-    std::vector<float> k(32, 0.2f);
-    EXPECT_EQ(idx.addKey(k.data(), 300), 10u);
-    // The added token becomes findable.
-    const auto all = idx.candidates(k.data(), 10);
-    EXPECT_TRUE(std::binary_search(all.begin(), all.end(), 300u));
-}
-
 TEST(KMeans, BuildCostScalesWithIterations)
 {
     Rng rng(8);
@@ -157,17 +145,6 @@ TEST(Lsh, NearbyVectorsCollideOftenerThanRandom)
     }
     EXPECT_GT(near_hits, rand_hits);
     EXPECT_GE(near_hits, trials * 7 / 10);
-}
-
-TEST(Lsh, UpdateCostIsPerTable)
-{
-    Rng rng(17);
-    const Matrix keys = clusteredKeys(200, 32, 18);
-    LshIndex idx(keys, 5, 8, rng);
-    std::vector<float> k(32, -0.4f);
-    EXPECT_EQ(idx.addKey(k.data(), 200), 5u);
-    const auto cand = idx.candidates(k.data());
-    EXPECT_TRUE(std::binary_search(cand.begin(), cand.end(), 200u));
 }
 
 } // namespace

@@ -1,55 +1,19 @@
 /**
  * @file
- * Coverage for smaller surfaces: CSV output, histogram summaries,
- * dataset presets, token formatting, device write-path stats, TTFT /
- * descriptor accounting, and ServingResult finalization.
+ * Coverage for smaller surfaces: dataset presets, token formatting,
+ * descriptor and sparse-region accounting, and ServingResult
+ * finalization.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
 #include "bench/bench_util.hh"
-#include "drex/drex_device.hh"
 #include "model/workload.hh"
 #include "sim/longsight_system.hh"
 #include "sim/serving.hh"
-#include "util/stats.hh"
-#include "util/table.hh"
 
 namespace longsight {
 namespace {
-
-TEST(TableCsv, WritesHeaderAndRows)
-{
-    TextTable t("csv");
-    t.setHeader({"a", "b"});
-    t.addRow({"1", "x"});
-    t.addRow({"2", "y"});
-    const std::string path = "/tmp/longsight_csv_test.csv";
-    t.writeCsv(path);
-    std::ifstream in(path);
-    std::string line;
-    std::getline(in, line);
-    EXPECT_EQ(line, "a,b");
-    std::getline(in, line);
-    EXPECT_EQ(line, "1,x");
-    std::getline(in, line);
-    EXPECT_EQ(line, "2,y");
-    std::remove(path.c_str());
-}
-
-TEST(HistogramSummary, ContainsQuantiles)
-{
-    Histogram h(0, 100, 20);
-    for (int i = 0; i < 100; ++i)
-        h.add(i);
-    const std::string s = h.summary();
-    EXPECT_NE(s.find("n=100"), std::string::npos);
-    EXPECT_NE(s.find("p99"), std::string::npos);
-}
 
 TEST(FmtTokens, HumanReadable)
 {
@@ -76,21 +40,6 @@ TEST(DatasetPresets, PgHasLongerSegments)
     wiki.generate(4000);
     EXPECT_LT(pg.segments().back(), wiki.segments().back())
         << "fewer segment switches in book-like text";
-}
-
-TEST(DeviceWriteStats, BytesLandInChannels)
-{
-    DrexConfig cfg;
-    cfg.numKvHeads = 1;
-    cfg.numLayers = 1;
-    cfg.headDim = 64;
-    DrexDevice dev(cfg);
-    dev.chargeContextWrite(0, 0, 0, 0, 0, 128);
-    const uint32_t pkg = dev.layout().packageFor(0, 0);
-    // 128 keys + values striped over 8 channels, plus sign bytes.
-    const uint64_t expect =
-        128ULL * (2 * 128 /*K+V bytes*/ + 64 / 8 /*signs*/);
-    EXPECT_EQ(dev.package(pkg).totalBytesTransferred(), expect);
 }
 
 TEST(ServingResultFinalize, ZeroSafe)

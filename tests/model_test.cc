@@ -71,13 +71,21 @@ TEST(ModelConfig, AttentionFlopsScaleWithContext)
               2 * m.attentionFlopsPerToken(1000));
 }
 
+/** RoPE applied to a copy of v. */
+std::vector<float>
+rotated(const Rope &rope, std::vector<float> v, uint64_t position)
+{
+    rope.apply(v.data(), position);
+    return v;
+}
+
 TEST(Rope, PreservesNorm)
 {
     Rope rope(64);
     Rng rng(1);
     const auto v = rng.gaussianVec(64);
     for (uint64_t pos : {0ULL, 1ULL, 1000ULL, 1000000ULL}) {
-        const auto r = rope.rotated(v, pos);
+        const auto r = rotated(rope, v, pos);
         EXPECT_NEAR(norm2(r.data(), 64), norm2(v.data(), 64), 1e-3)
             << "pos " << pos;
     }
@@ -88,7 +96,7 @@ TEST(Rope, PositionZeroIsIdentity)
     Rope rope(32);
     Rng rng(2);
     const auto v = rng.gaussianVec(32);
-    const auto r = rope.rotated(v, 0);
+    const auto r = rotated(rope, v, 0);
     for (size_t i = 0; i < 32; ++i)
         EXPECT_NEAR(r[i], v[i], 1e-6);
 }
@@ -100,10 +108,10 @@ TEST(Rope, RelativePositionProperty)
     Rng rng(3);
     const auto q = rng.gaussianVec(64);
     const auto k = rng.gaussianVec(64);
-    const auto qa = rope.rotated(q, 100);
-    const auto kb = rope.rotated(k, 60);
-    const auto qa2 = rope.rotated(q, 1100);
-    const auto kb2 = rope.rotated(k, 1060);
+    const auto qa = rotated(rope, q, 100);
+    const auto kb = rotated(rope, k, 60);
+    const auto qa2 = rotated(rope, q, 1100);
+    const auto kb2 = rotated(rope, k, 1060);
     EXPECT_NEAR(dot(qa.data(), kb.data(), 64),
                 dot(qa2.data(), kb2.data(), 64), 1e-2);
 }
@@ -113,8 +121,8 @@ TEST(Rope, DifferentPositionsProduceDifferentVectors)
     Rope rope(64);
     Rng rng(4);
     const auto v = rng.gaussianVec(64);
-    const auto a = rope.rotated(v, 5);
-    const auto b = rope.rotated(v, 6);
+    const auto a = rotated(rope, v, 5);
+    const auto b = rotated(rope, v, 6);
     float diff = 0;
     for (size_t i = 0; i < 64; ++i)
         diff += std::abs(a[i] - b[i]);
@@ -168,6 +176,22 @@ TEST(Workload, AppendExtendsContext)
     EXPECT_EQ(wl.contextLength(), 52u);
 }
 
+TEST(Workload, FirstAppendKeepsThePromptInPlace)
+{
+    // generate(n) reserves room for decode growth, so the first
+    // appended token does not reallocate (and copy) the whole prompt.
+    WorkloadConfig cfg;
+    cfg.headDim = 64;
+    HeadWorkload wl(cfg, Rng(14));
+    wl.generate(4096);
+    const float *keys = wl.keys().data();
+    const float *values = wl.values().data();
+    wl.appendToken();
+    EXPECT_EQ(wl.keys().data(), keys);
+    EXPECT_EQ(wl.values().data(), values);
+    EXPECT_EQ(wl.contextLength(), 4097u);
+}
+
 TEST(Workload, QueriesPreferTheirTopic)
 {
     // A query drawn for topic z must, on average, score same-topic
@@ -183,7 +207,7 @@ TEST(Workload, QueriesPreferTheirTopic)
     size_t same_n = 0, other_n = 0;
     for (int trial = 0; trial < 10; ++trial) {
         const uint32_t topic = wl.topics()[trial * 150];
-        const auto q = wl.drawQueryForTopic(topic);
+        const auto q = wl.drawQueryForSegment(wl.segments()[trial * 150]);
         const auto scores =
             attentionScores(q.data(), wl.keys(), 0, 2000, scale);
         for (size_t i = 0; i < 2000; ++i) {
@@ -250,41 +274,10 @@ TEST(Workload, DeterministicForSameSeed)
             EXPECT_EQ(a.keys()(i, j), b.keys()(i, j));
 }
 
-TEST(Perplexity, FullCoverageIsZeroLoss)
+TEST(Perplexity, MapsLostMassToPplIncrease)
 {
-    PerplexityProxy p;
-    std::vector<float> probs = {0.25f, 0.25f, 0.25f, 0.25f};
-    p.record(probs, {0, 1, 2, 3});
-    EXPECT_NEAR(p.meanLostMass(), 0.0, 1e-6);
-    EXPECT_NEAR(p.relPplIncreasePct(), 0.0, 1e-4);
-}
-
-TEST(Perplexity, PartialCoverageLosesMass)
-{
-    PerplexityProxy p;
-    std::vector<float> probs = {0.5f, 0.3f, 0.1f, 0.1f};
-    p.record(probs, {0, 1});
-    EXPECT_NEAR(p.meanLostMass(), 0.2, 1e-6);
-    EXPECT_NEAR(p.relPplIncreasePct(1.0), 100.0 * (std::exp(0.2) - 1.0),
-                1e-3);
-}
-
-TEST(Perplexity, OutputErrorRecorded)
-{
-    PerplexityProxy p;
-    std::vector<float> probs = {1.0f};
-    p.record(probs, {0}, {1.0f, 0.0f}, {0.0f, 1.0f});
-    EXPECT_NEAR(p.meanOutputError(), std::sqrt(2.0), 1e-5);
-}
-
-TEST(Perplexity, MergeCombinesStreams)
-{
-    PerplexityProxy a, b;
-    a.recordLostMass(0.1);
-    b.recordLostMass(0.3);
-    a.merge(b);
-    EXPECT_EQ(a.evaluations(), 2u);
-    EXPECT_NEAR(a.meanLostMass(), 0.2, 1e-9);
+    EXPECT_NEAR(pplIncreasePct(0.0), 0.0, 1e-9);
+    EXPECT_NEAR(pplIncreasePct(0.2), 100.0 * (std::exp(0.2) - 1.0), 1e-9);
 }
 
 } // namespace

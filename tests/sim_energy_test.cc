@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for prefill/TTFT modeling and the energy-per-token extension.
+ * Tests for prefill modeling and the energy-per-token extension.
  */
 
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include "gpu/gpu_model.hh"
 #include "model/model_config.hh"
 #include "sim/energy.hh"
-#include "sim/longsight_system.hh"
 
 namespace longsight {
 namespace {
@@ -39,23 +38,6 @@ TEST(Prefill, ZeroPromptIsFree)
 {
     GpuModel g(GpuConfig::h100(), ModelConfig::llama3_1b());
     EXPECT_EQ(g.prefillTime(0), 0u);
-}
-
-TEST(Ttft, IncludesPrefillAndFirstStep)
-{
-    const auto m = ModelConfig::llama3_8b();
-    LongSightSystem ls(LongSightSystemConfig{}, m);
-    GpuModel g(GpuConfig::h100(), m);
-    const uint64_t prompt = 65536;
-    const Tick ttft = ls.timeToFirstToken(prompt);
-    EXPECT_GE(ttft, g.prefillTime(prompt));
-    EXPECT_GE(ttft, ls.decode(prompt, 1).stepTime);
-}
-
-TEST(Ttft, GrowsWithPrompt)
-{
-    LongSightSystem ls(LongSightSystemConfig{}, ModelConfig::llama3_8b());
-    EXPECT_LT(ls.timeToFirstToken(16384), ls.timeToFirstToken(262144));
 }
 
 TEST(Energy, DenseGrowsLinearlyWithContext)

@@ -212,25 +212,6 @@ TEST(Pipeline, RetainedMassHighAtGenerousSettings)
     EXPECT_GT(r.minRetainedMass, 0.999);
 }
 
-TEST(Pipeline, WriteTimingScalesWithTokens)
-{
-    DrexDevice dev(deviceConfig());
-    const Tick t128 = dev.chargeContextWrite(0, 0, 0, 0, 0, 128);
-    DrexDevice dev2(deviceConfig());
-    const Tick t1024 = dev2.chargeContextWrite(0, 0, 0, 0, 0, 1024);
-    EXPECT_GT(t1024, t128);
-    EXPECT_LT(t1024, 16 * t128) << "bulk writes amortize row activates";
-}
-
-TEST(Pipeline, WriteTimingOffCriticalPathIsCheap)
-{
-    // Shipping one 128-token group must cost far less than a decode
-    // step (§6 benefit 3) — microseconds, not milliseconds.
-    DrexDevice dev(deviceConfig());
-    const Tick t = dev.chargeContextWrite(0, 0, 0, 0, 0, 128);
-    EXPECT_LT(t, 100 * kMicrosecond);
-}
-
 TEST(PipelineDeathTest, TopKAboveNmaCapIsRejected)
 {
     // The NMA clamps k to its hardware cap and verification A does not,

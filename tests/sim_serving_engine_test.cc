@@ -514,9 +514,9 @@ TEST(ServingEngine, LedgerChargesOnlyPrivateTailForSharedPrefix)
     ASSERT_TRUE(ledger.canReserve(4160, 3968));
     ledger.reserve(4160, 3968);
     EXPECT_EQ(ledger.inUse(), 4u);
-    // The full-charge flavour no longer fits beside the reservation
+    // The full charge no longer fits beside the reservation
     // (4 + 66 > 69); the prefix-aware one has room for many more.
-    EXPECT_FALSE(ledger.canReserve(4160));
+    EXPECT_FALSE(ledger.canReserve(4160, 0));
     EXPECT_TRUE(ledger.canReserve(4160, 3968));
     ledger.release(4160, 3968);
     EXPECT_EQ(ledger.inUse(), 0u);

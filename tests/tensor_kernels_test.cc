@@ -24,6 +24,7 @@
 #include "tensor/linalg.hh"
 #include "tensor/sign_matrix.hh"
 #include "tensor/signbits.hh"
+#include "tests/sign_oracle.hh"
 #include "util/rng.hh"
 
 namespace longsight {
@@ -106,7 +107,7 @@ TEST(Kernels, ConcordanceMatchesSignBitsAllBackends)
 
         std::vector<int32_t> ref(sh.rows);
         for (size_t i = 0; i < sh.rows; ++i)
-            ref[i] = q.concordance(m.extract(i));
+            ref[i] = rowConcordance(q, m, i);
 
         for (KernelBackend b : availableBackends()) {
             ScopedBackend guard(b);
@@ -130,7 +131,7 @@ TEST(Kernels, ConcordanceSubrange)
     const size_t begin = 17, end = 161;
     std::vector<int32_t> ref(end - begin);
     for (size_t i = begin; i < end; ++i)
-        ref[i - begin] = q.concordance(m.extract(i));
+        ref[i - begin] = rowConcordance(q, m, i);
 
     for (KernelBackend b : availableBackends()) {
         ScopedBackend guard(b);
@@ -147,7 +148,7 @@ naiveSurvivors(const SignBits &q, const SignMatrix &m, size_t begin,
 {
     std::vector<uint32_t> out;
     for (size_t i = begin; i < end; ++i)
-        if (q.concordance(m.extract(i)) >= threshold)
+        if (rowConcordance(q, m, i) >= threshold)
             out.push_back(static_cast<uint32_t>(i));
     return out;
 }

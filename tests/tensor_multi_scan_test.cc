@@ -25,6 +25,7 @@
 #include "tensor/signbits.hh"
 #include "tensor/tensor.hh"
 #include "tensor/topk_selector.hh"
+#include "tests/sign_oracle.hh"
 #include "util/rng.hh"
 
 namespace longsight {
@@ -96,7 +97,7 @@ naiveSurvivors(const SignBits &q, const SignMatrix &m, size_t begin,
 {
     std::vector<uint32_t> out;
     for (size_t i = begin; i < end; ++i)
-        if (q.concordance(m.extract(i)) >= threshold)
+        if (rowConcordance(q, m, i) >= threshold)
             out.push_back(static_cast<uint32_t>(i));
     return out;
 }

@@ -19,6 +19,7 @@
 #include "tensor/linalg.hh"
 #include "tensor/sign_matrix.hh"
 #include "tensor/tensor.hh"
+#include "tests/sign_oracle.hh"
 #include "util/rng.hh"
 
 namespace longsight {
@@ -45,7 +46,7 @@ reference(const float *q, const SignMatrix &signs, size_t begin,
     std::vector<uint32_t> survivors;
     std::vector<float> scores;
     for (size_t i = begin; i < end; ++i) {
-        if (qbits.concordance(signs.extract(i)) >= threshold) {
+        if (rowConcordance(qbits, signs, i) >= threshold) {
             survivors.push_back(static_cast<uint32_t>(i));
             scores.push_back(dot(q, keys.row(i), keys.cols()) * scale);
         }

@@ -2,7 +2,7 @@
  * @file
  * SignMatrix unit tests: packing semantics against SignBits (the
  * scalar reference), the v >= 0 sign rule at edge values on every
- * packing path, append/extract round-trips, alignment of the backing
+ * packing path, append round-trips, alignment of the backing
  * store, and the pack() batch constructor.
  */
 
@@ -15,6 +15,7 @@
 
 #include "tensor/sign_matrix.hh"
 #include "tensor/signbits.hh"
+#include "tests/sign_oracle.hh"
 #include "util/rng.hh"
 
 namespace longsight {
@@ -58,8 +59,7 @@ TEST(SignMatrix, AppendRowMatchesSignBits)
         ASSERT_EQ(m.rows(), data.size());
         for (size_t r = 0; r < data.size(); ++r) {
             const SignBits ref(data[r].data(), dim);
-            const SignBits got = m.extract(r);
-            EXPECT_EQ(got.words(), ref.words())
+            EXPECT_EQ(rowWords(m, r), ref.words())
                 << "dim " << dim << " row " << r;
         }
     }
@@ -84,21 +84,6 @@ TEST(SignMatrix, RowWordsMatchSignBitsWords)
     }
 }
 
-TEST(SignMatrix, AppendSignsRoundTrip)
-{
-    Rng rng(13);
-    const size_t dim = 128;
-    SignMatrix m(dim);
-    std::vector<SignBits> refs;
-    for (int r = 0; r < 17; ++r) {
-        const auto v = randomVec(rng, dim);
-        refs.emplace_back(v.data(), dim);
-        m.appendSigns(refs.back());
-    }
-    for (size_t r = 0; r < refs.size(); ++r)
-        EXPECT_EQ(m.extract(r).words(), refs[r].words());
-}
-
 TEST(SignMatrix, PackMatchesAppendLoop)
 {
     Rng rng(14);
@@ -109,37 +94,6 @@ TEST(SignMatrix, PackMatchesAppendLoop)
     for (size_t r = 0; r < count; ++r)
         appended.appendRow(flat.data() + r * dim);
     EXPECT_EQ(packed, appended);
-}
-
-TEST(SignMatrix, ConcordanceRowMatchesSignBits)
-{
-    Rng rng(15);
-    const size_t dim = 100;
-    const auto qv = randomVec(rng, dim);
-    const SignBits q(qv.data(), dim);
-    SignMatrix m(dim);
-    std::vector<SignBits> refs;
-    for (int r = 0; r < 25; ++r) {
-        const auto v = randomVec(rng, dim);
-        refs.emplace_back(v.data(), dim);
-        m.appendRow(v.data());
-    }
-    for (size_t r = 0; r < refs.size(); ++r)
-        EXPECT_EQ(m.concordanceRow(q, r), q.concordance(refs[r]));
-}
-
-TEST(SignMatrix, ClearKeepsDimension)
-{
-    Rng rng(16);
-    SignMatrix m(64);
-    const auto v = randomVec(rng, 64);
-    m.appendRow(v.data());
-    ASSERT_EQ(m.rows(), 1u);
-    m.clear();
-    EXPECT_EQ(m.rows(), 0u);
-    EXPECT_EQ(m.dim(), 64u);
-    m.appendRow(v.data());
-    EXPECT_EQ(m.rows(), 1u);
 }
 
 TEST(SignMatrix, ReserveDoesNotChangeContents)

@@ -68,13 +68,6 @@ TEST(Flags, DefaultsWhenAbsent)
     EXPECT_DOUBLE_EQ(f.getDouble("missing", 1.5), 1.5);
 }
 
-TEST(Flags, HasTracksPresence)
-{
-    const Flags f = parse({"--x=1"});
-    EXPECT_TRUE(f.has("x"));
-    EXPECT_FALSE(f.has("y"));
-}
-
 TEST(Flags, UnconsumedReportsTypos)
 {
     const Flags f = parse({"--right=1", "--wrnog=2"});
